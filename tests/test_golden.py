@@ -1,0 +1,59 @@
+"""Golden verdicts: the human rendering and the verdict JSON of every corpus
+and mutation file stay byte-identical unless a change says why they differ.
+
+After a deliberate, explained verdict change, rewrite the goldens with
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from eqcheck.checker import check_module
+from eqcheck.cli import _Paint, render_human, report_to_json
+
+from conftest import CORPUS
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "json.sha256"
+FILES = sorted(CORPUS.glob("*.eq")) + sorted((CORPUS / "mutations").glob("*.eq"))
+
+
+def renderings(path: pathlib.Path) -> tuple[str, str]:
+    """(human text, sha256 of the JSON text) for one checked file."""
+    report = check_module(path.read_text(), file=path.name)
+    human = render_human([report], _Paint(False)) + "\n"
+    text = json.dumps(report_to_json([report]), indent=2)
+    return human, hashlib.sha256(text.encode()).hexdigest()
+
+
+def recorded_digests() -> dict[str, str]:
+    digests = {}
+    for line in DIGESTS.read_text().splitlines():
+        digest, name = line.split()
+        digests[name] = digest
+    return digests
+
+
+def test_every_file_has_a_golden():
+    assert len(FILES) == 32
+    assert sorted(recorded_digests()) == sorted(p.name for p in FILES)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_output_matches_golden(path):
+    human, digest = renderings(path)
+    assert human == (GOLDEN / f"{path.stem}.txt").read_text()
+    assert digest == recorded_digests()[path.name]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    lines = []
+    for path in FILES:
+        human, digest = renderings(path)
+        (GOLDEN / f"{path.stem}.txt").write_text(human)
+        lines.append(f"{digest}  {path.name}\n")
+    DIGESTS.write_text("".join(lines))
