@@ -4,17 +4,16 @@ the whole-module pipeline (parse, desugar, sorts, wf, then obligations)."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails
 from .parser import parse_module
-from .semantics import DEFAULT_FUEL
 from .syntax import (
     App, Chain, FunDecl, FreshNames, IntLit, PAtom, PCon, PVar, Pattern,
     PlainTerm, Pred, PTrue, SourceModule, Span, Step, Term, UnitLit, Var,
-    body_terms, desugar, pattern_term, pretty, pretty_pred, substitute,
-    substitute_pred, subterms,
+    apps, body_terms, desugar, pattern_term, pred_terms, pretty, pretty_pred,
+    substitute, substitute_pred,
 )
 from .types import FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types
 from .wf import (
@@ -28,8 +27,6 @@ class CheckConfig:
     ple_default: bool = False
     strict_hints: bool = False
     ple_fuel: int = DEFAULT_PLE_FUEL
-    eval_fuel: int = DEFAULT_FUEL
-    jobs: int = 1
     warn_unused_hints: bool = True
 
 
@@ -215,19 +212,16 @@ class _ClauseInstance:
         including recursive ones (the inductive hypothesis)."""
         facts: list[Pred] = []
         seen: set[Pred] = set()
-        for t in scope_terms:
-            for sub in subterms(t):
-                if not isinstance(sub, App):
-                    continue
-                gi = self.env.funs[sub.name]
-                if not gi.signature.result.refined and not isinstance(
-                        gi.result_sort, SortProof):
-                    continue
-                fact = lemma_facts(gi, sub.args)
-                if isinstance(fact, PTrue) or fact in seen:
-                    continue
-                seen.add(fact)
-                facts.append(fact)
+        for sub in apps(scope_terms):
+            gi = self.env.funs[sub.name]
+            if not gi.signature.result.refined and not isinstance(
+                    gi.result_sort, SortProof):
+                continue
+            fact = lemma_facts(gi, sub.args)
+            if isinstance(fact, PTrue) or fact in seen:
+                continue
+            seen.add(fact)
+            facts.append(fact)
         return facts
 
     def facts_for(self, upto_step: int | None, strict_hints: bool) -> tuple[list[Pred], list[Term]]:
@@ -288,21 +282,20 @@ def build_clause_obligations(fi: FunInfo, env: TypeEnv, clause_index: int,
     facts, scope = inst.facts_for(None, config.strict_hints)
     seen_calls: set[Term] = set()
     pre_n = 0
-    for t in scope:
-        for sub in subterms(t):
-            if not isinstance(sub, App) or sub in seen_calls:
+    for sub in apps(scope):
+        if sub in seen_calls:
+            continue
+        seen_calls.add(sub)
+        gi = env.funs[sub.name]
+        mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
+        for (_, b), arg in zip(gi.signature.params, sub.args):
+            if not b.refined:
                 continue
-            seen_calls.add(sub)
-            gi = env.funs[sub.name]
-            mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
-            for (_, b), arg in zip(gi.signature.params, sub.args):
-                if not b.refined:
-                    continue
-                pre_n += 1
-                goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
-                obligations.append(make(
-                    f"{base}/pre{pre_n}", "hint-pre", sub.span,
-                    facts + chain_equalities, goal, scope))
+            pre_n += 1
+            goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
+            obligations.append(make(
+                f"{base}/pre{pre_n}", "hint-pre", sub.span,
+                facts + chain_equalities, goal, scope))
     return obligations
 
 
@@ -359,34 +352,32 @@ def check_function(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
     return [discharge(ob, env, config) for ob in obligations]
 
 
-def check_proof(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
-                ) -> list[Verdict]:
-    """Step and goal obligations for a Proof-resulting declaration."""
-    return check_function(fi, env, config)
-
-
 # ------------------------------------------------------------- module driver
 
-def _decl_references(fi: FunInfo, env: TypeEnv) -> set[str]:
-    from .syntax import pred_terms
-    names: set[str] = set()
-    for clause in fi.clauses:
-        for t in body_terms(clause.body):
-            for sub in subterms(t):
-                if isinstance(sub, App):
-                    names.add(sub.name)
+def allow_deep_recursion() -> None:
+    """Raise the interpreter's recursion limit to 20000 frames.
+
+    The passes over syntax trees and the reference evaluator recurse once
+    per nesting level, two frames deep where they rebuild a tuple, and an
+    n-element list literal nests n deep: at the default limit of 1000 a
+    500-element literal raises RecursionError.  The entry points call this,
+    rather than a module doing it at import, so importing eqcheck changes no
+    interpreter setting.  Deeper inputs still raise RecursionError, which
+    the CLI reports as an input error."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
+
+
+def _decl_references(fi: FunInfo) -> dict[str, None]:
+    """The other functions fi calls in its clauses, refinements and metric, in
+    first-occurrence order: the order picks the reason a blocked verdict
+    gives, so it must not depend on string hashing."""
     sig = fi.signature
+    terms = [t for clause in fi.clauses for t in body_terms(clause.body)]
     for p in [b.pred for _, b in sig.params] + [sig.result.pred]:
-        for t in pred_terms(p):
-            for sub in subterms(t):
-                if isinstance(sub, App):
-                    names.add(sub.name)
-    if sig.metric:
-        for t in sig.metric:
-            for sub in subterms(t):
-                if isinstance(sub, App):
-                    names.add(sub.name)
-    names.discard(fi.name)
+        terms.extend(pred_terms(p))
+    terms.extend(sig.metric or ())
+    names = dict.fromkeys(sub.name for sub in apps(terms))
+    names.pop(fi.name, None)
     return names
 
 
@@ -394,6 +385,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                  file: str | None = None) -> Report:
     """Full pipeline.  Parse and sort errors raise; totality, termination and
     proof failures become failed verdicts in the report."""
+    allow_deep_recursion()
     config = config or CheckConfig()
     module = parse_module(source) if isinstance(source, str) else source
     module = desugar(module)
@@ -442,7 +434,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
         for name in fun_names:
             if name in tainted:
                 continue
-            for ref in _decl_references(env.funs[name], env):
+            for ref in _decl_references(env.funs[name]):
                 if ref in tainted:
                     tainted[name] = f"uses {ref!r}, which {tainted[ref]}"
                     blocked[name] = tainted[name]
@@ -460,12 +452,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
             all_obligations.append((name, ob))
     report.obligations = [ob for _, ob in all_obligations]
 
-    if config.jobs > 1 and len(all_obligations) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(
-                lambda pair: discharge(pair[1], env, config), all_obligations))
-    else:
-        results = [discharge(ob, env, config) for _, ob in all_obligations]
+    results = [discharge(ob, env, config) for _, ob in all_obligations]
 
     by_decl: dict[str, list[Verdict]] = {name: [] for name in fun_names}
     for (name, _), verdict in zip(all_obligations, results):

@@ -121,13 +121,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="apply proof-by-logical-evaluation to every obligation")
     chk.add_argument("--strict-hints", action="store_true",
                      help="chain steps see only hints attached at or before them")
-    chk.add_argument("--fuel", type=int, default=10**6, metavar="N",
-                     help="evaluator unfolding budget (default 1000000)")
     chk.add_argument("--ple-fuel", type=int, default=100, metavar="N",
                      help="logical-evaluation rounds per obligation (default 100)")
     chk.add_argument("--json", action="store_true", help="machine-readable output")
-    chk.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="obligations discharged concurrently (default 1)")
     chk.add_argument("--dump-facts", metavar="OBLIGATION-ID", default=None,
                      help="print one obligation's hypotheses and goal, then exit")
     chk.add_argument("--no-unused-hint-warnings", action="store_true",
@@ -142,17 +138,14 @@ def run(argv: list[str]) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
-    if args.fuel <= 0 or args.ple_fuel <= 0 or args.jobs < 1:
-        print("eqcheck: --fuel and --ple-fuel must be positive, --jobs at least 1",
-              file=sys.stderr)
+    if args.ple_fuel <= 0:
+        print("eqcheck: --ple-fuel must be positive", file=sys.stderr)
         return EXIT_ERROR
 
     config = CheckConfig(
         ple_default=args.ple_default,
         strict_hints=args.strict_hints,
         ple_fuel=args.ple_fuel,
-        eval_fuel=args.fuel,
-        jobs=args.jobs,
         warn_unused_hints=not args.no_unused_hint_warnings,
     )
 
@@ -168,6 +161,9 @@ def run(argv: list[str]) -> int:
             reports.append(check_module(source, config, file=os.path.basename(path)))
         except (ParseError, TypeCheckError) as e:
             print(f"eqcheck: {path}: {e}", file=sys.stderr)
+            return EXIT_ERROR
+        except RecursionError:
+            print(f"eqcheck: {path}: input nested too deeply", file=sys.stderr)
             return EXIT_ERROR
 
     if args.dump_facts:

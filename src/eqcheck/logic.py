@@ -79,13 +79,6 @@ class _Lia:
         self.diseqs: list[Lin] = []  # each meaning expr != 0
         self._feasible_cache: Optional[bool] = None
 
-    def clone(self) -> "_Lia":
-        other = _Lia()
-        other.atoms = [(dict(c), k, r) for c, k, r in self.atoms]
-        other.diseqs = [(dict(c), k) for c, k in self.diseqs]
-        other._feasible_cache = self._feasible_cache
-        return other
-
     def add_diseq(self, coeffs: dict[int, int], const: int) -> None:
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
         if not coeffs:
@@ -470,9 +463,6 @@ class SolverState:
                 elif self.find(other) != self.find(p):
                     pending.append((p, other))
 
-    def merge(self, a: int, b: int) -> None:
-        self._merge(a, b)
-
     # -- contradiction checkpoints ------------------------------------------------
     def checkpoint(self) -> None:
         if self.contradiction:
@@ -566,7 +556,7 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
     b = st.intern_term(p.rhs)
     rel = p.rel
     if rel == "==":
-        st.merge(a, b)
+        st._merge(a, b)
     elif rel == "/=":
         st.diseqs.append((a, b))
         if st._is_int(a) and st._is_int(b):
@@ -663,7 +653,7 @@ def _fire_measures(st: SolverState, nid: int) -> bool:
         rhs = st.intern_term(body, active=False, subst=binding)
         if st.find(lhs) == st.find(rhs):
             continue
-        st.merge(lhs, rhs)
+        st._merge(lhs, rhs)
         st.stats["measure"] += 1
         fired = True
     return fired
@@ -691,7 +681,7 @@ def _fire_reflect(st: SolverState, nid: int, allow_derived: bool) -> bool:
     rhs = st.intern_term(value, active=st.ple and allow_derived, subst=binding)
     if st.find(nid) == st.find(rhs):
         return False
-    st.merge(nid, rhs)
+    st._merge(nid, rhs)
     st.stats["reflect"] += 1
     return True
 
@@ -720,14 +710,13 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
     return st
 
 
-def instantiate_axioms(st: SolverState, env: Optional[TypeEnv] = None) -> SolverState:
+def instantiate_axioms(st: SolverState) -> SolverState:
     """Fixpoint of the MEASURE rule plus one REFLECT unfolding for each
     syntactically present application whose clause selection is decided."""
     return _saturate(st, allow_derived=False, max_rounds=None)
 
 
-def ple_saturate(st: SolverState, env: Optional[TypeEnv] = None,
-                 fuel: Optional[int] = None) -> SolverState:
+def ple_saturate(st: SolverState, fuel: Optional[int] = None) -> SolverState:
     """Iterate instantiation, letting REFLECT fire on applications created by
     previous unfoldings, for at most `fuel` rounds."""
     if fuel is None:

@@ -6,17 +6,15 @@ unit/Proof value, and tuples ("CtorName", v1, ..., vk) for constructor values.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Union
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-
+from .checker import allow_deep_recursion
 from .syntax import (
     App, BoolLit, Chain, Con, IntLit, PCon, PInt, PVar, PWild, Pattern,
     PlainTerm, PrimOp, Term, UnitLit, Var,
 )
 from .types import (
-    Sort, SortBool, SortData, SortInt, SortProof, SortVar, TypeEnv,
+    Sort, SortBool, SortData, SortInt, SortProof, SortVar, TypeEnv, ctor_field_sorts,
 )
 
 Value = Union[int, bool, None, tuple]
@@ -52,11 +50,6 @@ class Fuel:
     def __init__(self, steps: int = DEFAULT_FUEL):
         self.remaining = steps
 
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise FuelExhausted()
-
 
 def match_pattern(pat: Pattern, value: Value, binding: dict[str, Value]) -> bool:
     kind = type(pat)
@@ -91,6 +84,7 @@ def evaluate(env: TypeEnv, t: Term, fuel: Fuel | None = None,
         fuel = Fuel()
     if binding is None:
         binding = {}
+    allow_deep_recursion()
     try:
         return _eval(env, t, fuel, binding)
     except RecursionError:
@@ -192,13 +186,9 @@ def enumerate_values(env: TypeEnv, sort: Sort, size: int,
         k = (key(s), w)
         if k in memo:
             return memo[k]
-        di = env.datas[s.name]
-        mapping = dict(zip(di.params, s.args))
         out: list[Value] = []
-        for ci in di.ctors:
-            field_sorts = [
-                _subst(_field_sort(ci, i, env), mapping) for i in range(ci.arity)
-            ]
+        for ci in env.datas[s.name].ctors:
+            field_sorts = ctor_field_sorts(ci, s, env)
             if ci.arity == 0:
                 if w == 0:
                     out.append((ci.name,))
@@ -217,20 +207,6 @@ def enumerate_values(env: TypeEnv, sort: Sort, size: int,
     for w in range(size + 1):
         result.extend(exact(sort, w))
     return result
-
-
-def _field_sort(ci, index: int, env: TypeEnv) -> Sort:
-    from .types import sort_of_typeexpr
-    di = env.datas[ci.data_name]
-    return sort_of_typeexpr(ci.fields[index], env, set(di.params))
-
-
-def _subst(s: Sort, mapping: dict[str, Sort]) -> Sort:
-    if isinstance(s, SortVar):
-        return mapping.get(s.name, s)
-    if isinstance(s, SortData):
-        return SortData(s.name, tuple(_subst(a, mapping) for a in s.args))
-    return s
 
 
 def _compositions(total: int, parts: int):

@@ -4,7 +4,7 @@ declarations, plus desugaring and the pretty-printer."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -315,17 +315,29 @@ def cons(h: Term, t: Term, span: Span = NO_SPAN) -> Term:
 # ------------------------------------------------------------- traversal
 
 def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every nested term, preorder."""
-    yield t
-    if isinstance(t, (Con, App, ListLit)):
-        for a in (t.args if not isinstance(t, ListLit) else t.items):
-            yield from subterms(a)
-    elif isinstance(t, PrimOp):
-        yield from subterms(t.lhs)
-        yield from subterms(t.rhs)
-    elif isinstance(t, ConsOp):
-        yield from subterms(t.head)
-        yield from subterms(t.tail)
+    """Yield t and every nested term, preorder and left to right.  The walk
+    keeps an explicit stack, so its cost per term does not grow with depth."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (Con, App)):
+            stack.extend(reversed(t.args))
+        elif isinstance(t, ListLit):
+            stack.extend(reversed(t.items))
+        elif isinstance(t, PrimOp):
+            stack += (t.rhs, t.lhs)
+        elif isinstance(t, ConsOp):
+            stack += (t.tail, t.head)
+
+
+def apps(terms: Iterable[Term]) -> Iterator[App]:
+    """Every function application in `terms`, preorder and left to right
+    (fact order follows it, and reaches the output)."""
+    for t in terms:
+        for sub in subterms(t):
+            if isinstance(sub, App):
+                yield sub
 
 
 def pred_terms(p: Pred) -> Iterator[Term]:

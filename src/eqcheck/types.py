@@ -9,7 +9,8 @@ from .syntax import (
     App, BoolLit, BaseRef, Chain, Clause, Con, ConsOp, DataDecl, FunDecl,
     IntLit, ListLit, PAtom, PAnd, PBool, PCon, PFalse, PInt, PNot, POr, PTrue,
     PVar, PWild, Pattern, PlainTerm, Pred, PrimOp, PRELUDE_LIST, Signature,
-    SourceModule, Span, Term, TypeExpr, UnitLit, Var, NO_SPAN, subterms,
+    SourceModule, Span, Term, TypeExpr, UnitLit, Var, NO_SPAN, apps, pred_terms,
+    subterms,
 )
 
 
@@ -181,6 +182,26 @@ def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str], span: Span = 
     return base
 
 
+def subst_sort(s: Sort, mapping: dict[str, Sort]) -> Sort:
+    """Replace the type variables of `s` by their images under `mapping`."""
+    if isinstance(s, SortVar):
+        return mapping.get(s.name, s)
+    if isinstance(s, SortData):
+        return SortData(s.name, tuple(subst_sort(a, mapping) for a in s.args))
+    return s
+
+
+def ctor_field_sorts(ci: CtorInfo, at: Sort, env: TypeEnv) -> tuple[Sort, ...]:
+    """Field sorts of constructor `ci` building a value of sort `at`; type
+    parameters stay abstract unless `at` is an instance of ci's data type."""
+    di = env.datas[ci.data_name]
+    mapping: dict[str, Sort] = {}
+    if isinstance(at, SortData) and at.name == di.name:
+        mapping = dict(zip(di.params, at.args))
+    return tuple(subst_sort(sort_of_typeexpr(f, env, set(di.params)), mapping)
+                 for f in ci.fields)
+
+
 def typeexpr_tyvars(te: TypeExpr) -> list[str]:
     out: list[str] = []
     if te.is_tyvar:
@@ -250,13 +271,6 @@ class _Unifier:
             return
         prefix = f"{what}: " if what else ""
         raise TypeCheckError(f"{prefix}expected sort {a}, found {b}", span)
-
-    def instantiate(self, s: Sort, mapping: dict[str, Sort]) -> Sort:
-        if isinstance(s, SortVar):
-            return mapping.get(s.name, s)
-        if isinstance(s, SortData):
-            return SortData(s.name, tuple(self.instantiate(a, mapping) for a in s.args))
-        return s
 
 
 # -------------------------------------------------------------- checking
@@ -364,13 +378,11 @@ class _ModuleChecker:
                     f"constructor {t.name!r} expects {ci.arity} argument(s), "
                     f"got {len(t.args)}", t.span)
             di = self.env.datas[ci.data_name]
-            mapping: dict[str, Sort] = {p: self.uni.fresh() for p in di.params}
-            for arg, fty in zip(t.args, ci.fields):
-                want = self.uni.instantiate(
-                    sort_of_typeexpr(fty, self.env, set(di.params)), mapping)
+            at = SortData(di.name, tuple(self.uni.fresh() for _ in di.params))
+            for arg, want in zip(t.args, ctor_field_sorts(ci, at, self.env)):
                 got = self.infer_term(arg, venv, fname)
                 self.uni.unify(want, got, arg.span, f"argument of {t.name}")
-            return SortData(di.name, tuple(mapping[p] for p in di.params))
+            return at
         if isinstance(t, App):
             fi = self.env.funs.get(t.name)
             if fi is None:
@@ -382,9 +394,9 @@ class _ModuleChecker:
             mapping = {v: self.uni.fresh() for v in fi.tyvars}
             for arg, want in zip(t.args, fi.param_sorts):
                 got = self.infer_term(arg, venv, fname)
-                self.uni.unify(self.uni.instantiate(want, mapping), got, arg.span,
+                self.uni.unify(subst_sort(want, mapping), got, arg.span,
                                f"argument of {t.name}")
-            return self.uni.instantiate(fi.result_sort, mapping)
+            return subst_sort(fi.result_sort, mapping)
         if isinstance(t, PrimOp):
             if t.op == "*" and not (isinstance(t.lhs, IntLit) or isinstance(t.rhs, IntLit)):
                 raise TypeCheckError(
@@ -437,12 +449,9 @@ class _ModuleChecker:
                 f"constructor {pat.name!r} expects {ci.arity} sub-pattern(s), "
                 f"got {len(pat.args)}", pat.span)
         di = self.env.datas[ci.data_name]
-        mapping: dict[str, Sort] = {p: self.uni.fresh() for p in di.params}
-        self.uni.unify(SortData(di.name, tuple(mapping[p] for p in di.params)),
-                       sort, pat.span, f"pattern {pat.name}")
-        for sub, fty in zip(pat.args, ci.fields):
-            want = self.uni.instantiate(
-                sort_of_typeexpr(fty, self.env, set(di.params)), mapping)
+        at = SortData(di.name, tuple(self.uni.fresh() for _ in di.params))
+        self.uni.unify(at, sort, pat.span, f"pattern {pat.name}")
+        for sub, want in zip(pat.args, ctor_field_sorts(ci, at, self.env)):
             self.check_pattern(sub, want, venv)
 
     # -- signatures and clauses ------------------------------------------------
@@ -578,32 +587,18 @@ def check_types(module: SourceModule) -> TypeEnv:
 def check_refinement_wf(env: TypeEnv) -> None:
     """Only lifted names (measures and reflected functions) may appear inside
     refinement predicates or termination metrics."""
-    def check_term(t: Term, where: str, fname: str):
-        for sub in subterms(t):
-            if isinstance(sub, App):
-                fi = env.funs[sub.name]
-                if not (fi.is_measure or fi.is_reflected):
-                    raise RefinementWfError(
-                        f"{where} of {fname!r} mentions {sub.name!r}, which is neither "
-                        "a measure nor reflected", sub.span)
-
-    def check_pred(p: Pred, where: str, fname: str):
-        if isinstance(p, PAtom):
-            check_term(p.lhs, where, fname)
-            check_term(p.rhs, where, fname)
-        elif isinstance(p, (PAnd, POr)):
-            for q in p.items:
-                check_pred(q, where, fname)
-        elif isinstance(p, PNot):
-            check_pred(p.item, where, fname)
-
     for fi in env.funs.values():
-        for _, b in fi.signature.params:
-            check_pred(b.pred, "argument refinement", fi.name)
-        check_pred(fi.signature.result.pred, "refinement", fi.name)
-        if fi.signature.metric is not None:
-            for m in fi.signature.metric:
-                check_term(m, "termination metric", fi.name)
+        sig = fi.signature
+        scopes = [("argument refinement", pred_terms(b.pred)) for _, b in sig.params]
+        scopes.append(("refinement", pred_terms(sig.result.pred)))
+        scopes.append(("termination metric", sig.metric or ()))
+        for where, terms in scopes:
+            for sub in apps(terms):
+                gi = env.funs[sub.name]
+                if not (gi.is_measure or gi.is_reflected):
+                    raise RefinementWfError(
+                        f"{where} of {fi.name!r} mentions {sub.name!r}, which is neither "
+                        "a measure nor reflected", sub.span)
 
 
 def pattern_binder_sorts(pat: Pattern, sort: Sort, env: TypeEnv) -> dict[str, Sort]:
@@ -614,20 +609,8 @@ def pattern_binder_sorts(pat: Pattern, sort: Sort, env: TypeEnv) -> dict[str, So
         if isinstance(p, PVar):
             out[p.name] = s
         elif isinstance(p, PCon):
-            ci = env.ctors[p.name]
-            di = env.datas[ci.data_name]
-            mapping: dict[str, Sort] = {}
-            if isinstance(s, SortData) and s.name == di.name:
-                mapping = dict(zip(di.params, s.args))
-            for sub, fty in zip(p.args, ci.fields):
-                walk(sub, _subst_sort(sort_of_typeexpr(fty, env, set(di.params)), mapping))
-
-    def _subst_sort(s: Sort, mapping: dict[str, Sort]) -> Sort:
-        if isinstance(s, SortVar):
-            return mapping.get(s.name, s)
-        if isinstance(s, SortData):
-            return SortData(s.name, tuple(_subst_sort(a, mapping) for a in s.args))
-        return s
+            for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
+                walk(sub, fs)
 
     walk(pat, sort)
     return out

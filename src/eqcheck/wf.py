@@ -4,15 +4,17 @@ metric-based termination for every function."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
+from .logic import SolverState, entails
 from .syntax import (
-    App, Con, FreshNames, IntLit, PAtom, PBool, PCon, PInt, PVar, PWild,
-    Pattern, Pred, Span, Term, Var, body_terms, pattern_term, pattern_vars,
-    substitute,
+    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PVar, PWild,
+    Pattern, Pred, Span, Term, Var, apps, body_terms, pattern_term, pattern_vars,
+    substitute, substitute_pred,
 )
 from .types import (
-    FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, pattern_binder_sorts,
+    FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
+    pattern_binder_sorts,
 )
 
 
@@ -31,25 +33,6 @@ def _is_wild(p: Pattern) -> bool:
     return isinstance(p, (PVar, PWild))
 
 
-def _field_sorts(ctor_name: str, at: Sort, env: TypeEnv) -> tuple[Sort, ...]:
-    from .types import sort_of_typeexpr
-    ci = env.ctors[ctor_name]
-    di = env.datas[ci.data_name]
-    mapping: dict[str, Sort] = {}
-    if isinstance(at, SortData) and at.name == di.name:
-        mapping = dict(zip(di.params, at.args))
-
-    def subst(s: Sort) -> Sort:
-        from .types import SortVar
-        if isinstance(s, SortVar):
-            return mapping.get(s.name, s)
-        if isinstance(s, SortData):
-            return SortData(s.name, tuple(subst(a) for a in s.args))
-        return s
-
-    return tuple(subst(sort_of_typeexpr(f, env, set(di.params))) for f in ci.fields)
-
-
 def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Row]:
     """A disjoint set of pattern rows covering exactly the inputs no row of
     the matrix matches."""
@@ -66,7 +49,7 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Ro
     out: list[Row] = []
     if isinstance(s0, SortData):
         for ci in env.datas[s0.name].ctors:
-            fsorts = _field_sorts(ci.name, s0, env)
+            fsorts = ctor_field_sorts(ci, s0, env)
             sub_rows: list[Row] = []
             for r in rows:
                 p = r[0]
@@ -236,21 +219,6 @@ def leaf_var_sorts(fi: FunInfo, leaf: Leaf, env: TypeEnv) -> dict[str, Sort]:
     return out
 
 
-def leaf_facts(fi: FunInfo, leaf: Leaf) -> list[Pred]:
-    """Pattern equalities binding the argument constants (named after the
-    signature binders) to the leaf's pattern terms, plus leaf refinements."""
-    facts: list[Pred] = []
-    fresh = FreshNames(set())
-    for (binder, _), pat in zip(fi.signature.params, leaf.row):
-        facts.append(PAtom("==", Var(binder), pattern_term(pat, fresh)))
-    for x, t in leaf.var_bindings:
-        facts.append(PAtom("==", Var(x), t))
-    for x, excluded in leaf.excluded_ints:
-        for k in excluded:
-            facts.append(PAtom("/=", Var(x), IntLit(k)))
-    return facts
-
-
 # ------------------------------------------------------------- termination
 
 @dataclass(frozen=True)
@@ -267,20 +235,10 @@ class NonTermination:
     reason: str
 
 
-# An entailment service: (facts, goal, var_sorts, active_terms) -> bool.
-EntailService = Callable[[list[Pred], Pred, dict[str, Sort], list[Term]], bool]
-
-
 def _self_calls(fi: FunInfo) -> list[tuple[int, App]]:
     """(clause index, application) for every recursive call, hints included."""
-    from .syntax import subterms
-    out: list[tuple[int, App]] = []
-    for ci, clause in enumerate(fi.clauses):
-        for t in body_terms(clause.body):
-            for sub in subterms(t):
-                if isinstance(sub, App) and sub.name == fi.name:
-                    out.append((ci, sub))
-    return out
+    return [(ci, sub) for ci, clause in enumerate(fi.clauses)
+            for sub in apps(body_terms(clause.body)) if sub.name == fi.name]
 
 
 def _strict_subvars(pat: Pattern) -> set[str]:
@@ -350,25 +308,22 @@ def _guess_metric(fi: FunInfo, env: TypeEnv) -> list[tuple[Term, ...]]:
 
 
 def _refinement_facts_for_metric(terms: list[Term], fi: FunInfo, env: TypeEnv) -> list[Pred]:
-    from .syntax import subterms, substitute_pred
     facts: list[Pred] = []
-    for t in terms:
-        for sub in subterms(t):
-            if not isinstance(sub, App) or sub.name == fi.name:
-                continue
-            gi = env.funs[sub.name]
-            res = gi.signature.result
-            if not res.refined:
-                continue
-            mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
-            mapping[res.binder] = sub
-            facts.append(substitute_pred(res.pred, mapping))
+    for sub in apps(terms):
+        if sub.name == fi.name:
+            continue
+        gi = env.funs[sub.name]
+        res = gi.signature.result
+        if not res.refined:
+            continue
+        mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
+        mapping[res.binder] = sub
+        facts.append(substitute_pred(res.pred, mapping))
     return facts
 
 
-def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv,
-                  entail: EntailService) -> Optional[NonTermination]:
-    from .syntax import PAnd, POr, substitute_pred
+def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv
+                  ) -> Optional[NonTermination]:
     binders = fi.signature.binders()
     calls = _self_calls(fi)
     for ci, clause in enumerate(fi.clauses):
@@ -412,8 +367,10 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv,
                 goal: Pred = PAnd((*nonneg,
                                    decreases[0] if len(decreases) == 1
                                    else POr(tuple(decreases))))
-                active = caller + list(callee)
-                if not entail(facts, goal, var_sorts, active):
+                st = SolverState(env, var_sorts=var_sorts)
+                for t in caller + callee:
+                    st.intern_term(t, active=True)
+                if not entails(st, facts, goal):
                     return NonTermination(
                         call.span,
                         f"cannot show metric [{', '.join(str(m) for m in metric)}] "
@@ -422,31 +379,15 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv,
     return None
 
 
-def default_entail_service(env: TypeEnv) -> EntailService:
-    from .logic import SolverState, entails
-
-    def entail(facts: list[Pred], goal: Pred, var_sorts: dict[str, Sort],
-               active_terms: list[Term]) -> bool:
-        st = SolverState(env, var_sorts=var_sorts)
-        for t in active_terms:
-            st.intern_term(t, active=True)
-        return entails(st, facts, goal)
-
-    return entail
-
-
-def check_termination(fi: FunInfo, env: TypeEnv,
-                      entail: EntailService | None = None):
+def check_termination(fi: FunInfo, env: TypeEnv):
     """Structural check first unless an explicit metric was declared; falls
     back to the guessed first-argument metric before giving up."""
     calls = _self_calls(fi)
     if not calls:
         return TerminationEvidence("structural", ())
-    if entail is None:
-        entail = default_entail_service(env)
     metric = fi.signature.metric
     if metric is not None:
-        failure = _check_metric(fi, tuple(metric), env, entail)
+        failure = _check_metric(fi, tuple(metric), env)
         if failure is None:
             return TerminationEvidence("semantic", metric=tuple(metric))
         return failure
@@ -455,7 +396,7 @@ def check_termination(fi: FunInfo, env: TypeEnv,
         return TerminationEvidence("structural", positions)
     guesses = _guess_metric(fi, env)
     for guess in guesses:
-        if _check_metric(fi, guess, env, entail) is None:
+        if _check_metric(fi, guess, env) is None:
             return TerminationEvidence("semantic", metric=guess, guessed=True)
     return NonTermination(
         fi.span,
@@ -467,14 +408,11 @@ def check_termination(fi: FunInfo, env: TypeEnv,
 def call_graph_cycles(env: TypeEnv) -> list[list[str]]:
     """Strongly connected components of size > 1 in the call graph (mutual
     recursion is out of scope and reported as non-termination)."""
-    from .syntax import subterms
     graph: dict[str, set[str]] = {name: set() for name in env.funs}
     for name, fi in env.funs.items():
         for clause in fi.clauses:
-            for t in body_terms(clause.body):
-                for sub in subterms(t):
-                    if isinstance(sub, App) and sub.name != name:
-                        graph[name].add(sub.name)
+            graph[name].update(sub.name for sub in apps(body_terms(clause.body))
+                               if sub.name != name)
     # Tarjan SCC
     index: dict[str, int] = {}
     low: dict[str, int] = {}

@@ -1,6 +1,6 @@
 from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_function, check_module,
-    check_proof, clause_context, lemma_facts,
+    clause_context, lemma_facts,
 )
 from eqcheck.semantics import evaluate
 from eqcheck.syntax import pretty_pred
@@ -86,11 +86,11 @@ def test_append_wrong_refinement_fails():
     assert lhs != rhs
 
 
-# ----------------------------------------------------------------- check_proof
+# ------------------------------------------------------- proof declarations
 
 def test_singletonp_obligations():
     env = env_of(corpus_text("section2.eq"))
-    verdicts = check_proof(env.fun("singletonP"), env)
+    verdicts = check_function(env.fun("singletonP"), env)
     kinds = [(v.kind, v.status) for v in verdicts]
     assert kinds == [("chain-step", "proved")] * 3 + [("clause-vc", "proved")]
 
@@ -99,7 +99,7 @@ def test_mutated_singletonp_step_fails():
     src = corpus_text("section2.eq").replace(
         "  ==. [x]\n  *** QED", "  ==. x : (x : [])\n  *** QED", 1)
     env = env_of(src)
-    verdicts = check_proof(env.fun("singletonP"), env)
+    verdicts = check_function(env.fun("singletonP"), env)
     failing = [v for v in verdicts if not v.proved]
     assert [v.oid for v in failing] == ["singletonP/c0/step3"]
     # evaluator countermodel x = 0
@@ -110,7 +110,7 @@ def test_mutated_singletonp_step_fails():
 
 def test_involution_proof_accepted():
     env = env_of(corpus_text("section2.eq"))
-    assert all(v.proved for v in check_proof(env.fun("involutionP"), env))
+    assert all(v.proved for v in check_function(env.fun("involutionP"), env))
 
 
 def test_derivation_goal_uses_last_rhs():
@@ -218,13 +218,6 @@ usesLoop xs = loop xs
     report = check_module(src)
     kinds = {v.decl: v.kind for v in report.failed()}
     assert kinds == {"loop": "termination", "usesLoop": "blocked"}
-
-
-def test_deterministic_across_jobs():
-    src = corpus_text("section5.eq")
-    r1 = check_module(src, CheckConfig(jobs=1))
-    r4 = check_module(src, CheckConfig(jobs=4))
-    assert [(v.oid, v.status) for v in r1.verdicts] == [(v.oid, v.status) for v in r4.verdicts]
 
 
 def test_fuel_exhausted_verdict():

@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 from eqcheck.cli import run
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def run_cli(args, capsys):
@@ -59,7 +60,7 @@ def test_type_error_exits_two(tmp_path, capsys):
 
 
 def test_bad_flags_exit_two(capsys):
-    code, _, _ = run_cli(["check", corpus_file("section2.eq"), "--jobs", "0"], capsys)
+    code, _, _ = run_cli(["check", corpus_file("section2.eq"), "--ple-fuel", "0"], capsys)
     assert code == 2
 
 
@@ -79,12 +80,42 @@ def test_ple_default_flag(tmp_path, capsys):
     assert code1 == 1 and code2 == 0
 
 
-def test_json_byte_identical_across_runs_and_jobs(capsys):
+def test_json_byte_identical_across_runs(capsys):
     args = ["check", corpus_file("section5.eq"), "--json"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
-    _, out4, _ = run_cli(args + ["--jobs", "4"], capsys)
-    assert out1 == out2 == out4
+    assert out1 == out2
+
+
+def test_deeply_nested_input_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.eq"
+    depth = 30000
+    deep.write_text("f : x:Int -> Int\nf x = " + "(" * depth + "x" + ")" * depth + "\n")
+    code, _, err = run_cli(["check", str(deep)], capsys)
+    assert code == 2
+    assert f"eqcheck: {deep}: input nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_long_literal_checks_in_fresh_interpreter(tmp_path):
+    """A 500-element literal needs a raised recursion limit; check_module
+    raises it itself, without help from any module imported on the way."""
+    lit = tmp_path / "lit.eq"
+    lit.write_text(
+        "measure length\n"
+        "length : xs:(List a) -> {v:Int | 0 <= v}\n"
+        "length [] = 0\n"
+        "length (_:xs) = 1 + length xs\n\n"
+        f"lenLit : u:Int -> {{v:Proof | length {[1] * 500} == 500}}\n"
+        "lenLit u = ()\n")
+    script = ("import contextlib, io, sys, eqcheck.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = eqcheck.cli.run(['check', sys.argv[1]])\n"
+              "print(code, 'eqcheck.semantics' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, str(lit)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_dump_facts(capsys):

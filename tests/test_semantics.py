@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,19 @@ def test_fuel_exhaustion():
     env = env_of("spin : x:Int -> Int\nspin x = spin x\n")
     with pytest.raises(FuelExhausted):
         evaluate(env, term("spin 0"), Fuel(1000))
+
+
+def test_fuel_exhaustion_from_default_recursion_limit():
+    """evaluate raises the recursion limit itself: fuel, not depth, still ends
+    the run when no check has raised it first."""
+    env = env_of("spin : x:Int -> Int\nspin x = spin x\n")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(FuelExhausted):
+            evaluate(env, term("spin 0"), Fuel(1000))
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_match_failure_on_nontotal():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from eqcheck.parser import ParseError, parse_module, parse_term
 from eqcheck.syntax import (
     App, Annotation, Con, ConsOp, IntLit, ListLit, PrimOp, Var, desugar,
-    desugar_term, pretty, pretty_module, subterms,
+    apps, desugar_term, pretty, pretty_module, subterms,
 )
 
 from conftest import corpus_text
@@ -134,3 +134,8 @@ def test_desugar_idempotent_and_core(t):
     assert desugar_term(d) == d
     for sub in subterms(d):
         assert not isinstance(sub, (ListLit, ConsOp))
+
+
+def test_apps_preorder_left_to_right():
+    terms = [parse_term("f (g x) [h 1, k] + (m (n 2) : p 3)"), parse_term("q y")]
+    assert [a.name for a in apps(terms)] == ["f", "g", "h", "m", "n", "p", "q"]
