@@ -1,5 +1,7 @@
 """Golden verdicts: the human rendering and the verdict JSON of every corpus
 and mutation file stay byte-identical unless a change says why they differ.
+The verdict JSON under `--strict-hints` is pinned too, since that mode gives
+chain steps a narrower hypothesis scope than the default.
 
 After a deliberate, explained verdict change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -11,27 +13,30 @@ import pathlib
 
 import pytest
 
-from eqcheck.checker import check_module
+from eqcheck.checker import CheckConfig, check_module
 from eqcheck.cli import _Paint, render_human, report_to_json
 
 from conftest import CORPUS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "json.sha256"
+STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
+STRICT = CheckConfig(strict_hints=True)
 FILES = sorted(CORPUS.glob("*.eq")) + sorted((CORPUS / "mutations").glob("*.eq"))
 
 
-def renderings(path: pathlib.Path) -> tuple[str, str]:
+def renderings(path: pathlib.Path, config: CheckConfig | None = None
+               ) -> tuple[str, str]:
     """(human text, sha256 of the JSON text) for one checked file."""
-    report = check_module(path.read_text(), file=path.name)
+    report = check_module(path.read_text(), config, file=path.name)
     human = render_human([report], _Paint(False)) + "\n"
     text = json.dumps(report_to_json([report]), indent=2)
     return human, hashlib.sha256(text.encode()).hexdigest()
 
 
-def recorded_digests() -> dict[str, str]:
+def recorded_digests(digest_file: pathlib.Path = DIGESTS) -> dict[str, str]:
     digests = {}
-    for line in DIGESTS.read_text().splitlines():
+    for line in digest_file.read_text().splitlines():
         digest, name = line.split()
         digests[name] = digest
     return digests
@@ -40,6 +45,7 @@ def recorded_digests() -> dict[str, str]:
 def test_every_file_has_a_golden():
     assert len(FILES) == 32
     assert sorted(recorded_digests()) == sorted(p.name for p in FILES)
+    assert sorted(recorded_digests(STRICT_DIGESTS)) == sorted(p.name for p in FILES)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
@@ -49,11 +55,19 @@ def test_output_matches_golden(path):
     assert digest == recorded_digests()[path.name]
 
 
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_strict_hints_output_matches_golden(path):
+    _, digest = renderings(path, STRICT)
+    assert digest == recorded_digests(STRICT_DIGESTS)[path.name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    lines = []
+    lines, strict_lines = [], []
     for path in FILES:
         human, digest = renderings(path)
         (GOLDEN / f"{path.stem}.txt").write_text(human)
         lines.append(f"{digest}  {path.name}\n")
+        strict_lines.append(f"{renderings(path, STRICT)[1]}  {path.name}\n")
     DIGESTS.write_text("".join(lines))
+    STRICT_DIGESTS.write_text("".join(strict_lines))
