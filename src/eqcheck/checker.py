@@ -4,21 +4,22 @@ the whole-module pipeline (parse, desugar, sorts, wf, then obligations)."""
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails
 from .parser import parse_module
 from .syntax import (
-    App, Chain, FunDecl, FreshNames, IntLit, PAtom, PCon, PVar, Pattern,
-    PlainTerm, Pred, PTrue, SourceModule, Span, Step, Term, UnitLit, Var,
-    apps, body_terms, desugar, pattern_term, pred_terms, pretty, pretty_pred,
-    substitute, substitute_pred,
+    Chain, FunDecl, FreshNames, PAtom, PCon, PVar, Pattern, PlainTerm, Pred,
+    SourceModule, Span, Step, Term, UnitLit, Var, allow_deep_recursion, apps,
+    body_terms, desugar, pattern_term, pred_terms, pretty, pretty_pred, substitute,
+    substitute_pred,
 )
-from .types import FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types
+from .types import (
+    FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types, lemma_facts,
+)
 from .wf import (
-    Leaf, NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
-    check_totality, clause_leaves, leaf_var_sorts, missing_pattern_text,
+    Leaf, NonTermination, call_graph_cycles, check_termination, check_totality,
+    clause_leaves, leaf_facts, leaf_var_sorts, missing_pattern_text,
 )
 
 
@@ -66,8 +67,6 @@ class Report:
     verdicts: list[Verdict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     obligations: list[Obligation] = field(default_factory=list)
-    evidence: dict[str, TerminationEvidence] = field(default_factory=dict)
-    missing: dict[str, list[str]] = field(default_factory=dict)
     env: TypeEnv | None = None
     module: SourceModule | None = None
 
@@ -77,27 +76,6 @@ class Report:
 
     def failed(self) -> list[Verdict]:
         return [v for v in self.verdicts if not v.proved]
-
-
-def clause_context(fi: FunInfo, clause_index: int, env: TypeEnv,
-                   leaf_index: int = 0) -> list[Pred]:
-    """The hypotheses available to a clause's obligations: pattern equalities
-    over the argument constants, instantiated argument refinements, and the
-    result refinements of every call in the body (the recursive ones are the
-    inductive hypotheses)."""
-    leaves = clause_leaves(fi, clause_index, env)
-    inst = _ClauseInstance(fi, env, clause_index, leaves[leaf_index])
-    facts, _ = inst.facts_for(None, strict_hints=False)
-    return facts
-
-
-def lemma_facts(gi: FunInfo, args: tuple[Term, ...]) -> Pred:
-    """The callee's result refinement instantiated at the given arguments;
-    for a Proof-sorted callee this is the theorem statement itself."""
-    res = gi.signature.result
-    mapping = {b: a for (b, _), a in zip(gi.signature.params, args)}
-    mapping[res.binder] = App(gi.name, args)
-    return substitute_pred(res.pred, mapping)
 
 
 # ------------------------------------------------------ clause instantiation
@@ -114,13 +92,11 @@ class _ClauseInstance:
     """One (clause, leaf) pair with clause variables renamed apart from the
     signature binders, ready to produce facts and goals."""
 
-    def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf,
-                 drop_hint: Term | None = None):
+    def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf):
         self.fi = fi
         self.env = env
         self.clause_index = clause_index
         self.clause = fi.clauses[clause_index]
-        self.drop_hint = drop_hint
         binders = set(fi.signature.binders())
         leaf_sorts = leaf_var_sorts(fi, leaf, env)
         # a variable that is itself the whole pattern for the same-named
@@ -135,12 +111,12 @@ class _ClauseInstance:
                    if v in binders and v not in aligned}
         rename_terms = {old: Var(new) for old, new in renames.items()}
 
-        self.row = tuple(_rename_pattern(p, renames) for p in leaf.row)
-        self.var_bindings = tuple(
-            (renames.get(x, x), substitute(t, rename_terms)) for x, t in leaf.var_bindings
-        )
-        self.excluded_ints = tuple(
-            (renames.get(x, x), ks) for x, ks in leaf.excluded_ints
+        self.leaf = Leaf(
+            leaf.index,
+            tuple(_rename_pattern(p, renames) for p in leaf.row),
+            tuple((renames.get(x, x), substitute(t, rename_terms))
+                  for x, t in leaf.var_bindings),
+            tuple((renames.get(x, x), ks) for x, ks in leaf.excluded_ints),
         )
         self.var_sorts: dict[str, Sort] = {
             renames.get(v, v): s
@@ -156,49 +132,37 @@ class _ClauseInstance:
             self.head: Term = substitute(body.term, rename_terms)
             self.head_hints: tuple[Term, ...] = ()
             self.steps: tuple[Step, ...] = ()
-            self.qed = False
         else:
             assert isinstance(body, Chain)
             self.head = substitute(body.head, rename_terms)
-            self.head_hints = tuple(
-                substitute(h, rename_terms) for h in body.head_hints if h != drop_hint)
+            self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
             self.steps = tuple(
                 Step(substitute(s.rhs, rename_terms),
-                     tuple(substitute(h, rename_terms) for h in s.hints if h != drop_hint),
+                     tuple(substitute(h, rename_terms) for h in s.hints),
                      span=s.span)
                 for s in body.steps
             )
-            self.qed = body.qed
 
-    def value_term(self) -> Term:
-        if self.steps:
-            return self.steps[-1].rhs
-        return UnitLit() if self.qed else self.head
-
-    def terms_in_scope(self, upto_step: int | None, strict_hints: bool) -> list[Term]:
-        """Body terms visible to an obligation.  With --strict-hints, a chain
-        step sees only hints attached at or before it (head hints always)."""
-        out = [self.head, *self.head_hints]
+    def terms_in_scope(self, upto_step: int | None, drop_hint: Term | None) -> list[Term]:
+        """Body terms visible to an obligation: the head, every step, and the
+        hints other than `drop_hint` attached at or before step `upto_step`
+        (head hints always; every hint when `upto_step` is None)."""
+        out = [self.head, *(h for h in self.head_hints if h != drop_hint)]
         for k, s in enumerate(self.steps):
             out.append(s.rhs)
-            if not strict_hints or upto_step is None or k <= upto_step:
-                out.extend(s.hints)
+            if upto_step is None or k <= upto_step:
+                out.extend(h for h in s.hints if h != drop_hint)
         return out
 
     def pattern_facts(self) -> list[Pred]:
         facts: list[Pred] = []
         fresh = FreshNames(set(self.var_sorts))
-        for (binder, _), pat in zip(self.fi.signature.params, self.row):
+        for (binder, _), pat in zip(self.fi.signature.params, self.leaf.row):
             t = pattern_term(pat, fresh)
             if t == Var(binder):
                 continue
             facts.append(PAtom("==", Var(binder), t))
-        for x, t in self.var_bindings:
-            facts.append(PAtom("==", Var(x), t))
-        for x, ks in self.excluded_ints:
-            for k in ks:
-                facts.append(PAtom("/=", Var(x), IntLit(k)))
-        return facts
+        return facts + leaf_facts(self.leaf)
 
     def refinement_facts(self) -> list[Pred]:
         facts: list[Pred] = []
@@ -214,33 +178,37 @@ class _ClauseInstance:
         seen: set[Pred] = set()
         for sub in apps(scope_terms):
             gi = self.env.funs[sub.name]
-            if not gi.signature.result.refined and not isinstance(
-                    gi.result_sort, SortProof):
+            if not gi.signature.result.refined:
                 continue
             fact = lemma_facts(gi, sub.args)
-            if isinstance(fact, PTrue) or fact in seen:
+            if fact in seen:
                 continue
             seen.add(fact)
             facts.append(fact)
         return facts
 
-    def facts_for(self, upto_step: int | None, strict_hints: bool) -> tuple[list[Pred], list[Term]]:
-        scope = self.terms_in_scope(upto_step, strict_hints)
+    def facts_for(self, upto_step: int | None, drop_hint: Term | None
+                  ) -> tuple[list[Pred], list[Term]]:
+        scope = self.terms_in_scope(upto_step, drop_hint)
         facts = self.pattern_facts() + self.refinement_facts() + self.call_facts(scope)
         return facts, scope
 
 
 # ------------------------------------------------------- obligation building
 
-def build_clause_obligations(fi: FunInfo, env: TypeEnv, clause_index: int,
-                             leaf: Leaf, n_leaves: int,
-                             config: CheckConfig,
+def build_clause_obligations(inst: _ClauseInstance, n_leaves: int, config: CheckConfig,
                              drop_hint: Term | None = None) -> list[Obligation]:
-    inst = _ClauseInstance(fi, env, clause_index, leaf, drop_hint=drop_hint)
+    """The obligations of one clause instance, optionally with one of its
+    hints (as written in the source) taken out of every scope.  All of them
+    share the hypotheses of the full scope; only --strict-hints narrows a
+    chain step's."""
+    fi = inst.fi
+    if drop_hint is not None:
+        drop_hint = substitute(drop_hint, inst.rename_terms)
     ple = fi.is_ple or config.ple_default
-    base = f"{fi.name}/c{clause_index}"
+    base = f"{fi.name}/c{inst.clause_index}"
     if n_leaves > 1:
-        base += f"/l{leaf.index}"
+        base += f"/l{inst.leaf.index}"
     obligations: list[Obligation] = []
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
@@ -251,42 +219,44 @@ def build_clause_obligations(fi: FunInfo, env: TypeEnv, clause_index: int,
             ple=ple, step_index=step_index,
         )
 
+    facts, scope = inst.facts_for(None, drop_hint)
+
     # chain steps
     lhs = inst.head
     for k, step in enumerate(inst.steps):
-        facts, scope = inst.facts_for(k, config.strict_hints)
+        step_facts, step_scope = (inst.facts_for(k, drop_hint) if config.strict_hints
+                                  else (facts, scope))
         goal = PAtom("==", lhs, step.rhs, span=step.span)
         obligations.append(make(f"{base}/step{k + 1}", "chain-step", step.span,
-                                facts, goal, scope, step_index=k + 1))
+                                step_facts, goal, step_scope, step_index=k + 1))
         lhs = step.rhs
 
-    # final clause VC
-    res = fi.signature.result
-    chain_equalities: list[Pred] = []
+    # the clause VC and the preconditions also assume every chain step
+    vc_facts = list(facts)
     prev = inst.head
     for step in inst.steps:
-        chain_equalities.append(PAtom("==", prev, step.rhs))
+        vc_facts.append(PAtom("==", prev, step.rhs))
         prev = step.rhs
-    if isinstance(fi.result_sort, SortProof):
-        goal = substitute_pred(res.pred, {res.binder: UnitLit()})
-        facts, scope = inst.facts_for(None, config.strict_hints)
+
+    # final clause VC: a proof's result is the unit value, any other result
+    # is the value of the (renamed) body, which cannot end in QED
+    res = fi.signature.result
+    is_proof = isinstance(fi.result_sort, SortProof)
+    if is_proof or res.refined:
+        value = (UnitLit() if is_proof
+                 else inst.steps[-1].rhs if inst.steps else inst.head)
+        goal = substitute_pred(res.pred, {res.binder: value})
         obligations.append(make(f"{base}/vc", "clause-vc", inst.clause.span,
-                                facts + chain_equalities, goal, scope))
-    elif res.refined:
-        goal = substitute_pred(res.pred, {res.binder: inst.value_term()})
-        facts, scope = inst.facts_for(None, config.strict_hints)
-        obligations.append(make(f"{base}/vc", "clause-vc", inst.clause.span,
-                                facts + chain_equalities, goal, scope))
+                                vc_facts, goal, scope))
 
     # preconditions of calls whose callees have refined arguments
-    facts, scope = inst.facts_for(None, config.strict_hints)
     seen_calls: set[Term] = set()
     pre_n = 0
     for sub in apps(scope):
         if sub in seen_calls:
             continue
         seen_calls.add(sub)
-        gi = env.funs[sub.name]
+        gi = inst.env.funs[sub.name]
         mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
         for (_, b), arg in zip(gi.signature.params, sub.args):
             if not b.refined:
@@ -294,8 +264,7 @@ def build_clause_obligations(fi: FunInfo, env: TypeEnv, clause_index: int,
             pre_n += 1
             goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
             obligations.append(make(
-                f"{base}/pre{pre_n}", "hint-pre", sub.span,
-                facts + chain_equalities, goal, scope))
+                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope))
     return obligations
 
 
@@ -310,8 +279,8 @@ def build_decl_obligations(fi: FunInfo, env: TypeEnv, config: CheckConfig
                 f"{fi.name}: clause {ci + 1} is unreachable (shadowed by earlier clauses)")
             continue
         for leaf in leaves:
-            obligations.extend(
-                build_clause_obligations(fi, env, ci, leaf, len(leaves), config))
+            obligations.extend(build_clause_obligations(
+                _ClauseInstance(fi, env, ci, leaf), len(leaves), config))
     return obligations, warnings
 
 
@@ -353,19 +322,6 @@ def check_function(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
 
 
 # ------------------------------------------------------------- module driver
-
-def allow_deep_recursion() -> None:
-    """Raise the interpreter's recursion limit to 20000 frames.
-
-    The passes over syntax trees and the reference evaluator recurse once
-    per nesting level, two frames deep where they rebuild a tuple, and an
-    n-element list literal nests n deep: at the default limit of 1000 a
-    500-element literal raises RecursionError.  The entry points call this,
-    rather than a module doing it at import, so importing eqcheck changes no
-    interpreter setting.  Deeper inputs still raise RecursionError, which
-    the CLI reports as an input error."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-
 
 def _decl_references(fi: FunInfo) -> dict[str, None]:
     """The other functions fi calls in its clauses, refinements and metric, in
@@ -411,7 +367,6 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
         missing = check_totality(fi, env)
         if missing:
             texts = [missing_pattern_text(r) for r in missing]
-            report.missing[name] = texts
             wf_verdicts[name] = Verdict(
                 f"{name}/total", name, "totality", fi.span, "failed",
                 message="function is not total; missing patterns: " + "; ".join(texts))
@@ -423,8 +378,6 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                 f"{name}/term", name, "termination", outcome.span, "failed",
                 message=outcome.reason)
             tainted[name] = "fails termination checking"
-            continue
-        report.evidence[name] = outcome
 
     # taint propagates to every (transitive) user of a failed declaration
     changed = True
@@ -493,15 +446,12 @@ def _unused_hint_warnings(env: TypeEnv, fun_names: list[str], tainted: dict[str,
             if not hints:
                 continue
             leaves = clause_leaves(fi, ci, env)
+            instances = [_ClauseInstance(fi, env, ci, leaf) for leaf in leaves]
             for hint in hints:
-                still_ok = True
-                for leaf in leaves:
-                    obs = build_clause_obligations(
-                        fi, env, ci, leaf, len(leaves), config, drop_hint=hint)
-                    if not all(discharge(ob, env, config).proved for ob in obs):
-                        still_ok = False
-                        break
-                if still_ok:
+                if all(discharge(ob, env, config).proved
+                       for inst in instances
+                       for ob in build_clause_obligations(
+                           inst, len(leaves), config, drop_hint=hint)):
                     warnings.append(
                         f"{name}: clause {ci + 1}: hint '? {pretty(hint)}' is unused")
     return warnings

@@ -8,6 +8,7 @@ import os
 import sys
 
 from .checker import CheckConfig, Report, check_module
+from .logic import DEFAULT_PLE_FUEL
 from .parser import ParseError
 from .syntax import Span, pretty_pred
 from .types import TypeCheckError
@@ -121,8 +122,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="apply proof-by-logical-evaluation to every obligation")
     chk.add_argument("--strict-hints", action="store_true",
                      help="chain steps see only hints attached at or before them")
-    chk.add_argument("--ple-fuel", type=int, default=100, metavar="N",
-                     help="logical-evaluation rounds per obligation (default 100)")
+    chk.add_argument("--ple-fuel", type=int, default=DEFAULT_PLE_FUEL, metavar="N",
+                     help="logical-evaluation rounds per obligation (default %(default)s)")
     chk.add_argument("--json", action="store_true", help="machine-readable output")
     chk.add_argument("--dump-facts", metavar="OBLIGATION-ID", default=None,
                      help="print one obligation's hypotheses and goal, then exit")

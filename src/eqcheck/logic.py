@@ -16,10 +16,10 @@ from math import gcd
 from typing import Optional
 
 from .syntax import (
-    App, BoolLit, Con, IntLit, PAnd, PAtom, PFalse, PNot, POr, PTrue, Pred,
-    PrimOp, Term, UnitLit, Var, pred_terms,
+    App, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse, PInt, PNot, POr,
+    PTrue, PVar, PWild, Pred, PrimOp, Term, UnitLit, Var, pred_terms,
 )
-from .types import INT, Sort, SortData, SortInt, SortVar, TypeEnv
+from .types import BOOL, INT, PROOF, Sort, SortData, SortInt, SortVar, TypeEnv
 
 DEFAULT_PLE_FUEL = 100
 
@@ -345,10 +345,8 @@ class SolverState:
         if isinstance(t, IntLit) or isinstance(t, PrimOp):
             return INT
         if isinstance(t, BoolLit):
-            from .types import BOOL
             return BOOL
         if isinstance(t, UnitLit):
-            from .types import PROOF
             return PROOF
         if isinstance(t, Con):
             return SortData(self.env.ctors[t.name].data_name, ())
@@ -577,7 +575,6 @@ def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     """Walk clauses in order; select the first whose match is decided.  A
     clause is skipped only when provably non-matching; an undecided match
     blocks unfolding entirely."""
-    from .syntax import PBool, PCon, PInt, PVar, PWild
 
     def match(pat, nid, binding) -> str:
         if isinstance(pat, PVar):
@@ -644,9 +641,8 @@ def _fire_measures(st: SolverState, nid: int) -> bool:
         clause = st.env.measure_clause(m, node.head)
         pat = clause.patterns[0]
         binding: dict[str, int] = {}
-        from .syntax import PVar as _PVar
         for sub, arg in zip(pat.args, node.args):  # type: ignore[union-attr]
-            if isinstance(sub, _PVar):
+            if isinstance(sub, PVar):
                 binding[sub.name] = arg
         lhs = st._mk("app", m, (nid,), st.env.funs[m].result_sort)
         body = st.env.funs[m].value_term(clause)

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .checker import allow_deep_recursion
 from .syntax import (
     App, BoolLit, Chain, Con, IntLit, PCon, PInt, PVar, PWild, Pattern,
-    PlainTerm, PrimOp, Term, UnitLit, Var,
+    PlainTerm, PrimOp, Term, UnitLit, Var, allow_deep_recursion,
 )
 from .types import (
     Sort, SortBool, SortData, SortInt, SortProof, SortVar, TypeEnv, ctor_field_sorts,

@@ -3,6 +3,7 @@ declarations, plus desugaring and the pretty-printer."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -313,6 +314,19 @@ def cons(h: Term, t: Term, span: Span = NO_SPAN) -> Term:
 
 
 # ------------------------------------------------------------- traversal
+
+def allow_deep_recursion() -> None:
+    """Raise the interpreter's recursion limit to 20000 frames.
+
+    The passes over syntax trees and the reference evaluator recurse once
+    per nesting level, two frames deep where they rebuild a tuple, and an
+    n-element list literal nests n deep: at the default limit of 1000 a
+    500-element literal raises RecursionError.  The entry points call this,
+    rather than a module doing it at import, so importing eqcheck changes no
+    interpreter setting.  Deeper inputs still raise RecursionError, which
+    the CLI reports as an input error."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
+
 
 def subterms(t: Term) -> Iterator[Term]:
     """Yield t and every nested term, preorder and left to right.  The walk

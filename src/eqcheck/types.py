@@ -10,7 +10,7 @@ from .syntax import (
     IntLit, ListLit, PAtom, PAnd, PBool, PCon, PFalse, PInt, PNot, POr, PTrue,
     PVar, PWild, Pattern, PlainTerm, Pred, PrimOp, PRELUDE_LIST, Signature,
     SourceModule, Span, Term, TypeExpr, UnitLit, Var, NO_SPAN, apps, pred_terms,
-    subterms,
+    substitute_pred, subterms,
 )
 
 
@@ -200,6 +200,15 @@ def ctor_field_sorts(ci: CtorInfo, at: Sort, env: TypeEnv) -> tuple[Sort, ...]:
         mapping = dict(zip(di.params, at.args))
     return tuple(subst_sort(sort_of_typeexpr(f, env, set(di.params)), mapping)
                  for f in ci.fields)
+
+
+def lemma_facts(gi: FunInfo, args: tuple[Term, ...]) -> Pred:
+    """The callee's result refinement instantiated at the given arguments;
+    for a Proof-sorted callee this is the theorem statement itself."""
+    res = gi.signature.result
+    mapping = {b: a for (b, _), a in zip(gi.signature.params, args)}
+    mapping[res.binder] = App(gi.name, args)
+    return substitute_pred(res.pred, mapping)
 
 
 def typeexpr_tyvars(te: TypeExpr) -> list[str]:

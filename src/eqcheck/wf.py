@@ -8,13 +8,13 @@ from typing import Optional
 
 from .logic import SolverState, entails
 from .syntax import (
-    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PVar, PWild,
-    Pattern, Pred, Span, Term, Var, apps, body_terms, pattern_term, pattern_vars,
-    substitute, substitute_pred,
+    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue, PVar,
+    PWild, Pattern, Pred, Span, Term, Var, apps, body_terms, pattern_term,
+    pattern_vars, substitute, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
-    pattern_binder_sorts,
+    lemma_facts, pattern_binder_sorts,
 )
 
 
@@ -212,6 +212,14 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
     return leaves
 
 
+def leaf_facts(leaf: Leaf) -> list[Pred]:
+    """What the leaf knows beyond its pattern row: an equality per
+    constrained clause variable, then a disequality per excluded literal."""
+    facts: list[Pred] = [PAtom("==", Var(x), t) for x, t in leaf.var_bindings]
+    facts.extend(PAtom("/=", Var(x), IntLit(k)) for x, ks in leaf.excluded_ints for k in ks)
+    return facts
+
+
 def leaf_var_sorts(fi: FunInfo, leaf: Leaf, env: TypeEnv) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
     for pat, sort in zip(leaf.row, fi.param_sorts):
@@ -307,21 +315,6 @@ def _guess_metric(fi: FunInfo, env: TypeEnv) -> list[tuple[Term, ...]]:
     return []
 
 
-def _refinement_facts_for_metric(terms: list[Term], fi: FunInfo, env: TypeEnv) -> list[Pred]:
-    facts: list[Pred] = []
-    for sub in apps(terms):
-        if sub.name == fi.name:
-            continue
-        gi = env.funs[sub.name]
-        res = gi.signature.result
-        if not res.refined:
-            continue
-        mapping = {b: a for (b, _), a in zip(gi.signature.params, sub.args)}
-        mapping[res.binder] = sub
-        facts.append(substitute_pred(res.pred, mapping))
-    return facts
-
-
 def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv
                   ) -> Optional[NonTermination]:
     binders = fi.signature.binders()
@@ -337,12 +330,7 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv
                                      (pattern_term(p, FreshNames(set())) for p in leaf.row))
             }
             caller = [substitute(m, caller_subst) for m in metric]
-            base_facts = []
-            for x, t in leaf.var_bindings:
-                base_facts.append(PAtom("==", Var(x), t))
-            for x, excluded in leaf.excluded_ints:
-                for k in excluded:
-                    base_facts.append(PAtom("/=", Var(x), IntLit(k)))
+            base_facts = leaf_facts(leaf)
             # the function's own argument refinements, at this clause's
             # arguments (the paper checks metrics together with the
             # refinement types of the function)
@@ -354,8 +342,9 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv
             for call in clause_calls:
                 callee_subst = dict(zip(binders, call.args))
                 callee = [substitute(m, callee_subst) for m in metric]
-                facts = base_facts + _refinement_facts_for_metric(
-                    caller + callee, fi, env)
+                lemmas = (lemma_facts(env.funs[sub.name], sub.args)
+                          for sub in apps(caller + callee) if sub.name != fi.name)
+                facts = base_facts + [f for f in lemmas if not isinstance(f, PTrue)]
                 nonneg = [PAtom("<=", IntLit(0), e) for e in callee]
                 decreases: list[Pred] = []
                 for k in range(len(metric)):

@@ -29,6 +29,25 @@ reverse [] = []
 reverse (x:xs) = append (reverse xs) [x]
 """
 
+# trivP's hint is not needed: its goal holds by reflexivity
+UNUSED_HINT_MODULE = LIST_BASICS + """\
+
+trivP : x:a -> {v:Proof | [x] == [x]}
+trivP x
+  =   [x]
+  ==. [x]
+      ? singleLemma x
+  *** QED
+
+singleLemma : x:a -> {v:Proof | reverse [x] == [x]}
+singleLemma x
+  =   reverse [x]
+  ==. append (reverse []) [x]
+  ==. append [] [x]
+  ==. [x]
+  *** QED
+"""
+
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()

@@ -1,13 +1,13 @@
 from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_function, check_module,
-    clause_context, lemma_facts,
 )
 from eqcheck.semantics import evaluate
 from eqcheck.syntax import pretty_pred
 from eqcheck.parser import parse_term
 from eqcheck.syntax import desugar_term
+from eqcheck.types import lemma_facts
 
-from conftest import LIST_BASICS, corpus_text, env_of, term
+from conftest import LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
 from oracles import check_chain_coherence
 
 
@@ -15,10 +15,16 @@ def facts_text(facts):
     return {pretty_pred(f) for f in facts}
 
 
-# ------------------------------------------------------------ clause_context
+def obligations(env, decl, config=CheckConfig()):
+    """The obligations of one declaration, by id."""
+    obs, _ = build_decl_obligations(env.fun(decl), env, config)
+    return {ob.oid: ob for ob in obs}
+
+
+# ------------------------------------------------------------ clause context
 
 def test_append_cons_clause_context(list_env):
-    facts = facts_text(clause_context(list_env.fun("append"), 1, list_env))
+    facts = facts_text(obligations(list_env, "append")["append/c1/vc"].facts)
     assert "xs == x : xs'" in facts  # pattern information
     # the recursive call's refinement: the inductive hypothesis
     assert "length (append xs' ys) == length xs' + length ys" in facts
@@ -26,13 +32,13 @@ def test_append_cons_clause_context(list_env):
 
 def test_involution_context_contains_ih():
     env = env_of(corpus_text("section2.eq"))
-    facts = facts_text(clause_context(env.fun("involutionP"), 1, env))
+    facts = facts_text(obligations(env, "involutionP")["involutionP/c1/vc"].facts)
     assert "reverse (reverse xs') == xs'" in facts
 
 
 def test_wildcard_clause_context_has_only_pattern_facts(list_env):
-    env = env_of("konst : x:Int -> ys:(List a) -> Int\nkonst _ ys = 7\n")
-    facts = facts_text(clause_context(env.fun("konst"), 0, env))
+    env = env_of("konst : x:Int -> ys:(List a) -> {v:Int | v == 7}\nkonst _ ys = 7\n")
+    facts = facts_text(obligations(env, "konst")["konst/c0/vc"].facts)
     assert facts == {"x == _w"}
 
 
@@ -121,7 +127,7 @@ def test_derivation_goal_uses_last_rhs():
 
 
 def test_aligned_variables_keep_their_names(list_env):
-    facts = facts_text(clause_context(list_env.fun("append"), 1, list_env))
+    facts = facts_text(obligations(list_env, "append")["append/c1/vc"].facts)
     assert "xs == x : xs'" in facts
     assert "length (append xs' ys) == length xs' + length ys" in facts
 
@@ -156,6 +162,24 @@ def test_strict_hints_reject_late_hint():
     assert {v.oid for v in strict.failed()} == {"rightIdP/c1/step1"}
 
 
+def test_chain_steps_share_the_clause_hypotheses():
+    obs = obligations(env_of(HINT_AFTER_NEEDING_STEP), "rightIdP")
+    step1, step2, vc = (obs[f"rightIdP/c1/{k}"] for k in ("step1", "step2", "vc"))
+    assert step1.facts == step2.facts
+    assert "append xs' [] == xs'" in facts_text(step1.facts)
+    # the clause VC adds the chain's equalities after the shared hypotheses
+    assert vc.facts[:len(step1.facts)] == step1.facts
+    assert [pretty_pred(f) for f in vc.facts[len(step1.facts):]] == [
+        "append (x : xs') [] == x : xs'", "x : xs' == x : xs'"]
+
+
+def test_strict_hints_hide_later_hints_from_a_step():
+    obs = obligations(env_of(HINT_AFTER_NEEDING_STEP), "rightIdP",
+                      CheckConfig(strict_hints=True))
+    assert "append xs' [] == xs'" not in facts_text(obs["rightIdP/c1/step1"].facts)
+    assert "append xs' [] == xs'" in facts_text(obs["rightIdP/c1/step2"].facts)
+
+
 def test_hint_permutations_keep_verdicts():
     base = corpus_text("section2.eq")
     moved = base.replace(
@@ -168,24 +192,7 @@ def test_hint_permutations_keep_verdicts():
 
 
 def test_unused_hint_warning():
-    src = LIST_BASICS + """\
-
-trivP : x:a -> {v:Proof | [x] == [x]}
-trivP x
-  =   [x]
-  ==. [x]
-      ? singleLemma x
-  *** QED
-
-singleLemma : x:a -> {v:Proof | reverse [x] == [x]}
-singleLemma x
-  =   reverse [x]
-  ==. append (reverse []) [x]
-  ==. append [] [x]
-  ==. [x]
-  *** QED
-"""
-    report = check_module(src)
+    report = check_module(UNUSED_HINT_MODULE)
     assert report.ok
     assert any("trivP" in w and "unused" in w for w in report.warnings)
 

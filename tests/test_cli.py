@@ -5,7 +5,7 @@ import sys
 
 from eqcheck.cli import run
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, UNUSED_HINT_MODULE
 
 
 def run_cli(args, capsys):
@@ -78,6 +78,17 @@ def test_ple_default_flag(tmp_path, capsys):
     code1, _, _ = run_cli(["check", str(f)], capsys)
     code2, _, _ = run_cli(["check", str(f), "--ple-default"], capsys)
     assert code1 == 1 and code2 == 0
+
+
+def test_no_unused_hint_warnings_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EQCHECK_COLOR", "never")
+    path = tmp_path / "triv.eq"
+    path.write_text(UNUSED_HINT_MODULE)
+    warning = "warning: triv.eq: trivP: clause 1: hint '? singleLemma x' is unused"
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0 and warning in out.splitlines()
+    code, out, _ = run_cli(["check", str(path), "--no-unused-hint-warnings"], capsys)
+    assert code == 0 and "unused" not in out
 
 
 def test_json_byte_identical_across_runs(capsys):
