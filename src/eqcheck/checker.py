@@ -9,17 +9,14 @@ from dataclasses import dataclass, field
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails
 from .parser import parse_module
 from .syntax import (
-    Chain, FunDecl, FreshNames, PAtom, PCon, PVar, Pattern, PlainTerm, Pred,
-    SourceModule, Span, Step, Term, UnitLit, Var, allow_deep_recursion, apps,
-    body_terms, desugar, pattern_term, pred_terms, pretty, pretty_pred, substitute,
+    Chain, FunDecl, PAtom, Pred, SourceModule, Span, Term, UnitLit,
+    allow_deep_recursion, apps, body_terms, desugar, pred_terms, pretty, pretty_pred,
     substitute_pred,
 )
-from .types import (
-    FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types, lemma_facts,
-)
+from .types import FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types
 from .wf import (
-    Leaf, NonTermination, call_graph_cycles, check_termination, check_totality,
-    clause_leaves, leaf_facts, leaf_var_sorts, missing_pattern_text,
+    LeafContext, NonTermination, call_graph_cycles, check_termination, check_totality,
+    clause_contexts, missing_pattern_text,
 )
 
 
@@ -78,133 +75,13 @@ class Report:
         return [v for v in self.verdicts if not v.proved]
 
 
-# ------------------------------------------------------ clause instantiation
-
-def _rename_pattern(p: Pattern, renames: dict[str, str]) -> Pattern:
-    if isinstance(p, PVar) and p.name in renames:
-        return PVar(renames[p.name], span=p.span)
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(_rename_pattern(a, renames) for a in p.args), span=p.span)
-    return p
-
-
-class _ClauseInstance:
-    """One (clause, leaf) pair with clause variables renamed apart from the
-    signature binders, ready to produce facts and goals."""
-
-    def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf):
-        self.fi = fi
-        self.env = env
-        self.clause_index = clause_index
-        self.clause = fi.clauses[clause_index]
-        binders = set(fi.signature.binders())
-        leaf_sorts = leaf_var_sorts(fi, leaf, env)
-        # a variable that is itself the whole pattern for the same-named
-        # binder already denotes the argument constant; only clashing
-        # variables bound elsewhere need fresh names
-        aligned = {
-            binder for (binder, _), pat in zip(fi.signature.params, leaf.row)
-            if isinstance(pat, PVar) and pat.name == binder
-        }
-        fresh = FreshNames(binders | set(leaf_sorts))
-        renames = {v: fresh.take(v + "'") for v in leaf_sorts
-                   if v in binders and v not in aligned}
-        rename_terms = {old: Var(new) for old, new in renames.items()}
-
-        self.leaf = Leaf(
-            leaf.index,
-            tuple(_rename_pattern(p, renames) for p in leaf.row),
-            tuple((renames.get(x, x), substitute(t, rename_terms))
-                  for x, t in leaf.var_bindings),
-            tuple((renames.get(x, x), ks) for x, ks in leaf.excluded_ints),
-        )
-        self.var_sorts: dict[str, Sort] = {
-            renames.get(v, v): s
-            for v, s in fi.clause_var_sorts[clause_index].items()
-        }
-        for v, s in leaf_sorts.items():
-            self.var_sorts[renames.get(v, v)] = s
-        for (name, _), s in zip(fi.signature.params, fi.param_sorts):
-            self.var_sorts[name] = s
-        self.rename_terms = rename_terms
-        body = self.clause.body
-        if isinstance(body, PlainTerm):
-            self.head: Term = substitute(body.term, rename_terms)
-            self.head_hints: tuple[Term, ...] = ()
-            self.steps: tuple[Step, ...] = ()
-        else:
-            assert isinstance(body, Chain)
-            self.head = substitute(body.head, rename_terms)
-            self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
-            self.steps = tuple(
-                Step(substitute(s.rhs, rename_terms),
-                     tuple(substitute(h, rename_terms) for h in s.hints),
-                     span=s.span)
-                for s in body.steps
-            )
-
-    def terms_in_scope(self, upto_step: int | None, drop_hint: Term | None) -> list[Term]:
-        """Body terms visible to an obligation: the head, every step, and the
-        hints other than `drop_hint` attached at or before step `upto_step`
-        (head hints always; every hint when `upto_step` is None)."""
-        out = [self.head, *(h for h in self.head_hints if h != drop_hint)]
-        for k, s in enumerate(self.steps):
-            out.append(s.rhs)
-            if upto_step is None or k <= upto_step:
-                out.extend(h for h in s.hints if h != drop_hint)
-        return out
-
-    def pattern_facts(self) -> list[Pred]:
-        facts: list[Pred] = []
-        fresh = FreshNames(set(self.var_sorts))
-        for (binder, _), pat in zip(self.fi.signature.params, self.leaf.row):
-            t = pattern_term(pat, fresh)
-            if t == Var(binder):
-                continue
-            facts.append(PAtom("==", Var(binder), t))
-        return facts + leaf_facts(self.leaf)
-
-    def refinement_facts(self) -> list[Pred]:
-        facts: list[Pred] = []
-        for name, base in self.fi.signature.params:
-            if base.refined:
-                facts.append(substitute_pred(base.pred, {base.binder: Var(name)}))
-        return facts
-
-    def call_facts(self, scope_terms: list[Term]) -> list[Pred]:
-        """Instantiated result refinements for every saturated call in scope,
-        including recursive ones (the inductive hypothesis)."""
-        facts: list[Pred] = []
-        seen: set[Pred] = set()
-        for sub in apps(scope_terms):
-            gi = self.env.funs[sub.name]
-            if not gi.signature.result.refined:
-                continue
-            fact = lemma_facts(gi, sub.args)
-            if fact in seen:
-                continue
-            seen.add(fact)
-            facts.append(fact)
-        return facts
-
-    def facts_for(self, upto_step: int | None, drop_hint: Term | None
-                  ) -> tuple[list[Pred], list[Term]]:
-        scope = self.terms_in_scope(upto_step, drop_hint)
-        facts = self.pattern_facts() + self.refinement_facts() + self.call_facts(scope)
-        return facts, scope
-
-
 # ------------------------------------------------------- obligation building
 
-def build_clause_obligations(inst: _ClauseInstance, n_leaves: int, config: CheckConfig,
-                             drop_hint: Term | None = None) -> list[Obligation]:
-    """The obligations of one clause instance, optionally with one of its
-    hints (as written in the source) taken out of every scope.  All of them
-    share the hypotheses of the full scope; only --strict-hints narrows a
-    chain step's."""
+def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConfig
+                             ) -> list[Obligation]:
+    """The obligations of one leaf.  All of them share the hypotheses of the
+    full scope; only --strict-hints narrows a chain step's."""
     fi = inst.fi
-    if drop_hint is not None:
-        drop_hint = substitute(drop_hint, inst.rename_terms)
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
     if n_leaves > 1:
@@ -219,12 +96,12 @@ def build_clause_obligations(inst: _ClauseInstance, n_leaves: int, config: Check
             ple=ple, step_index=step_index,
         )
 
-    facts, scope = inst.facts_for(None, drop_hint)
+    facts, scope = inst.facts_for(None)
 
     # chain steps
     lhs = inst.head
     for k, step in enumerate(inst.steps):
-        step_facts, step_scope = (inst.facts_for(k, drop_hint) if config.strict_hints
+        step_facts, step_scope = (inst.facts_for(k) if config.strict_hints
                                   else (facts, scope))
         goal = PAtom("==", lhs, step.rhs, span=step.span)
         obligations.append(make(f"{base}/step{k + 1}", "chain-step", step.span,
@@ -268,19 +145,18 @@ def build_clause_obligations(inst: _ClauseInstance, n_leaves: int, config: Check
     return obligations
 
 
-def build_decl_obligations(fi: FunInfo, env: TypeEnv, config: CheckConfig
-                           ) -> tuple[list[Obligation], list[str]]:
+def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
+                           config: CheckConfig) -> tuple[list[Obligation], list[str]]:
+    """The obligations of every leaf of fi, and a warning per shadowed clause."""
     obligations: list[Obligation] = []
     warnings: list[str] = []
-    for ci in range(len(fi.clauses)):
-        leaves = clause_leaves(fi, ci, env)
+    for ci, leaves in enumerate(contexts):
         if not leaves:
             warnings.append(
                 f"{fi.name}: clause {ci + 1} is unreachable (shadowed by earlier clauses)")
             continue
-        for leaf in leaves:
-            obligations.extend(build_clause_obligations(
-                _ClauseInstance(fi, env, ci, leaf), len(leaves), config))
+        for ctx in leaves:
+            obligations.extend(build_clause_obligations(ctx, len(leaves), config))
     return obligations, warnings
 
 
@@ -317,7 +193,7 @@ def check_function(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
                    ) -> list[Verdict]:
     """Per-clause verification conditions for a refined (non-proof) function."""
     config = config or CheckConfig()
-    obligations, _ = build_decl_obligations(fi, env, config)
+    obligations, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
     return [discharge(ob, env, config) for ob in obligations]
 
 
@@ -380,6 +256,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
             tainted[name] = "fails termination checking"
 
     # taint propagates to every (transitive) user of a failed declaration
+    references = {name: _decl_references(env.funs[name]) for name in fun_names}
     changed = True
     blocked: dict[str, str] = {}
     while changed:
@@ -387,71 +264,52 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
         for name in fun_names:
             if name in tainted:
                 continue
-            for ref in _decl_references(env.funs[name]):
+            for ref in references[name]:
                 if ref in tainted:
                     tainted[name] = f"uses {ref!r}, which {tainted[ref]}"
                     blocked[name] = tainted[name]
                     changed = True
                     break
 
-    all_obligations: list[tuple[str, Obligation]] = []
-    decl_warnings: list[str] = []
-    for name in fun_names:
-        if name in tainted:
-            continue
-        obs, warns = build_decl_obligations(env.funs[name], env, config)
-        decl_warnings.extend(warns)
-        for ob in obs:
-            all_obligations.append((name, ob))
-    report.obligations = [ob for _, ob in all_obligations]
-
-    results = [discharge(ob, env, config) for _, ob in all_obligations]
-
-    by_decl: dict[str, list[Verdict]] = {name: [] for name in fun_names}
-    for (name, _), verdict in zip(all_obligations, results):
-        by_decl[name].append(verdict)
-
+    # every "unreachable" warning comes before every "unused" one
+    unreachable: list[str] = []
+    unused: list[str] = []
     for name in fun_names:
         fi = env.funs[name]
         if name in wf_verdicts:
             report.verdicts.append(wf_verdicts[name])
-        elif name in blocked:
+            continue
+        if name in blocked:
             report.verdicts.append(Verdict(
                 f"{name}/blocked", name, "blocked", fi.span, "failed",
                 message=f"not checked: {blocked[name]}"))
-        else:
-            report.verdicts.extend(by_decl[name])
-
-    if config.warn_unused_hints:
-        decl_warnings.extend(_unused_hint_warnings(env, fun_names, tainted, by_decl, config))
-    report.warnings = decl_warnings
+            continue
+        contexts = clause_contexts(fi, env)
+        obligations, warnings = build_decl_obligations(fi, contexts, config)
+        unreachable.extend(warnings)
+        verdicts = [discharge(ob, env, config) for ob in obligations]
+        report.obligations.extend(obligations)
+        report.verdicts.extend(verdicts)
+        if config.warn_unused_hints and all(v.proved for v in verdicts):
+            unused.extend(_unused_hint_warnings(fi, contexts, config))
+    report.warnings = unreachable + unused
     return report
 
 
-def _unused_hint_warnings(env: TypeEnv, fun_names: list[str], tainted: dict[str, str],
-                          by_decl: dict[str, list[Verdict]], config: CheckConfig
-                          ) -> list[str]:
+def _unused_hint_warnings(fi: FunInfo, contexts: list[list[LeafContext]],
+                          config: CheckConfig) -> list[str]:
+    """A warning per hint whose removal from its clause leaves every
+    obligation of the clause proved."""
     warnings: list[str] = []
-    for name in fun_names:
-        if name in tainted:
+    for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
+        body = clause.body
+        if not isinstance(body, Chain):
             continue
-        if not all(v.proved for v in by_decl.get(name, [])):
-            continue
-        fi = env.funs[name]
-        for ci, clause in enumerate(fi.clauses):
-            body = clause.body
-            if not isinstance(body, Chain):
-                continue
-            hints = list(dict.fromkeys(body.all_hints()))
-            if not hints:
-                continue
-            leaves = clause_leaves(fi, ci, env)
-            instances = [_ClauseInstance(fi, env, ci, leaf) for leaf in leaves]
-            for hint in hints:
-                if all(discharge(ob, env, config).proved
-                       for inst in instances
-                       for ob in build_clause_obligations(
-                           inst, len(leaves), config, drop_hint=hint)):
-                    warnings.append(
-                        f"{name}: clause {ci + 1}: hint '? {pretty(hint)}' is unused")
+        for hint in dict.fromkeys(body.all_hints()):
+            if all(discharge(ob, ctx.env, config).proved
+                   for ctx in leaves
+                   for ob in build_clause_obligations(
+                       ctx.without_hint(hint), len(leaves), config)):
+                warnings.append(
+                    f"{fi.name}: clause {ci + 1}: hint '? {pretty(hint)}' is unused")
     return warnings

@@ -147,7 +147,9 @@ def run(argv: list[str]) -> int:
         ple_default=args.ple_default,
         strict_hints=args.strict_hints,
         ple_fuel=args.ple_fuel,
-        warn_unused_hints=not args.no_unused_hint_warnings,
+        # only human output shows warnings
+        warn_unused_hints=not (args.no_unused_hint_warnings or args.json
+                               or args.dump_facts),
     )
 
     reports: list[Report] = []

@@ -195,10 +195,6 @@ class Signature:
     metric: Optional[tuple[Term, ...]] = None
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
-    @property
-    def arity(self) -> int:
-        return len(self.params)
-
     def binders(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.params)
 
@@ -276,9 +272,6 @@ class FunDecl:
 
 
 Decl = Union[DataDecl, FunDecl]
-
-ANNOTATION_KINDS = ("measure", "reflect", "ple")
-
 
 @dataclass(frozen=True)
 class Annotation:

@@ -95,7 +95,6 @@ PROOF = SortProof()
 class CtorInfo:
     name: str
     data_name: str
-    index: int
     fields: tuple[TypeExpr, ...]
 
     @property
@@ -301,10 +300,10 @@ class _ModuleChecker:
             if len(set(d.params)) != len(d.params):
                 raise TypeCheckError(f"duplicate type parameter in {d.name!r}", d.span)
             ctors = []
-            for i, c in enumerate(d.ctors):
+            for c in d.ctors:
                 if c.name in self.env.ctors:
                     raise TypeCheckError(f"constructor {c.name!r} redeclared", c.span)
-                info = CtorInfo(c.name, d.name, i, c.fields)
+                info = CtorInfo(c.name, d.name, c.fields)
                 ctors.append(info)
                 self.env.ctors[c.name] = info
             self.env.datas[d.name] = DataInfo(d.name, d.params, tuple(ctors))
@@ -574,9 +573,6 @@ class _ModuleChecker:
                     f"'ple {fi.name}' has no effect: {fi.name!r} has nothing to check",
                     fi.span)
         return self.env
-
-
-_CLOSE_COUNTER = [0]
 
 
 def _close_metas(s: Sort) -> Sort:

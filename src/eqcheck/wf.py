@@ -3,14 +3,15 @@ metric-based termination for every function."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
 from .logic import SolverState, entails
 from .syntax import (
-    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue, PVar,
-    PWild, Pattern, Pred, Span, Term, Var, apps, body_terms, pattern_term,
-    pattern_vars, substitute, substitute_pred,
+    App, Chain, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
+    PVar, PWild, Pattern, PlainTerm, Pred, Span, Step, Term, Var, apps, body_terms,
+    pattern_term, pattern_vars, substitute, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
@@ -212,19 +213,148 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
     return leaves
 
 
-def leaf_facts(leaf: Leaf) -> list[Pred]:
-    """What the leaf knows beyond its pattern row: an equality per
-    constrained clause variable, then a disequality per excluded literal."""
-    facts: list[Pred] = [PAtom("==", Var(x), t) for x, t in leaf.var_bindings]
-    facts.extend(PAtom("/=", Var(x), IntLit(k)) for x, ks in leaf.excluded_ints for k in ks)
-    return facts
-
-
 def leaf_var_sorts(fi: FunInfo, leaf: Leaf, env: TypeEnv) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
     for pat, sort in zip(leaf.row, fi.param_sorts):
         out.update(pattern_binder_sorts(pat, sort, env))
     return out
+
+
+def _rename_pattern(p: Pattern, renames: dict[str, str]) -> Pattern:
+    if isinstance(p, PVar) and p.name in renames:
+        return PVar(renames[p.name], span=p.span)
+    if isinstance(p, PCon):
+        return PCon(p.name, tuple(_rename_pattern(a, renames) for a in p.args), span=p.span)
+    return p
+
+
+class LeafContext:
+    """One (clause, leaf) pair with clause variables renamed apart from the
+    signature binders: the hypotheses that the leaf's obligations and the
+    termination-metric checks at its recursive calls assume."""
+
+    def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf):
+        self.fi = fi
+        self.env = env
+        self.clause_index = clause_index
+        self.clause = fi.clauses[clause_index]
+        binders = set(fi.signature.binders())
+        leaf_sorts = leaf_var_sorts(fi, leaf, env)
+        # a variable that is itself the whole pattern for the same-named
+        # binder already denotes the argument constant; only clashing
+        # variables bound elsewhere need fresh names
+        aligned = {
+            binder for (binder, _), pat in zip(fi.signature.params, leaf.row)
+            if isinstance(pat, PVar) and pat.name == binder
+        }
+        fresh = FreshNames(binders | set(leaf_sorts))
+        renames = {v: fresh.take(v + "'") for v in leaf_sorts
+                   if v in binders and v not in aligned}
+        rename_terms = {old: Var(new) for old, new in renames.items()}
+
+        self.leaf = Leaf(
+            leaf.index,
+            tuple(_rename_pattern(p, renames) for p in leaf.row),
+            tuple((renames.get(x, x), substitute(t, rename_terms))
+                  for x, t in leaf.var_bindings),
+            tuple((renames.get(x, x), ks) for x, ks in leaf.excluded_ints),
+        )
+        self.var_sorts: dict[str, Sort] = {
+            renames.get(v, v): s
+            for v, s in fi.clause_var_sorts[clause_index].items()
+        }
+        for v, s in leaf_sorts.items():
+            self.var_sorts[renames.get(v, v)] = s
+        for (name, _), s in zip(fi.signature.params, fi.param_sorts):
+            self.var_sorts[name] = s
+        self.rename_terms = rename_terms
+        body = self.clause.body
+        if isinstance(body, PlainTerm):
+            self.head: Term = substitute(body.term, rename_terms)
+            self.head_hints: tuple[Term, ...] = ()
+            self.steps: tuple[Step, ...] = ()
+        else:
+            assert isinstance(body, Chain)
+            self.head = substitute(body.head, rename_terms)
+            self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
+            self.steps = tuple(
+                Step(substitute(s.rhs, rename_terms),
+                     tuple(substitute(h, rename_terms) for h in s.hints),
+                     span=s.span)
+                for s in body.steps
+            )
+
+    def without_hint(self, hint: Term) -> LeafContext:
+        """A copy in which every occurrence of `hint`, as written in the
+        source, is taken out of the chain."""
+        dropped = substitute(hint, self.rename_terms)
+        out = copy.copy(self)
+        out.head_hints = tuple(h for h in self.head_hints if h != dropped)
+        out.steps = tuple(Step(s.rhs, tuple(h for h in s.hints if h != dropped), span=s.span)
+                          for s in self.steps)
+        return out
+
+    def terms_in_scope(self, upto_step: int | None) -> list[Term]:
+        """Body terms visible to an obligation: the head, every step, and the
+        hints attached at or before step `upto_step` (head hints always;
+        every hint when `upto_step` is None)."""
+        out = [self.head, *self.head_hints]
+        for k, s in enumerate(self.steps):
+            out.append(s.rhs)
+            if upto_step is None or k <= upto_step:
+                out.extend(s.hints)
+        return out
+
+    def pattern_facts(self) -> list[Pred]:
+        """An equality per argument its pattern constrains, then what the
+        leaf adds: an equality per constrained clause variable and a
+        disequality per excluded literal."""
+        facts: list[Pred] = []
+        fresh = FreshNames(set(self.var_sorts))
+        for (binder, _), pat in zip(self.fi.signature.params, self.leaf.row):
+            t = pattern_term(pat, fresh)
+            if t == Var(binder):
+                continue
+            facts.append(PAtom("==", Var(binder), t))
+        facts.extend(PAtom("==", Var(x), t) for x, t in self.leaf.var_bindings)
+        facts.extend(PAtom("/=", Var(x), IntLit(k))
+                     for x, ks in self.leaf.excluded_ints for k in ks)
+        return facts
+
+    def refinement_facts(self) -> list[Pred]:
+        facts: list[Pred] = []
+        for name, base in self.fi.signature.params:
+            if base.refined:
+                facts.append(substitute_pred(base.pred, {base.binder: Var(name)}))
+        return facts
+
+    def call_facts(self, scope_terms: list[Term]) -> list[Pred]:
+        """Instantiated result refinements for every saturated call in scope,
+        including recursive ones (the inductive hypothesis)."""
+        facts: list[Pred] = []
+        seen: set[Pred] = set()
+        for sub in apps(scope_terms):
+            gi = self.env.funs[sub.name]
+            if not gi.signature.result.refined:
+                continue
+            fact = lemma_facts(gi, sub.args)
+            if fact in seen:
+                continue
+            seen.add(fact)
+            facts.append(fact)
+        return facts
+
+    def facts_for(self, upto_step: int | None) -> tuple[list[Pred], list[Term]]:
+        scope = self.terms_in_scope(upto_step)
+        facts = self.pattern_facts() + self.refinement_facts() + self.call_facts(scope)
+        return facts, scope
+
+
+def clause_contexts(fi: FunInfo, env: TypeEnv) -> list[list[LeafContext]]:
+    """One list of leaf contexts per clause, empty when earlier clauses
+    shadow the clause entirely."""
+    return [[LeafContext(fi, env, ci, leaf) for leaf in clause_leaves(fi, ci, env)]
+            for ci in range(len(fi.clauses))]
 
 
 # ------------------------------------------------------------- termination
@@ -315,56 +445,43 @@ def _guess_metric(fi: FunInfo, env: TypeEnv) -> list[tuple[Term, ...]]:
     return []
 
 
-def _check_metric(fi: FunInfo, metric: tuple[Term, ...], env: TypeEnv
-                  ) -> Optional[NonTermination]:
+def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
+                  contexts: list[list[LeafContext]]) -> Optional[NonTermination]:
+    """At every recursive call, the metric at the call's arguments must be
+    non-negative and lexicographically below the metric at the binders,
+    assuming the leaf's pattern facts and the function's own argument
+    refinements (but no inductive hypothesis)."""
     binders = fi.signature.binders()
-    calls = _self_calls(fi)
-    for ci, clause in enumerate(fi.clauses):
-        clause_calls = [call for cj, call in calls if cj == ci]
-        if not clause_calls:
+    for ctx in (ctx for leaves in contexts for ctx in leaves):
+        calls = [sub for sub in apps(ctx.terms_in_scope(None)) if sub.name == fi.name]
+        if not calls:
             continue
-        for leaf in clause_leaves(fi, ci, env):
-            var_sorts = leaf_var_sorts(fi, leaf, env)
-            caller_subst = {
-                b: t for b, t in zip(binders,
-                                     (pattern_term(p, FreshNames(set())) for p in leaf.row))
-            }
-            caller = [substitute(m, caller_subst) for m in metric]
-            base_facts = leaf_facts(leaf)
-            # the function's own argument refinements, at this clause's
-            # arguments (the paper checks metrics together with the
-            # refinement types of the function)
-            for (binder, base) in fi.signature.params:
-                if base.refined:
-                    inst = dict(caller_subst)
-                    inst[base.binder] = caller_subst[binder]
-                    base_facts.append(substitute_pred(base.pred, inst))
-            for call in clause_calls:
-                callee_subst = dict(zip(binders, call.args))
-                callee = [substitute(m, callee_subst) for m in metric]
-                lemmas = (lemma_facts(env.funs[sub.name], sub.args)
-                          for sub in apps(caller + callee) if sub.name != fi.name)
-                facts = base_facts + [f for f in lemmas if not isinstance(f, PTrue)]
-                nonneg = [PAtom("<=", IntLit(0), e) for e in callee]
-                decreases: list[Pred] = []
-                for k in range(len(metric)):
-                    parts: list[Pred] = [
-                        PAtom("==", callee[j], caller[j]) for j in range(k)
-                    ]
-                    parts.append(PAtom("<", callee[k], caller[k]))
-                    decreases.append(parts[0] if len(parts) == 1 else PAnd(tuple(parts)))
-                goal: Pred = PAnd((*nonneg,
-                                   decreases[0] if len(decreases) == 1
-                                   else POr(tuple(decreases))))
-                st = SolverState(env, var_sorts=var_sorts)
-                for t in caller + callee:
-                    st.intern_term(t, active=True)
-                if not entails(st, facts, goal):
-                    return NonTermination(
-                        call.span,
-                        f"cannot show metric [{', '.join(str(m) for m in metric)}] "
-                        f"decreases at recursive call in clause {ci + 1}",
-                    )
+        base_facts = ctx.pattern_facts() + ctx.refinement_facts()
+        for call in calls:
+            callee = [substitute(m, dict(zip(binders, call.args))) for m in metric]
+            lemmas = (lemma_facts(ctx.env.funs[sub.name], sub.args)
+                      for sub in apps((*metric, *callee)) if sub.name != fi.name)
+            facts = base_facts + [f for f in lemmas if not isinstance(f, PTrue)]
+            nonneg = [PAtom("<=", IntLit(0), e) for e in callee]
+            decreases: list[Pred] = []
+            for k in range(len(metric)):
+                parts: list[Pred] = [
+                    PAtom("==", callee[j], metric[j]) for j in range(k)
+                ]
+                parts.append(PAtom("<", callee[k], metric[k]))
+                decreases.append(parts[0] if len(parts) == 1 else PAnd(tuple(parts)))
+            goal: Pred = PAnd((*nonneg,
+                               decreases[0] if len(decreases) == 1
+                               else POr(tuple(decreases))))
+            st = SolverState(ctx.env, var_sorts=ctx.var_sorts)
+            for t in (*metric, *callee):
+                st.intern_term(t, active=True)
+            if not entails(st, facts, goal):
+                return NonTermination(
+                    call.span,
+                    f"cannot show metric [{', '.join(str(m) for m in metric)}] "
+                    f"decreases at recursive call in clause {ctx.clause_index + 1}",
+                )
     return None
 
 
@@ -376,7 +493,7 @@ def check_termination(fi: FunInfo, env: TypeEnv):
         return TerminationEvidence("structural", ())
     metric = fi.signature.metric
     if metric is not None:
-        failure = _check_metric(fi, tuple(metric), env)
+        failure = _check_metric(fi, tuple(metric), clause_contexts(fi, env))
         if failure is None:
             return TerminationEvidence("semantic", metric=tuple(metric))
         return failure
@@ -384,8 +501,9 @@ def check_termination(fi: FunInfo, env: TypeEnv):
     if positions is not None:
         return TerminationEvidence("structural", positions)
     guesses = _guess_metric(fi, env)
+    contexts = clause_contexts(fi, env) if guesses else []
     for guess in guesses:
-        if _check_metric(fi, guess, env) is None:
+        if _check_metric(fi, guess, contexts) is None:
             return TerminationEvidence("semantic", metric=guess, guessed=True)
     return NonTermination(
         fi.span,

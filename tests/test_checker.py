@@ -6,6 +6,7 @@ from eqcheck.syntax import pretty_pred
 from eqcheck.parser import parse_term
 from eqcheck.syntax import desugar_term
 from eqcheck.types import lemma_facts
+from eqcheck.wf import clause_contexts
 
 from conftest import LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
 from oracles import check_chain_coherence
@@ -17,7 +18,8 @@ def facts_text(facts):
 
 def obligations(env, decl, config=CheckConfig()):
     """The obligations of one declaration, by id."""
-    obs, _ = build_decl_obligations(env.fun(decl), env, config)
+    fi = env.fun(decl)
+    obs, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
     return {ob.oid: ob for ob in obs}
 
 
@@ -121,7 +123,8 @@ def test_involution_proof_accepted():
 
 def test_derivation_goal_uses_last_rhs():
     env = env_of(corpus_text("section4.eq"))
-    obs, _ = build_decl_obligations(env.fun("reverseApp"), env, CheckConfig())
+    fi = env.fun("reverseApp")
+    obs, _ = build_decl_obligations(fi, clause_contexts(fi, env), CheckConfig())
     vc = next(ob for ob in obs if ob.oid == "reverseApp/c1/vc")
     assert pretty_pred(vc.goal) == "reverseApp xs' (x : ys) == append (reverse xs) ys"
 
@@ -195,6 +198,33 @@ def test_unused_hint_warning():
     report = check_module(UNUSED_HINT_MODULE)
     assert report.ok
     assert any("trivP" in w and "unused" in w for w in report.warnings)
+
+
+def test_warning_order_unreachable_before_unused():
+    src = UNUSED_HINT_MODULE + """
+shadow : x:Int -> Int
+shadow x = 0
+shadow 1 = 1
+
+trivP2 : x:a -> {v:Proof | [x] == [x]}
+trivP2 x
+  =   [x]
+  ==. [x]
+      ? singleLemma x
+  *** QED
+
+lateShadow : b:Bool -> Int
+lateShadow b = 0
+lateShadow true = 1
+"""
+    report = check_module(src)
+    assert report.ok
+    assert report.warnings == [
+        "shadow: clause 2 is unreachable (shadowed by earlier clauses)",
+        "lateShadow: clause 2 is unreachable (shadowed by earlier clauses)",
+        "trivP: clause 1: hint '? singleLemma x' is unused",
+        "trivP2: clause 1: hint '? singleLemma x' is unused",
+    ]
 
 
 # -------------------------------------------------------------- module driver

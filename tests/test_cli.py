@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from eqcheck import checker
 from eqcheck.cli import run
 
 from conftest import CORPUS, ROOT, UNUSED_HINT_MODULE
@@ -89,6 +90,23 @@ def test_no_unused_hint_warnings_flag(tmp_path, capsys, monkeypatch):
     assert code == 0 and warning in out.splitlines()
     code, out, _ = run_cli(["check", str(path), "--no-unused-hint-warnings"], capsys)
     assert code == 0 and "unused" not in out
+
+
+def test_machine_output_skips_unused_hint_pass(tmp_path, capsys, monkeypatch):
+    # neither JSON nor --dump-facts shows warnings, so neither pays for them
+    path = tmp_path / "triv.eq"
+    path.write_text(UNUSED_HINT_MODULE)
+    _, expected, _ = run_cli(
+        ["check", str(path), "--json", "--no-unused-hint-warnings"], capsys)
+
+    def unexpected(*args):
+        raise AssertionError("unused-hint pass ran")
+
+    monkeypatch.setattr(checker, "_unused_hint_warnings", unexpected)
+    code, out, _ = run_cli(["check", str(path), "--json"], capsys)
+    assert code == 0 and out == expected
+    code, out, _ = run_cli(["check", str(path), "--dump-facts", "trivP/c0/step1"], capsys)
+    assert code == 0 and out.startswith("obligation trivP/c0/step1 [chain-step]")
 
 
 def test_json_byte_identical_across_runs(capsys):
