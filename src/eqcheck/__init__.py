@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .checker import CheckConfig, Report, Verdict, check_module
 from .parser import ParseError, parse_module, parse_pred, parse_term
-from .syntax import SourceModule, desugar, pretty, pretty_module
+from .syntax import SourceModule, pretty, pretty_module
 from .types import TypeCheckError, check_refinement_wf, check_types
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "check_module",
     "check_refinement_wf",
     "check_types",
-    "desugar",
     "parse_module",
     "parse_pred",
     "parse_term",

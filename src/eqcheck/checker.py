@@ -1,6 +1,6 @@
 """Verification-condition generation and discharge: refined-signature checks
 for ordinary functions, step-by-step checks for equational proof chains, and
-the whole-module pipeline (parse, desugar, sorts, wf, then obligations)."""
+the whole-module pipeline (parse, sorts, wf, then obligations)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails
 from .parser import parse_module
 from .syntax import (
-    Chain, FunDecl, PAtom, Pred, SourceModule, Span, Term, UnitLit,
-    allow_deep_recursion, apps, body_terms, desugar, pred_terms, pretty, pretty_pred,
-    substitute_pred,
+    FunDecl, PAtom, Pred, SourceModule, Span, Term, UnitLit, allow_deep_recursion,
+    apps, body_terms, pred_terms, pretty, pretty_pred, substitute_pred,
 )
 from .types import FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types
 from .wf import (
@@ -220,7 +219,6 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
     allow_deep_recursion()
     config = config or CheckConfig()
     module = parse_module(source) if isinstance(source, str) else source
-    module = desugar(module)
     env = check_types(module)
     check_refinement_wf(env)
     report = Report(file=file, env=env, module=module)
@@ -231,6 +229,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
 
     tainted: dict[str, str] = {}
     wf_verdicts: dict[str, Verdict] = {}
+    contexts: dict[str, list[list[LeafContext]]] = {}
     for name in fun_names:
         fi = env.funs[name]
         if name in in_cycle:
@@ -248,7 +247,8 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                 message="function is not total; missing patterns: " + "; ".join(texts))
             tainted[name] = "fails totality checking"
             continue
-        outcome = check_termination(fi, env)
+        contexts[name] = clause_contexts(fi, env)
+        outcome = check_termination(fi, env, contexts[name])
         if isinstance(outcome, NonTermination):
             wf_verdicts[name] = Verdict(
                 f"{name}/term", name, "termination", outcome.span, "failed",
@@ -284,14 +284,13 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                 f"{name}/blocked", name, "blocked", fi.span, "failed",
                 message=f"not checked: {blocked[name]}"))
             continue
-        contexts = clause_contexts(fi, env)
-        obligations, warnings = build_decl_obligations(fi, contexts, config)
+        obligations, warnings = build_decl_obligations(fi, contexts[name], config)
         unreachable.extend(warnings)
         verdicts = [discharge(ob, env, config) for ob in obligations]
         report.obligations.extend(obligations)
         report.verdicts.extend(verdicts)
         if config.warn_unused_hints and all(v.proved for v in verdicts):
-            unused.extend(_unused_hint_warnings(fi, contexts, config))
+            unused.extend(_unused_hint_warnings(fi, contexts[name], config))
     report.warnings = unreachable + unused
     return report
 
@@ -302,10 +301,7 @@ def _unused_hint_warnings(fi: FunInfo, contexts: list[list[LeafContext]],
     obligation of the clause proved."""
     warnings: list[str] = []
     for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
-        body = clause.body
-        if not isinstance(body, Chain):
-            continue
-        for hint in dict.fromkeys(body.all_hints()):
+        for hint in dict.fromkeys(clause.body.all_hints()):
             if all(discharge(ob, ctx.env, config).proved
                    for ctx in leaves
                    for ob in build_clause_obligations(

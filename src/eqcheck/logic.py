@@ -19,11 +19,9 @@ from .syntax import (
     App, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse, PInt, PNot, POr,
     PTrue, PVar, PWild, Pred, PrimOp, Term, UnitLit, Var, pred_terms,
 )
-from .types import BOOL, INT, PROOF, Sort, SortData, SortInt, SortVar, TypeEnv
+from .types import Sort, SortInt, TypeEnv
 
 DEFAULT_PLE_FUEL = 100
-
-_OPAQUE = SortVar("_opaque")
 
 _DUAL = {"==": "/=", "/=": "==", "<=": ">", ">": "<=", "<": ">=", ">=": "<"}
 
@@ -113,23 +111,19 @@ class _Lia:
         return const == 0 if rel == "==" else const <= 0
 
     def feasible(self, extra: tuple = ()) -> bool:
-        if not extra and not self.diseqs:
-            if self._feasible_cache is None:
-                self._feasible_cache = self._solve(list(self.atoms))
+        if not extra and self._feasible_cache is not None:
             return self._feasible_cache
         atoms = list(self.atoms)
         for coeffs, const, rel in extra:
             atoms.append(self.normalise(dict(coeffs), const, rel))
-        if not self.diseqs:
-            return self._solve(atoms)
-        # integer disequalities: expr != 0 splits into expr <= -1 or expr >= 1;
-        # the store is feasible if some branch assignment is
         result = self._feasible_branches(atoms, self.diseqs[:self.DISEQ_CAP])
         if not extra:
             self._feasible_cache = result
         return result
 
     def _feasible_branches(self, atoms, diseqs) -> bool:
+        """Integer disequalities: expr != 0 splits into expr <= -1 or
+        expr >= 1; the atoms are feasible if some branch assignment is."""
         if not diseqs:
             return self._solve(atoms)
         (coeffs, const), rest = diseqs[0], diseqs[1:]
@@ -259,14 +253,14 @@ class _Lia:
 # ------------------------------------------------------------- term graph
 
 class _Node:
-    __slots__ = ("nid", "kind", "head", "args", "sort")
+    __slots__ = ("nid", "kind", "head", "args", "is_int")
 
-    def __init__(self, nid: int, kind: str, head, args: tuple[int, ...], sort: Sort):
+    def __init__(self, nid: int, kind: str, head, args: tuple[int, ...], is_int: bool):
         self.nid = nid
         self.kind = kind  # var | int | bool | unit | con | app | prim
         self.head = head
         self.args = args
-        self.sort = sort
+        self.is_int = is_int  # the term has sort Int
 
 
 _TAGGED = ("con", "int", "bool", "unit")
@@ -315,13 +309,13 @@ class SolverState:
             self.reason = reason
 
     # -- node creation -----------------------------------------------------
-    def _mk(self, kind: str, head, args: tuple[int, ...], sort: Sort) -> int:
+    def _mk(self, kind: str, head, args: tuple[int, ...], is_int: bool) -> int:
         key = (kind, head, args)
         nid = self.intern_table.get(key)
         if nid is not None:
             return nid
         nid = len(self.nodes)
-        node = _Node(nid, kind, head, args, sort)
+        node = _Node(nid, kind, head, args, is_int)
         self.nodes.append(node)
         self.intern_table[key] = nid
         self.parent.append(nid)
@@ -339,46 +333,33 @@ class SolverState:
                 self._merge(nid, other)
         return nid
 
-    def _sort_of_term(self, t: Term) -> Sort:
-        if isinstance(t, Var):
-            return self.var_sorts.get(t.name, _OPAQUE)
-        if isinstance(t, IntLit) or isinstance(t, PrimOp):
-            return INT
-        if isinstance(t, BoolLit):
-            return BOOL
-        if isinstance(t, UnitLit):
-            return PROOF
-        if isinstance(t, Con):
-            return SortData(self.env.ctors[t.name].data_name, ())
-        if isinstance(t, App):
-            return self.env.funs[t.name].result_sort
-        raise AssertionError(f"cannot intern {t!r}")
-
     def intern_term(self, t: Term, active: bool = False,
                     subst: Optional[dict[str, int]] = None) -> int:
         if isinstance(t, Var):
             if subst is not None and t.name in subst:
                 return subst[t.name]
-            return self._mk("var", t.name, (), self._sort_of_term(t))
+            return self._mk("var", t.name, (),
+                            isinstance(self.var_sorts.get(t.name), SortInt))
         if isinstance(t, IntLit):
-            return self._mk("int", t.value, (), INT)
+            return self._mk("int", t.value, (), True)
         if isinstance(t, BoolLit):
-            return self._mk("bool", t.value, (), self._sort_of_term(t))
+            return self._mk("bool", t.value, (), False)
         if isinstance(t, UnitLit):
-            return self._mk("unit", "()", (), self._sort_of_term(t))
+            return self._mk("unit", "()", (), False)
         if isinstance(t, Con):
             args = tuple(self.intern_term(a, active, subst) for a in t.args)
-            return self._mk("con", t.name, args, self._sort_of_term(t))
+            return self._mk("con", t.name, args, False)
         if isinstance(t, App):
             args = tuple(self.intern_term(a, active, subst) for a in t.args)
-            nid = self._mk("app", t.name, args, self._sort_of_term(t))
+            nid = self._mk("app", t.name, args,
+                           isinstance(self.env.funs[t.name].result_sort, SortInt))
             if active:
                 self.active.add(nid)
             return nid
         if isinstance(t, PrimOp):
             args = (self.intern_term(t.lhs, active, subst),
                     self.intern_term(t.rhs, active, subst))
-            return self._mk("prim", t.op, args, INT)
+            return self._mk("prim", t.op, args, True)
         raise AssertionError(f"cannot intern {t!r}")
 
     # -- linear view -----------------------------------------------------------
@@ -416,7 +397,7 @@ class SolverState:
         return (coeffs, ak - bk)
 
     def _is_int(self, nid: int) -> bool:
-        return isinstance(self.nodes[nid].sort, SortInt)
+        return self.nodes[nid].is_int
 
     # -- merging ---------------------------------------------------------------
     def _merge(self, a: int, b: int) -> None:
@@ -489,7 +470,7 @@ class SolverState:
         reps: list[int] = []
         seen: set[int] = set()
         for node in self.nodes:
-            if node.kind in ("int", "prim") or not isinstance(node.sort, SortInt):
+            if node.kind in ("int", "prim") or not node.is_int:
                 continue
             r = self.find(node.nid)
             if r in seen:
@@ -644,7 +625,7 @@ def _fire_measures(st: SolverState, nid: int) -> bool:
         for sub, arg in zip(pat.args, node.args):  # type: ignore[union-attr]
             if isinstance(sub, PVar):
                 binding[sub.name] = arg
-        lhs = st._mk("app", m, (nid,), st.env.funs[m].result_sort)
+        lhs = st._mk("app", m, (nid,), isinstance(st.env.funs[m].result_sort, SortInt))
         body = st.env.funs[m].value_term(clause)
         rhs = st.intern_term(body, active=False, subst=binding)
         if st.find(lhs) == st.find(rhs):

@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Annotation, BaseRef, Body, Chain, Clause, ConsOp, CtorDef, DataDecl, Decl,
-    FunDecl, IntLit, ListLit, App, BoolLit, Con, PAnd, PAtom, PBool, PCon,
-    PFalse, PInt, PNot, POr, PTrue, PVar, PWild, Pattern, PlainTerm, Pred,
-    PrimOp, Signature, SourceModule, Span, Step, Term, TypeExpr, UnitLit, Var,
-    pattern_vars,
+    Annotation, BaseRef, Chain, Clause, CtorDef, DataDecl, Decl, FunDecl, IntLit,
+    App, BoolLit, Con, PAnd, PAtom, PBool, PCon, PFalse, PInt, PNot, POr, PTrue,
+    PVar, PWild, Pattern, Pred, PrimOp, Signature, SourceModule, Span, Step,
+    Term, TypeExpr, UnitLit, Var, cons, nil, pattern_vars,
 )
 
 
@@ -35,6 +34,8 @@ class Token:
     col: int
 
 
+# not str.isdigit: it accepts "²", which int() rejects, and "٣", which int() reads as 3
+DIGITS = "0123456789"
 KEYWORDS = {"data", "measure", "reflect", "ple", "not", "true", "false", "QED"}
 
 SYMBOLS = [
@@ -63,9 +64,9 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
             toks.append(Token("int", source[i:j], line, col))
             col += j - i
@@ -314,7 +315,11 @@ class _ItemParser:
                     self.next()
                     items.append(self.term())
             end = self.expect("sym", "]")
-            return ListLit(tuple(items), span=Span(t.line, t.col, end.line, end.col + 1))
+            span = Span(t.line, t.col, end.line, end.col + 1)
+            out = nil(span)
+            for item in reversed(items):
+                out = cons(item, out, span)
+            return out
         if self.at("sym", "("):
             self.next()
             if self.at("sym", ")"):
@@ -374,7 +379,7 @@ class _ItemParser:
         if self.at("sym", ":"):
             self.next()
             tail = self.term()
-            return ConsOp(head, tail, span=self.span_from(start))
+            return cons(head, tail, self.span_from(start))
         return head
 
     # -- predicates ------------------------------------------------------------
@@ -444,7 +449,7 @@ class _ItemParser:
             out.append(self.term())
         return tuple(out)
 
-    def body(self) -> Body:
+    def body(self) -> Chain:
         start = self.peek()
         head = self.term()
         head_hints = self.hints()
@@ -461,12 +466,6 @@ class _ItemParser:
             qed = True
         if not self.at_end():
             self.fail("unexpected trailing tokens in clause body")
-        if not steps and not head_hints and not qed:
-            return PlainTerm(head, span=self.span_from(start))
-        if not steps and qed:
-            # `e *** QED` without any steps: a degenerate chain
-            return Chain(head=head, head_hints=head_hints, steps=(), qed=True,
-                         span=self.span_from(start))
         return Chain(head=head, head_hints=head_hints, steps=tuple(steps), qed=qed,
                      span=self.span_from(start))
 
@@ -515,7 +514,8 @@ def _check_linear(clause: Clause) -> None:
 
 
 def parse_module(source: str) -> SourceModule:
-    """Parse a .eq module.  Returns the surface AST (list sugar intact)."""
+    """Parse a .eq module into the core AST: list notation becomes `Cons`/`Nil`
+    terms and every clause body a `Chain`."""
     toks = tokenize(source)
     items = _split_items(toks)
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .syntax import (
-    App, BoolLit, Chain, Con, IntLit, PCon, PInt, PVar, PWild, Pattern,
-    PlainTerm, PrimOp, Term, UnitLit, Var, allow_deep_recursion,
+    App, BoolLit, Con, IntLit, PCon, PInt, PVar, PWild, Pattern, PrimOp, Term,
+    UnitLit, Var, allow_deep_recursion,
 )
 from .types import (
     Sort, SortBool, SortData, SortInt, SortProof, SortVar, TypeEnv, ctor_field_sorts,
@@ -135,9 +135,6 @@ def apply_function(env: TypeEnv, fname: str, args: tuple[Value, ...], fuel: Fuel
         if not matched:
             continue
         body = clause.body
-        if type(body) is PlainTerm:
-            return _eval(env, body.term, fuel, local)
-        assert isinstance(body, Chain)
         value = _eval(env, body.head, fuel, local)
         for h in body.head_hints:
             _eval(env, h, fuel, local)

@@ -1,5 +1,5 @@
 """Core AST for .eq modules: terms, patterns, predicates, refinement types,
-declarations, plus desugaring and the pretty-printer."""
+declarations, plus the pretty-printer."""
 
 from __future__ import annotations
 
@@ -69,19 +69,6 @@ class PrimOp(Term):
     op: str  # '+', '-', '*'
     lhs: Term = field(default=None)  # type: ignore[assignment]
     rhs: Term = field(default=None)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class ListLit(Term):
-    """Surface sugar [e1, ..., ek]; removed by desugar."""
-    items: tuple[Term, ...] = ()
-
-
-@dataclass(frozen=True)
-class ConsOp(Term):
-    """Surface sugar e : e'; removed by desugar."""
-    head: Term = field(default=None)  # type: ignore[assignment]
-    tail: Term = field(default=None)  # type: ignore[assignment]
 
 
 # ------------------------------------------------------------- patterns
@@ -210,22 +197,18 @@ class Step:
 
 
 @dataclass(frozen=True)
-class Body:
-    span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
-
-
-@dataclass(frozen=True)
-class PlainTerm(Body):
-    term: Term = field(default=None)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class Chain(Body):
-    """head (? hint)* (==. rhs (? hint)*)+ [*** QED]"""
-    head: Term = field(default=None)  # type: ignore[assignment]
+class Chain:
+    """A clause body: head (? hint)* (==. rhs (? hint)*)* [*** QED].  A plain
+    term is a chain with no hints, no steps and no QED."""
+    head: Term
     head_hints: tuple[Term, ...] = ()
     steps: tuple[Step, ...] = ()
     qed: bool = False
+    span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
+
+    @property
+    def plain(self) -> bool:
+        return not (self.head_hints or self.steps or self.qed)
 
     def value_term(self) -> Term:
         """The term a chain evaluates to (==. returns its right argument)."""
@@ -244,7 +227,7 @@ class Chain(Body):
 class Clause:
     name: str
     patterns: tuple[Pattern, ...]
-    body: Body
+    body: Chain
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
@@ -330,12 +313,8 @@ def subterms(t: Term) -> Iterator[Term]:
         yield t
         if isinstance(t, (Con, App)):
             stack.extend(reversed(t.args))
-        elif isinstance(t, ListLit):
-            stack.extend(reversed(t.items))
         elif isinstance(t, PrimOp):
             stack += (t.rhs, t.lhs)
-        elif isinstance(t, ConsOp):
-            stack += (t.tail, t.head)
 
 
 def apps(terms: Iterable[Term]) -> Iterator[App]:
@@ -358,11 +337,8 @@ def pred_terms(p: Pred) -> Iterator[Term]:
         yield from pred_terms(p.item)
 
 
-def body_terms(b: Body) -> tuple[Term, ...]:
-    """Every term of a clause body: plain term, or head + step rhss + hints."""
-    if isinstance(b, PlainTerm):
-        return (b.term,)
-    assert isinstance(b, Chain)
+def body_terms(b: Chain) -> tuple[Term, ...]:
+    """Every term of a clause body: head, step rhss and hints."""
     out = [b.head, *b.head_hints]
     for s in b.steps:
         out.append(s.rhs)
@@ -379,10 +355,6 @@ def substitute(t: Term, subst: dict[str, Term]) -> Term:
         return App(t.name, tuple(substitute(a, subst) for a in t.args), span=t.span)
     if isinstance(t, PrimOp):
         return PrimOp(t.op, substitute(t.lhs, subst), substitute(t.rhs, subst), span=t.span)
-    if isinstance(t, ListLit):
-        return ListLit(tuple(substitute(a, subst) for a in t.items), span=t.span)
-    if isinstance(t, ConsOp):
-        return ConsOp(substitute(t.head, subst), substitute(t.tail, subst), span=t.span)
     return t
 
 
@@ -438,75 +410,11 @@ class FreshNames:
 
 # -------------------------------------------------------------- desugar
 
-def desugar_term(t: Term) -> Term:
-    """Rewrite [e1,...,ek] and e:e' into Cons/Nil applications."""
-    if isinstance(t, ListLit):
-        out: Term = nil(t.span)
-        for item in reversed(t.items):
-            out = cons(desugar_term(item), out, t.span)
-        return out
-    if isinstance(t, ConsOp):
-        return cons(desugar_term(t.head), desugar_term(t.tail), t.span)
-    if isinstance(t, Con):
-        return Con(t.name, tuple(desugar_term(a) for a in t.args), span=t.span)
-    if isinstance(t, App):
-        return App(t.name, tuple(desugar_term(a) for a in t.args), span=t.span)
-    if isinstance(t, PrimOp):
-        return PrimOp(t.op, desugar_term(t.lhs), desugar_term(t.rhs), span=t.span)
-    return t
-
-
-def desugar_pred(p: Pred) -> Pred:
-    if isinstance(p, PAtom):
-        return PAtom(p.rel, desugar_term(p.lhs), desugar_term(p.rhs), span=p.span)
-    if isinstance(p, PAnd):
-        return PAnd(tuple(desugar_pred(q) for q in p.items), span=p.span)
-    if isinstance(p, POr):
-        return POr(tuple(desugar_pred(q) for q in p.items), span=p.span)
-    if isinstance(p, PNot):
-        return PNot(desugar_pred(p.item), span=p.span)
-    return p
-
-
-def desugar_base(b: BaseRef) -> BaseRef:
-    return BaseRef(b.ty, b.binder, desugar_pred(b.pred), span=b.span)
-
-
-def desugar_body(b: Body) -> Body:
-    if isinstance(b, PlainTerm):
-        return PlainTerm(desugar_term(b.term), span=b.span)
-    assert isinstance(b, Chain)
-    return Chain(
-        head=desugar_term(b.head),
-        head_hints=tuple(desugar_term(h) for h in b.head_hints),
-        steps=tuple(
-            Step(desugar_term(s.rhs), tuple(desugar_term(h) for h in s.hints), span=s.span)
-            for s in b.steps
-        ),
-        qed=b.qed,
-        span=b.span,
-    )
-
-
 def desugar(m: SourceModule) -> SourceModule:
-    """Remove list sugar everywhere (terms, predicates, metrics). Idempotent."""
-    decls: list[Decl] = []
-    for d in m.decls:
-        if isinstance(d, DataDecl):
-            decls.append(d)
-            continue
-        sig = d.signature
-        new_sig = Signature(
-            params=tuple((n, desugar_base(b)) for n, b in sig.params),
-            result=desugar_base(sig.result),
-            metric=None if sig.metric is None else tuple(desugar_term(t) for t in sig.metric),
-            span=sig.span,
-        )
-        clauses = tuple(
-            Clause(c.name, c.patterns, desugar_body(c.body), span=c.span) for c in d.clauses
-        )
-        decls.append(FunDecl(d.name, new_sig, clauses, span=d.span))
-    return SourceModule(tuple(decls), m.annotations, span=m.span)
+    """The identity.  The parser already writes `[]`, `[e1, ..., ek]` and
+    `e : e'` as `Nil`/`Cons` terms, so no pass removes notation; scripts that
+    drive the pipeline stage by stage still call this name."""
+    return m
 
 
 # --------------------------------------------------------------- pretty
@@ -522,11 +430,6 @@ def _term_doc(t: Term, level: int) -> str:
         return "true" if t.value else "false"
     if isinstance(t, UnitLit):
         return "()"
-    if isinstance(t, ListLit):
-        return "[" + ", ".join(_term_doc(x, 0) for x in t.items) + "]"
-    if isinstance(t, ConsOp):
-        s = f"{_term_doc(t.head, 1)} : {_term_doc(t.tail, 0)}"
-        return f"({s})" if level > 0 else s
     if isinstance(t, Con):
         if t.name == "Nil" and not t.args:
             return "[]"
@@ -639,19 +542,18 @@ def pretty_module(m: SourceModule) -> str:
         lines.append(pretty_signature(d.name, d.signature))
         for c in d.clauses:
             pats = "".join(" " + pretty_pattern(p, True) for p in c.patterns)
-            if isinstance(c.body, PlainTerm):
-                lines.append(f"{c.name}{pats} = {pretty(c.body.term)}")
-            else:
-                ch = c.body
-                assert isinstance(ch, Chain)
-                lines.append(f"{c.name}{pats}")
-                lines.append(f"  =   {pretty(ch.head)}")
-                for h in ch.head_hints:
+            ch = c.body
+            if ch.plain:
+                lines.append(f"{c.name}{pats} = {pretty(ch.head)}")
+                continue
+            lines.append(f"{c.name}{pats}")
+            lines.append(f"  =   {pretty(ch.head)}")
+            for h in ch.head_hints:
+                lines.append(f"      ? {pretty(h)}")
+            for s in ch.steps:
+                lines.append(f"  ==. {pretty(s.rhs)}")
+                for h in s.hints:
                     lines.append(f"      ? {pretty(h)}")
-                for s in ch.steps:
-                    lines.append(f"  ==. {pretty(s.rhs)}")
-                    for h in s.hints:
-                        lines.append(f"      ? {pretty(h)}")
-                if ch.qed:
-                    lines.append("  *** QED")
+            if ch.qed:
+                lines.append("  *** QED")
     return "\n".join(lines) + "\n"

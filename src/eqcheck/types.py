@@ -1,4 +1,4 @@
-"""Sort checking for desugared modules: builds the global environment used by
+"""Sort checking for parsed modules: builds the global environment used by
 every later phase and enforces the measure/annotation rules."""
 
 from __future__ import annotations
@@ -6,11 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    App, BoolLit, BaseRef, Chain, Clause, Con, ConsOp, DataDecl, FunDecl,
-    IntLit, ListLit, PAtom, PAnd, PBool, PCon, PFalse, PInt, PNot, POr, PTrue,
-    PVar, PWild, Pattern, PlainTerm, Pred, PrimOp, PRELUDE_LIST, Signature,
-    SourceModule, Span, Term, TypeExpr, UnitLit, Var, NO_SPAN, apps, pred_terms,
-    substitute_pred, subterms,
+    App, BoolLit, Clause, Con, DataDecl, FunDecl, IntLit, PAtom, PAnd, PBool,
+    PCon, PFalse, PInt, PNot, POr, PTrue, PVar, PWild, Pattern, Pred, PrimOp,
+    PRELUDE_LIST, Signature, SourceModule, Span, Term, TypeExpr, UnitLit, Var,
+    NO_SPAN, apps, pred_terms, substitute_pred, subterms,
 )
 
 
@@ -129,9 +128,6 @@ class FunInfo:
 
     def value_term(self, clause: Clause) -> Term:
         body = clause.body
-        if isinstance(body, PlainTerm):
-            return body.term
-        assert isinstance(body, Chain)
         return UnitLit() if body.qed else body.value_term()
 
 
@@ -361,8 +357,6 @@ class _ModuleChecker:
 
     # -- term / predicate inference -------------------------------------------
     def infer_term(self, t: Term, venv: dict[str, Sort], fname: str) -> Sort:
-        if isinstance(t, (ListLit, ConsOp)):
-            raise TypeCheckError("internal: module not desugared", t.span)
         if isinstance(t, Var):
             s = venv.get(t.name)
             if s is None:
@@ -495,12 +489,11 @@ class _ModuleChecker:
         for pat, sort in zip(clause.patterns, fi.param_sorts):
             self.check_pattern(pat, sort, venv)
         body = clause.body
-        if isinstance(body, PlainTerm):
-            got = self.infer_term(body.term, venv, fi.name)
-            self.uni.unify(fi.result_sort, got, body.term.span,
+        if body.plain:
+            got = self.infer_term(body.head, venv, fi.name)
+            self.uni.unify(fi.result_sort, got, body.head.span,
                            f"body of {fi.name}")
         else:
-            assert isinstance(body, Chain)
             chain_sort: Sort = self.uni.fresh()
             for t in (body.head, *(s.rhs for s in body.steps)):
                 got = self.infer_term(t, venv, fi.name)
@@ -539,9 +532,9 @@ class _ModuleChecker:
             if pat.name in covered:
                 bad(f"duplicate clause for constructor {pat.name!r}", c.span)
             covered[pat.name] = c
-            if not isinstance(c.body, PlainTerm):
+            if not c.body.plain:
                 bad("measure bodies must be plain terms", c.span)
-            for sub in subterms(c.body.term):
+            for sub in subterms(c.body.head):
                 if isinstance(sub, App) and not self.env.funs[sub.name].is_measure:
                     bad(f"body may call only primitives and measures, not {sub.name!r}",
                         sub.span)
@@ -585,7 +578,7 @@ def _close_metas(s: Sort) -> Sort:
 
 
 def check_types(module: SourceModule) -> TypeEnv:
-    """Sort-check a desugared module and build the environment."""
+    """Sort-check a parsed module and build the environment."""
     return _ModuleChecker(module).run()
 
 

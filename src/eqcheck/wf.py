@@ -9,8 +9,8 @@ from typing import Optional
 
 from .logic import SolverState, entails
 from .syntax import (
-    App, Chain, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
-    PVar, PWild, Pattern, PlainTerm, Pred, Span, Step, Term, Var, apps, body_terms,
+    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
+    PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, body_terms,
     pattern_term, pattern_vars, substitute, substitute_pred,
 )
 from .types import (
@@ -269,20 +269,14 @@ class LeafContext:
             self.var_sorts[name] = s
         self.rename_terms = rename_terms
         body = self.clause.body
-        if isinstance(body, PlainTerm):
-            self.head: Term = substitute(body.term, rename_terms)
-            self.head_hints: tuple[Term, ...] = ()
-            self.steps: tuple[Step, ...] = ()
-        else:
-            assert isinstance(body, Chain)
-            self.head = substitute(body.head, rename_terms)
-            self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
-            self.steps = tuple(
-                Step(substitute(s.rhs, rename_terms),
-                     tuple(substitute(h, rename_terms) for h in s.hints),
-                     span=s.span)
-                for s in body.steps
-            )
+        self.head = substitute(body.head, rename_terms)
+        self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
+        self.steps = tuple(
+            Step(substitute(s.rhs, rename_terms),
+                 tuple(substitute(h, rename_terms) for h in s.hints),
+                 span=s.span)
+            for s in body.steps
+        )
 
     def without_hint(self, hint: Term) -> LeafContext:
         """A copy in which every occurrence of `hint`, as written in the
@@ -485,24 +479,23 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
     return None
 
 
-def check_termination(fi: FunInfo, env: TypeEnv):
+def check_termination(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext]]):
     """Structural check first unless an explicit metric was declared; falls
-    back to the guessed first-argument metric before giving up."""
+    back to the guessed first-argument metric before giving up.  `contexts`
+    are fi's `clause_contexts`, whose hypotheses the metric checks assume."""
     calls = _self_calls(fi)
     if not calls:
         return TerminationEvidence("structural", ())
     metric = fi.signature.metric
     if metric is not None:
-        failure = _check_metric(fi, tuple(metric), clause_contexts(fi, env))
+        failure = _check_metric(fi, tuple(metric), contexts)
         if failure is None:
             return TerminationEvidence("semantic", metric=tuple(metric))
         return failure
     positions = _structural(fi, calls)
     if positions is not None:
         return TerminationEvidence("structural", positions)
-    guesses = _guess_metric(fi, env)
-    contexts = clause_contexts(fi, env) if guesses else []
-    for guess in guesses:
+    for guess in _guess_metric(fi, env):
         if _check_metric(fi, guess, contexts) is None:
             return TerminationEvidence("semantic", metric=guess, guessed=True)
     return NonTermination(

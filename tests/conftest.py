@@ -6,7 +6,6 @@ import pytest
 
 from eqcheck.checker import check_module
 from eqcheck.parser import parse_module, parse_pred, parse_term
-from eqcheck.syntax import desugar, desugar_pred, desugar_term
 from eqcheck.types import check_types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -54,15 +53,11 @@ def corpus_text(name: str) -> str:
 
 
 def env_of(source: str):
-    return check_types(desugar(parse_module(source)))
+    return check_types(parse_module(source))
 
 
-def term(src: str):
-    return desugar_term(parse_term(src))
-
-
-def pred(src: str):
-    return desugar_pred(parse_pred(src))
+term = parse_term
+pred = parse_pred
 
 
 @pytest.fixture(scope="session")

@@ -251,11 +251,10 @@ def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
     evaluates to its last right-hand side, on all enumerated instantiations
     reaching the clause.  Returns the number of instantiations checked."""
     from eqcheck.semantics import evaluate
-    from eqcheck.syntax import Chain
     checked = 0
     for ci, clause in enumerate(fi.clauses):
         body = clause.body
-        if not isinstance(body, Chain):
+        if body.plain:
             continue
         n_vars = len(fi.clause_var_sorts[ci])
         use_size = size if n_vars <= 2 else small_size
@@ -270,7 +269,7 @@ def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
 def cleaned_env(module, names):
     """Re-typecheck the module with the named functions' chain bodies replaced
     by their final terms (the classic cleaned definitions)."""
-    from eqcheck.syntax import Chain, Clause, FunDecl, PlainTerm, SourceModule
+    from eqcheck.syntax import Chain, Clause, FunDecl, SourceModule
     from eqcheck.types import check_types
     decls = []
     for d in module.decls:
@@ -278,8 +277,8 @@ def cleaned_env(module, names):
             clauses = []
             for c in d.clauses:
                 body = c.body
-                if isinstance(body, Chain) and not body.qed:
-                    body = PlainTerm(body.value_term())
+                if not body.qed:
+                    body = Chain(body.value_term())
                 clauses.append(Clause(c.name, c.patterns, body, span=c.span))
             decls.append(FunDecl(d.name, d.signature, tuple(clauses), span=d.span))
         else:

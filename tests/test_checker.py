@@ -4,7 +4,6 @@ from eqcheck.checker import (
 from eqcheck.semantics import evaluate
 from eqcheck.syntax import pretty_pred
 from eqcheck.parser import parse_term
-from eqcheck.syntax import desugar_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
 
@@ -46,7 +45,7 @@ def test_wildcard_clause_context_has_only_pattern_facts(list_env):
 
 def test_lemma_facts_instantiation():
     env = env_of(corpus_text("section2.eq"))
-    fact = lemma_facts(env.fun("singletonP"), (desugar_term(parse_term("1")),))
+    fact = lemma_facts(env.fun("singletonP"), (parse_term("1"),))
     assert pretty_pred(fact) == "reverse (1 : []) == 1 : []"
 
 

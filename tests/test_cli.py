@@ -60,6 +60,16 @@ def test_type_error_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_ascii_digits_exit_two(tmp_path, capsys):
+    # '²' is no digit int() accepts, and '٣' would otherwise read as 3
+    for digit in ("\u00b2", "\u0663"):
+        path = tmp_path / "digit.eq"
+        path.write_text(f"f : x:Int -> Int\nf x = x + {digit}\n", encoding="utf-8")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert "2:11: unexpected character" in err and "Traceback" not in err
+
+
 def test_bad_flags_exit_two(capsys):
     code, _, _ = run_cli(["check", corpus_file("section2.eq"), "--ple-fuel", "0"], capsys)
     assert code == 2

@@ -1,9 +1,10 @@
+import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eqcheck.logic import (
-    SolverState, assert_fact, entails, instantiate_axioms, ple_saturate,
+    SolverState, _Lia, assert_fact, entails, instantiate_axioms, ple_saturate,
 )
 from eqcheck.types import INT, SortData, SortVar
 
@@ -206,3 +207,83 @@ def test_entailment_monotonic(seed):
     st2 = SolverState(env, var_sorts=var_sorts)
     if entails(st1, base, goal):
         assert entails(st2, extended, goal)
+
+
+# ------------------------------------------------------------- LIA store
+# The store is checked against brute force over an integer box: the box holds
+# only some of the integer points, so this checks soundness (an infeasible
+# verdict or an entailment is never wrong), not completeness.
+
+_BOX = range(-5, 6)
+
+
+def _holds(lin, rel, point):
+    coeffs, const = lin
+    value = sum(c * point[v] for v, c in coeffs.items()) + const
+    return {"==": value == 0, "<=": value <= 0, "<": value < 0, "/=": value != 0}[rel]
+
+
+@st.composite
+def _lia_problems(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    lin = st.tuples(
+        st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                        st.integers(min_value=-3, max_value=3), max_size=n),
+        st.integers(min_value=-6, max_value=6))
+    ops = draw(st.lists(st.tuples(st.sampled_from(["==", "<=", "<", "/="]), lin),
+                        max_size=6))
+    goal = draw(st.tuples(st.sampled_from(["==", "<=", "<"]), lin))
+    return n, ops, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lia_problems())
+# 2x + 1 <= 0 and x >= -1: gcd tightening must keep the one model x = -1
+@example((1, [("<=", ({0: 2}, 1)), ("<=", ({0: -1}, -1))], ("<=", ({0: 1}, 1))))
+def test_lia_store_agrees_with_box_enumeration(problem):
+    n, ops, (goal_rel, goal) = problem
+    lia = _Lia()
+    models = list(itertools.product(_BOX, repeat=n))
+    for rel, (coeffs, const) in ops:
+        if rel == "/=":
+            lia.add_diseq(dict(coeffs), const)
+        else:
+            lia.add(dict(coeffs), const, rel)
+        models = [p for p in models if _holds((coeffs, const), rel, p)]
+        # asked after every operation, so cached verdicts are checked too
+        if not lia.feasible():
+            assert not models
+    if lia.entails(dict(goal[0]), goal[1], goal_rel):
+        assert all(_holds(goal, goal_rel, p) for p in models)
+
+
+def test_diseq_cap_reports_true_entailment_as_not_entailed(monkeypatch):
+    # 0 <= x <= k with x /= 0, ..., x /= k - 1 entails x >= k, but only by
+    # branching on all k disequalities
+    k = _Lia.DISEQ_CAP + 1
+
+    def entailed():
+        lia = _Lia()
+        lia.add({0: -1}, 0, "<=")
+        lia.add({0: 1}, -k, "<=")
+        for j in range(k):
+            lia.add_diseq({0: 1}, -j)
+        return lia.entails({0: -1}, k, "<=")
+
+    assert not entailed()
+    monkeypatch.setattr(_Lia, "DISEQ_CAP", k)
+    assert entailed()
+
+
+def test_atom_cap_reports_true_entailment_as_not_entailed(monkeypatch):
+    # x0 <= x1 <= x2 <= x3 entails x0 <= x3; refuting its negation leaves
+    # three inequalities after the first elimination round
+    def entailed():
+        lia = _Lia()
+        for i in range(3):
+            lia.add({i: 1, i + 1: -1}, 0, "<=")
+        return lia.entails({0: 1, 3: -1}, 0, "<=")
+
+    assert entailed()
+    monkeypatch.setattr(_Lia, "ATOM_CAP", 2)
+    assert not entailed()

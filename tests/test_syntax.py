@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from eqcheck.parser import ParseError, parse_module, parse_term
 from eqcheck.syntax import (
-    App, Annotation, Con, ConsOp, IntLit, ListLit, PrimOp, Var, desugar,
-    apps, desugar_term, pretty, pretty_module, subterms,
+    App, Annotation, Con, IntLit, PrimOp, Span, Var, apps, cons, nil, pretty,
+    pretty_module, subterms,
 )
 
 from conftest import corpus_text
@@ -38,22 +38,28 @@ def test_parse_error_reports_position():
 
 
 def test_desugar_singleton():
-    assert desugar_term(parse_term("[x]")) == Con("Cons", (Var("x"), Con("Nil")))
+    assert parse_term("[x]") == Con("Cons", (Var("x"), Con("Nil")))
 
 
 def test_desugar_empty_list():
-    assert desugar_term(parse_term("[]")) == Con("Nil")
+    assert parse_term("[]") == Con("Nil")
 
 
 def test_desugar_stack_pattern_sugar():
-    got = desugar_term(parse_term("m : n : s"))
+    got = parse_term("m : n : s")
     assert got == Con("Cons", (Var("m"), Con("Cons", (Var("n"), Var("s")))))
 
 
-def test_desugar_idempotent_on_corpus():
-    for name in ["section2.eq", "section2_ple.eq", "section4.eq", "section5.eq"]:
-        m = desugar(parse_module(corpus_text(name)))
-        assert desugar(m) == m
+def test_list_literal_is_cons_chain_with_literal_span():
+    got = parse_term("[1, x : xs, f y]")
+    assert got == cons(IntLit(1), cons(cons(Var("x"), Var("xs")),
+                                       cons(App("f", (Var("y"),)), nil())))
+    literal = Span(1, 1, 1, 17)
+    outer = [got, got.args[1], got.args[1].args[1]]
+    assert [c.span for c in outer] == [literal] * 3
+    assert outer[2].args[1] == nil() and outer[2].args[1].span == literal
+    # `x : xs` keeps its own span, from `x` to the end of `xs`
+    assert got.args[1].args[0].span == Span(1, 5, 1, 11)
 
 
 def test_pretty_cons():
@@ -70,9 +76,9 @@ def test_pretty_primop():
 
 def test_precedence_app_over_plus_over_cons():
     t = parse_term("eval x + eval y : s")
-    assert isinstance(t, ConsOp)
-    assert isinstance(t.head, PrimOp)
-    assert isinstance(t.head.lhs, App)
+    assert isinstance(t, Con) and t.name == "Cons"
+    assert isinstance(t.args[0], PrimOp)
+    assert isinstance(t.args[0].lhs, App)
 
 
 @pytest.mark.parametrize("name", ["section2.eq", "section2_ple.eq",
@@ -100,21 +106,28 @@ def test_spans_inside_file(name):
                         assert 1 <= sub.span.line <= sub.span.end_line <= n_lines
 
 
-# random sugar terms: pretty . parse round trips and desugaring is idempotent
+# random core terms: pretty . parse round trips
 _names = st.sampled_from(["x", "ys", "n", "acc"])
+
+
+def _list_of(items):
+    out = nil()
+    for item in reversed(items):
+        out = cons(item, out)
+    return out
 
 
 def _terms():
     base = st.one_of(
         _names.map(Var),
         st.integers(min_value=0, max_value=9).map(IntLit),
-        st.just(ListLit(())),
+        st.just(nil()),
     )
     return st.recursive(
         base,
         lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda p: ConsOp(p[0], p[1])),
-            st.lists(sub, min_size=1, max_size=3).map(lambda xs: ListLit(tuple(xs))),
+            st.tuples(sub, sub).map(lambda p: cons(p[0], p[1])),
+            st.lists(sub, min_size=1, max_size=3).map(_list_of),
             st.tuples(sub, sub).map(lambda p: PrimOp("+", p[0], p[1])),
             st.tuples(_names, st.lists(sub, min_size=1, max_size=2)).map(
                 lambda p: App(p[0], tuple(p[1]))),
@@ -126,14 +139,6 @@ def _terms():
 @given(_terms())
 def test_pretty_parse_roundtrip(t):
     assert parse_term(pretty(t)) == t
-
-
-@given(_terms())
-def test_desugar_idempotent_and_core(t):
-    d = desugar_term(t)
-    assert desugar_term(d) == d
-    for sub in subterms(d):
-        assert not isinstance(sub, (ListLit, ConsOp))
 
 
 def test_apps_preorder_left_to_right():

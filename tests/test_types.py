@@ -108,6 +108,14 @@ def test_literal_multiplication_accepted():
     assert env.fun("f").result_sort == INT
 
 
+def test_plain_body_sort_error_message():
+    # a plain body is unified with the result sort at the term's own span,
+    # and draws no sort variable of its own
+    with pytest.raises(TypeCheckError) as e:
+        env_of("f : x:Int -> Int\nf x = (Nil)\n")
+    assert str(e.value) == "2:8: body of f: expected sort Int, found List ?1"
+
+
 def test_qed_chain_requires_proof_result():
     src = LIST_BASICS + """\
 
