@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from .checker import CheckConfig, Report, check_module
 from .logic import DEFAULT_PLE_FUEL
@@ -99,7 +100,7 @@ def render_human(reports: list[Report], paint: _Paint) -> str:
     return "\n".join(lines)
 
 
-def _dump_facts(reports: list[Report], oid: str) -> str:
+def _dump_facts(reports: list[Report], oid: str) -> Optional[str]:
     for report in reports:
         for ob in report.obligations:
             if ob.oid == oid:
@@ -108,7 +109,7 @@ def _dump_facts(reports: list[Report], oid: str) -> str:
                     lines.append(f"  {pretty_pred(f)}")
                 lines.append(f"goal: {pretty_pred(ob.goal)}")
                 return "\n".join(lines)
-    return f"no obligation named {oid!r}"
+    return None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -170,7 +171,11 @@ def run(argv: list[str]) -> int:
             return EXIT_ERROR
 
     if args.dump_facts:
-        print(_dump_facts(reports, args.dump_facts))
+        dump = _dump_facts(reports, args.dump_facts)
+        if dump is None:
+            print(f"eqcheck: no obligation named {args.dump_facts!r}", file=sys.stderr)
+            return EXIT_ERROR
+        print(dump)
         return EXIT_OK
 
     if args.json:

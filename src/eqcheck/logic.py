@@ -1,6 +1,13 @@
 """The SMT replacement: ground congruence closure with constructor theory,
-linear integer arithmetic over a rational relaxation, occurrence-driven
-instantiation of measure and reflection equations, and PLE saturation.
+linear integer arithmetic over a rational relaxation, and instantiation by
+one rule with PLE saturation.
+
+Instantiation is one rule, `_unfold`: an application of a reflected function
+or a measure is equated with the body of its first clause whose match is
+decided.  A measure applied to a constructor is always decided, so each
+constructor occurrence feeds its measures to the same rule.  Outside PLE a
+reflected application unfolds only where it was written; PLE also unfolds
+the applications that earlier unfoldings create.
 
 One SolverState serves one obligation.  Equalities are decided by union-find
 with congruence repair; integer atoms by Fourier-Motzkin elimination with
@@ -288,8 +295,6 @@ class SolverState:
         self.active: set[int] = set()
         self.reflect_done_nodes: set[int] = set()
         self.reflect_done_keys: set[tuple] = set()
-        self.measure_done_nodes: set[tuple] = set()
-        self.measure_done_keys: set[tuple] = set()
         self.contradiction = False
         self.reason = ""
         self.fuel_exhausted = False
@@ -552,49 +557,51 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
     return st
 
 
+def _match(st: SolverState, pat, nid: int, binding: dict[str, int]) -> str:
+    """'yes' (filling `binding`), 'no', or 'unknown' when a constructor the
+    pattern needs is not yet known for the class of `nid`."""
+    if isinstance(pat, PVar):
+        binding[pat.name] = nid
+        return "yes"
+    if isinstance(pat, PWild):
+        return "yes"
+    rep = st.find(nid)
+    t = st.tag.get(rep)
+    if t is None:
+        return "unknown"
+    node = st.nodes[t]
+    if isinstance(pat, PInt):
+        if node.kind != "int":
+            return "unknown"
+        return "yes" if node.head == pat.value else "no"
+    if isinstance(pat, PBool):
+        if node.kind != "bool":
+            return "unknown"
+        return "yes" if node.head == pat.value else "no"
+    assert isinstance(pat, PCon)
+    if node.kind != "con":
+        return "unknown"
+    if node.head != pat.name:
+        return "no"
+    verdict = "yes"
+    for sub, arg in zip(pat.args, node.args):
+        r = _match(st, sub, arg, binding)
+        if r == "no":
+            return "no"
+        if r == "unknown":
+            verdict = "unknown"
+    return verdict
+
+
 def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     """Walk clauses in order; select the first whose match is decided.  A
     clause is skipped only when provably non-matching; an undecided match
     blocks unfolding entirely."""
-
-    def match(pat, nid, binding) -> str:
-        if isinstance(pat, PVar):
-            binding[pat.name] = nid
-            return "yes"
-        if isinstance(pat, PWild):
-            return "yes"
-        rep = st.find(nid)
-        t = st.tag.get(rep)
-        if t is None:
-            return "unknown"
-        node = st.nodes[t]
-        if isinstance(pat, PInt):
-            if node.kind != "int":
-                return "unknown"
-            return "yes" if node.head == pat.value else "no"
-        if isinstance(pat, PBool):
-            if node.kind != "bool":
-                return "unknown"
-            return "yes" if node.head == pat.value else "no"
-        assert isinstance(pat, PCon)
-        if node.kind != "con":
-            return "unknown"
-        if node.head != pat.name:
-            return "no"
-        verdict = "yes"
-        for sub, arg in zip(pat.args, node.args):
-            r = match(sub, arg, binding)
-            if r == "no":
-                return "no"
-            if r == "unknown":
-                verdict = "unknown"
-        return verdict
-
     for clause in fi.clauses:
         binding: dict[str, int] = {}
         verdict = "yes"
         for pat, nid in zip(clause.patterns, arg_nids):
-            r = match(pat, nid, binding)
+            r = _match(st, pat, nid, binding)
             if r == "no":
                 verdict = "no"
                 break
@@ -607,43 +614,30 @@ def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     return None
 
 
-def _fire_measures(st: SolverState, nid: int) -> bool:
-    node = st.nodes[nid]
-    data_name = st.env.ctors[node.head].data_name
+def _fire_measures(st: SolverState, nid: int, allow_derived: bool) -> bool:
+    """Apply every measure of the constructor's data type to it: a measure
+    application on a constructor always has its match decided."""
     fired = False
-    for m in st.env.measures_of.get(data_name, []):
-        if (m, nid) in st.measure_done_nodes:
+    for m in st.env.measures_of.get(st.env.ctors[st.nodes[nid].head].data_name, []):
+        if (m, (st.find(nid),)) in st.reflect_done_keys:
             continue
-        st.measure_done_nodes.add((m, nid))
-        key = (m, st.find(nid))
-        if key in st.measure_done_keys:
-            continue
-        st.measure_done_keys.add(key)
-        clause = st.env.measure_clause(m, node.head)
-        pat = clause.patterns[0]
-        binding: dict[str, int] = {}
-        for sub, arg in zip(pat.args, node.args):  # type: ignore[union-attr]
-            if isinstance(sub, PVar):
-                binding[sub.name] = arg
-        lhs = st._mk("app", m, (nid,), isinstance(st.env.funs[m].result_sort, SortInt))
-        body = st.env.funs[m].value_term(clause)
-        rhs = st.intern_term(body, active=False, subst=binding)
-        if st.find(lhs) == st.find(rhs):
-            continue
-        st._merge(lhs, rhs)
-        st.stats["measure"] += 1
-        fired = True
+        app = st._mk("app", m, (nid,), isinstance(st.env.funs[m].result_sort, SortInt))
+        fired |= _unfold(st, app, allow_derived)
     return fired
 
 
-def _fire_reflect(st: SolverState, nid: int, allow_derived: bool) -> bool:
+def _unfold(st: SolverState, nid: int, allow_derived: bool) -> bool:
+    """The one instantiation rule: equate an application of a reflected
+    function or a measure with the body of its first decided clause.  Outside
+    PLE a reflected application unfolds only where it was written (active);
+    a measure application always does."""
     node = st.nodes[nid]
     if nid in st.reflect_done_nodes:
         return False
-    fi = st.env.funs.get(node.head)
-    if fi is None or not fi.is_reflected:
+    fi = st.env.funs[node.head]
+    if not (fi.is_reflected or fi.is_measure):
         return False
-    if not allow_derived and nid not in st.active:
+    if not (allow_derived or fi.is_measure or nid in st.active):
         return False
     sel = _select_clause(st, fi, node.args)
     if sel is None:
@@ -655,11 +649,11 @@ def _fire_reflect(st: SolverState, nid: int, allow_derived: bool) -> bool:
     st.reflect_done_keys.add(key)
     clause, binding = sel
     value = fi.value_term(clause)
-    rhs = st.intern_term(value, active=st.ple and allow_derived, subst=binding)
+    rhs = st.intern_term(value, subst=binding)
     if st.find(nid) == st.find(rhs):
         return False
     st._merge(nid, rhs)
-    st.stats["reflect"] += 1
+    st.stats["measure" if fi.is_measure else "reflect"] += 1
     return True
 
 
@@ -677,9 +671,9 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
                 break
             node = st.nodes[nid]
             if node.kind == "con":
-                changed |= _fire_measures(st, nid)
+                changed |= _fire_measures(st, nid, allow_derived)
             elif node.kind == "app":
-                changed |= _fire_reflect(st, nid, allow_derived)
+                changed |= _unfold(st, nid, allow_derived)
         changed |= st._pinch()
         st.checkpoint()
         if not changed and len(st.nodes) == snapshot:
@@ -688,24 +682,19 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
 
 
 def instantiate_axioms(st: SolverState) -> SolverState:
-    """Fixpoint of the MEASURE rule plus one REFLECT unfolding for each
-    syntactically present application whose clause selection is decided."""
+    """Unfold to a fixpoint, with reflected applications limited to the
+    written (active) ones."""
     return _saturate(st, allow_derived=False, max_rounds=None)
 
 
 def ple_saturate(st: SolverState, fuel: Optional[int] = None) -> SolverState:
-    """Iterate instantiation, letting REFLECT fire on applications created by
-    previous unfoldings, for at most `fuel` rounds."""
+    """Iterate unfolding, reflected applications created by previous
+    unfoldings included, for at most `fuel` rounds."""
     if fuel is None:
         fuel = st.ple_fuel
     if fuel <= 0:
         return st
     return _saturate(st, allow_derived=True, max_rounds=fuel)
-
-
-def _intern_goal(st: SolverState, goal: Pred) -> None:
-    for t in pred_terms(goal):
-        st.intern_term(t, active=st.ple)
 
 
 def _holds(st: SolverState, p: Pred) -> bool:
@@ -753,7 +742,8 @@ def _holds(st: SolverState, p: Pred) -> bool:
 def entails(st: SolverState, facts: list[Pred], goal: Pred) -> bool:
     """True only if the goal holds in every model of the facts (sound; the
     arithmetic fragment is incomplete for integers)."""
-    _intern_goal(st, goal)
+    for t in pred_terms(goal):
+        st.intern_term(t)
     for f in facts:
         assert_fact(st, f)
     if st.ple:

@@ -6,6 +6,7 @@ Layout rule: a top-level item starts on a line whose first token is in column
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -34,8 +35,6 @@ class Token:
     col: int
 
 
-# not str.isdigit: it accepts "²", which int() rejects, and "٣", which int() reads as 3
-DIGITS = "0123456789"
 KEYWORDS = {"data", "measure", "reflect", "ple", "not", "true", "false", "QED"}
 
 SYMBOLS = [
@@ -44,57 +43,32 @@ SYMBOLS = [
     "{", "}", ",", ":", "?", "_",
 ]
 
+# Digits are ASCII: "²" passes str.isdigit but not int(), and int() reads "٣"
+# as 3.  `ident` also admits "²", "½" and "Ⅳ" as a first character; tokenize
+# rejects any first character that is not str.isalpha().
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
+    r"(?P<int>[0-9]+)", r"(?P<ident>[^\W\d_][\w']*)",
+    "(?P<sym>" + "|".join(map(re.escape, sorted(SYMBOLS, key=len, reverse=True))) + ")",
+    r"(?P<bad>.)",
+]))
+
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in DIGITS:
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            toks.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            if text in KEYWORDS:
-                kind = "kw"
-            elif text[0].isupper():
-                kind = "upper"
-            else:
-                kind = "lower"
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad" or kind == "ident" and not text[0].isalpha():
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind == "ident":
+            kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
             toks.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif kind in ("int", "sym"):
+            toks.append(Token(kind, text, line, col))
     toks.append(Token("eof", "", line + 1, 1))
     return toks
 

@@ -141,13 +141,6 @@ class TypeEnv:
     def fun(self, name: str) -> FunInfo:
         return self.funs[name]
 
-    def measure_clause(self, measure: str, ctor: str) -> Clause:
-        for c in self.funs[measure].clauses:
-            pat = c.patterns[0]
-            if isinstance(pat, PCon) and pat.name == ctor:
-                return c
-        raise KeyError(f"measure {measure} has no clause for {ctor}")
-
 
 def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str], span: Span = NO_SPAN) -> Sort:
     if te.is_tyvar:

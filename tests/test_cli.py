@@ -167,6 +167,13 @@ def test_dump_facts(capsys):
     assert "reverse (x : []) == append (reverse []) (x : [])" in out
 
 
+def test_dump_facts_unknown_id_is_usage_error(capsys):
+    code, out, err = run_cli(
+        ["check", corpus_file("section2.eq"), "--dump-facts", "noSuch/c0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "eqcheck: no obligation named 'noSuch/c0'\n"
+
+
 def test_color_env_var_never(capsys, monkeypatch):
     monkeypatch.setenv("EQCHECK_COLOR", "never")
     _, out, _ = run_cli(["check", corpus_file("section2.eq")], capsys)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -107,6 +109,47 @@ def test_reflect_ledger_bounded(list_env):
     n_apps = sum(1 for n in st.nodes if n.kind == "app")
     instantiate_axioms(st)
     assert st.stats["reflect"] <= n_apps
+
+
+def test_measure_unfolds_at_fact_constructor(list_env):
+    st = fresh(list_env, xs=LA, y=A, ys=LA)
+    assert entails(st, [pred("xs == y : ys")], pred("length xs == 1 + length ys"))
+    assert (st.stats["measure"], st.stats["reflect"]) == (1, 0)
+
+
+def _append_singleton_state(list_env):
+    st = fresh(list_env, x=A)
+    st.intern_term(term("append [x] []"), active=True)
+    return st
+
+
+def test_measure_unfolds_at_constructor_made_by_reflect(list_env):
+    st = _append_singleton_state(list_env)
+    goal = pred("length (append [x] []) == 1 + length (append [] [])")
+    assert entails(st, [], goal)
+    assert (st.stats["reflect"], st.stats["measure"]) == (1, 3)
+
+
+def test_derived_application_stays_folded_outside_ple(list_env):
+    st = _append_singleton_state(list_env)
+    assert not entails(st, [], pred("length (append [x] []) == 1"))
+
+
+def test_unfolding_leaves_no_reference_cycle(list_env):
+    # a state must be freed by reference counting, without the cycle collector
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        st = fresh(list_env, x=A)
+        st.intern_term(term("reverse [x]"), active=True)
+        assert entails(st, [], pred("reverse [x] == append (reverse []) [x]"))
+        assert st.stats["reflect"] == 1
+        ref = weakref.ref(st)
+        del st
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_ple_closes_right_identity_base(list_env):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from eqcheck.parser import ParseError, parse_module, parse_term
+from eqcheck.parser import ParseError, parse_module, parse_term, tokenize
 from eqcheck.syntax import (
     App, Annotation, Con, IntLit, PrimOp, Span, Var, apps, cons, nil, pretty,
     pretty_module, subterms,
@@ -35,6 +35,31 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse_module("f : Int -> Int\nf x = x +\n")
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("x--y", [("lower", "x", 1, 1)]),
+    ("a==.b", [("lower", "a", 1, 1), ("sym", "==.", 1, 2), ("lower", "b", 1, 5)]),
+    ("x'_1", [("lower", "x'_1", 1, 1)]),
+    ("_x", [("sym", "_", 1, 1), ("lower", "x", 1, 2)]),
+    ("->-", [("sym", "->", 1, 1), ("sym", "-", 1, 3)]),
+    ("12ab ***", [("int", "12", 1, 1), ("lower", "ab", 1, 3), ("sym", "***", 1, 6)]),
+    ("\tf\t1\n\tQED Nil", [("lower", "f", 1, 2), ("int", "1", 1, 4),
+                          ("kw", "QED", 2, 2), ("upper", "Nil", 2, 6)]),
+    ("x\u00bd y\u00b2", [("lower", "x\u00bd", 1, 1), ("lower", "y\u00b2", 1, 4)]),
+    ("a \u2163", "1:3: unexpected character '\u2163'"),
+    ("\u00bd", "1:1: unexpected character '\u00bd'"),
+    ("\n \u0663", "2:2: unexpected character '\u0663'"),
+])
+def test_tokenize_table(source, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as e:
+            tokenize(source)
+        assert str(e.value) == expected
+        return
+    toks = [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+    lines = source.count("\n") + 1
+    assert toks == expected + [("eof", "", lines + 1, 1)]
 
 
 def test_desugar_singleton():
