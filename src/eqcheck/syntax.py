@@ -424,8 +424,7 @@ def _term_doc(t: Term, level: int) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, IntLit):
-        s = str(t.value)
-        return s if t.value >= 0 or level <= 1 else f"({s})"
+        return str(t.value) if t.value >= 0 else f"({t.value})"
     if isinstance(t, BoolLit):
         return "true" if t.value else "false"
     if isinstance(t, UnitLit):

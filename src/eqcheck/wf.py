@@ -11,7 +11,7 @@ from .logic import SolverState, entails
 from .syntax import (
     App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
     PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, body_terms,
-    pattern_term, pattern_vars, substitute, substitute_pred,
+    pattern_term, pattern_vars, pretty_pattern, substitute, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
@@ -88,20 +88,13 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Ro
 def missing_pattern_text(row: Row) -> str:
     """Render a witness row plainly (constructors spelled out, no sugar)."""
     def render(p: Pattern, atom: bool) -> str:
-        if isinstance(p, PVar):
-            return p.name
-        if isinstance(p, PWild):
-            return "_"
-        if isinstance(p, PInt):
-            return str(p.value)
-        if isinstance(p, PBool):
-            return "true" if p.value else "false"
         if isinstance(p, _PNotIn):
             k = 0
             while k in p.excluded:
                 k += 1
             return str(k)
-        assert isinstance(p, PCon)
+        if not isinstance(p, PCon):
+            return pretty_pattern(p)
         if not p.args:
             return p.name
         s = p.name + " " + " ".join(render(a, True) for a in p.args)

@@ -145,7 +145,7 @@ def _list_of(items):
 def _terms():
     base = st.one_of(
         _names.map(Var),
-        st.integers(min_value=0, max_value=9).map(IntLit),
+        st.integers(min_value=-9, max_value=9).map(IntLit),
         st.just(nil()),
     )
     return st.recursive(

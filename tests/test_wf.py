@@ -49,6 +49,10 @@ def test_int_literals_never_exhaustive():
     env = env_of("iszero : n:Int -> Bool\niszero 0 = true\n")
     missing = check_totality(env.fun("iszero"), env)
     assert missing and missing_pattern_text(missing[0]) == "1"
+    # a negative literal is written the way a pattern spells it
+    env = env_of("f : n:Int -> m:Int -> Int\nf (-1) 0 = 0\n")
+    missing = {missing_pattern_text(r) for r in check_totality(env.fun("f"), env)}
+    assert missing == {"(-1) 1", "0 _"}
 
 
 def test_totality_agrees_with_evaluator():
