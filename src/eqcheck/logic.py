@@ -23,29 +23,12 @@ from math import gcd
 from typing import Optional
 
 from .syntax import (
-    App, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse, PInt, PNot, POr,
+    App, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse, PInt, POr,
     PTrue, PVar, PWild, Pred, PrimOp, Term, UnitLit, Var, pred_terms,
 )
 from .types import Sort, SortInt, TypeEnv
 
 DEFAULT_PLE_FUEL = 100
-
-_DUAL = {"==": "/=", "/=": "==", "<=": ">", ">": "<=", "<": ">=", ">=": "<"}
-
-
-def negate_pred(p: Pred) -> Pred:
-    if isinstance(p, PAtom):
-        return PAtom(_DUAL[p.rel], p.lhs, p.rhs, span=p.span)
-    if isinstance(p, PAnd):
-        return POr(tuple(negate_pred(q) for q in p.items), span=p.span)
-    if isinstance(p, POr):
-        return PAnd(tuple(negate_pred(q) for q in p.items), span=p.span)
-    if isinstance(p, PNot):
-        return p.item
-    if isinstance(p, PTrue):
-        return PFalse(span=p.span)
-    return PTrue(span=p.span)
-
 
 # --------------------------------------------------------------- LIA store
 
@@ -517,6 +500,18 @@ class SolverState:
 
 # ------------------------------------------------------------ public API
 
+def _oriented(st: SolverState, p: PAtom) -> tuple[int, int, str]:
+    """Intern the lhs, then the rhs; `>=` and `>` become `<=` and `<` with
+    the sides swapped."""
+    a = st.intern_term(p.lhs)
+    b = st.intern_term(p.rhs)
+    if p.rel == ">=":
+        return b, a, "<="
+    if p.rel == ">":
+        return b, a, "<"
+    return a, b, p.rel
+
+
 def assert_fact(st: SolverState, p: Pred) -> SolverState:
     """Add a hypothesis.  Contradiction is a state, not an error."""
     if st.contradiction:
@@ -530,15 +525,11 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
         for q in p.items:
             assert_fact(st, q)
         return st
-    if isinstance(p, PNot):
-        return assert_fact(st, negate_pred(p))
     if isinstance(p, POr):
         st.stats["dropped_or"] += 1  # disjunctive facts are soundly ignored
         return st
     assert isinstance(p, PAtom)
-    a = st.intern_term(p.lhs)
-    b = st.intern_term(p.rhs)
-    rel = p.rel
+    a, b, rel = _oriented(st, p)
     if rel == "==":
         st._merge(a, b)
     elif rel == "/=":
@@ -547,10 +538,6 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
             coeffs, const = st._lin_diff(a, b)
             st.lia.add_diseq(coeffs, const)
     else:
-        if rel == ">=":
-            a, b, rel = b, a, "<="
-        elif rel == ">":
-            a, b, rel = b, a, "<"
         coeffs, const = st._lin_diff(a, b)
         st.lia.add(coeffs, const, rel)
     st.checkpoint()
@@ -708,12 +695,8 @@ def _holds(st: SolverState, p: Pred) -> bool:
         return all(_holds(st, q) for q in p.items)
     if isinstance(p, POr):
         return any(_holds(st, q) for q in p.items)
-    if isinstance(p, PNot):
-        return _holds(st, negate_pred(p))
     assert isinstance(p, PAtom)
-    a = st.intern_term(p.lhs)
-    b = st.intern_term(p.rhs)
-    rel = p.rel
+    a, b, rel = _oriented(st, p)
     if rel == "==":
         if st.find(a) == st.find(b):
             return True
@@ -731,10 +714,6 @@ def _holds(st: SolverState, p: Pred) -> bool:
             coeffs, const = st._lin_diff(a, b)
             return not st.lia.feasible(((coeffs, const, "=="),))
         return False
-    if rel == ">=":
-        a, b, rel = b, a, "<="
-    elif rel == ">":
-        a, b, rel = b, a, "<"
     coeffs, const = st._lin_diff(a, b)
     return st.lia.entails(coeffs, const, rel)
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .syntax import (
     Annotation, BaseRef, Chain, Clause, CtorDef, DataDecl, Decl, FunDecl, IntLit,
-    App, BoolLit, Con, PAnd, PAtom, PBool, PCon, PFalse, PInt, PNot, POr, PTrue,
-    PVar, PWild, Pattern, Pred, PrimOp, Signature, SourceModule, Span, Step,
-    Term, TypeExpr, UnitLit, Var, cons, nil, pattern_vars,
+    App, BoolLit, Con, PAnd, PAtom, PBool, PCon, PFalse, PInt, POr, PTrue,
+    PVar, PWild, Pattern, Pred, PrimOp, REL_OPS, Signature, SourceModule, Span,
+    Step, Term, TypeExpr, UnitLit, Var, cons, negate_pred, nil, pattern_vars,
 )
 
 
@@ -359,23 +359,15 @@ class _ItemParser:
     # -- predicates ------------------------------------------------------------
     def pred_atom(self) -> Pred:
         t = self.peek()
-        if self.at("kw", "true"):
-            # 'true' standing alone is the trivial predicate; as a relational
-            # operand it is a Bool term, disambiguated by the next token.
-            if self.peek(1).kind == "sym" and self.peek(1).text in ("==", "/="):
-                pass
-            else:
-                self.next()
-                return PTrue(span=self.span_of(t))
-        if self.at("kw", "false"):
-            if self.peek(1).kind == "sym" and self.peek(1).text in ("==", "/="):
-                pass
-            else:
-                self.next()
-                return PFalse(span=self.span_of(t))
+        # 'true' or 'false' standing alone is a trivial predicate; as a
+        # relational operand it is a Bool term, told apart by the next token.
+        if t.kind == "kw" and t.text in ("true", "false") and not (
+                self.peek(1).kind == "sym" and self.peek(1).text in ("==", "/=")):
+            self.next()
+            return (PTrue if t.text == "true" else PFalse)(span=self.span_of(t))
         if self.at("kw", "not"):
             self.next()
-            return PNot(self.pred_atom(), span=self.span_from(t))
+            return negate_pred(self.pred_atom())
         if self.at("sym", "("):
             # could be a parenthesised predicate or a parenthesised term
             save = self.pos
@@ -388,11 +380,11 @@ class _ItemParser:
                 self.pos = save
         lhs = self.term()
         op = self.peek()
-        if op.kind == "sym" and op.text in ("==", "/=", "<=", "<", ">=", ">"):
+        if op.kind == "sym" and op.text in REL_OPS:
             self.next()
             rhs = self.term()
             return PAtom(op.text, lhs, rhs, span=self.span_from(t))
-        self.fail("expected a relational operator", ("==", "/=", "<=", "<", ">=", ">"))
+        self.fail("expected a relational operator", REL_OPS)
         raise AssertionError
 
     def pred_and(self) -> Pred:

@@ -132,11 +132,6 @@ class POr(Pred):
 
 
 @dataclass(frozen=True)
-class PNot(Pred):
-    item: Pred = field(default=None)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
 class PTrue(Pred):
     pass
 
@@ -144,6 +139,24 @@ class PTrue(Pred):
 @dataclass(frozen=True)
 class PFalse(Pred):
     pass
+
+
+_DUAL = {"==": "/=", "/=": "==", "<=": ">", ">": "<=", "<": ">=", ">=": "<"}
+
+
+def negate_pred(p: Pred) -> Pred:
+    """`not p` pushed to the atoms: each relation becomes its dual, `&&` and
+    `||` swap, and so do `true` and `false`.  The parser stores `not` this
+    way, so no later phase sees a negation."""
+    if isinstance(p, PAtom):
+        return PAtom(_DUAL[p.rel], p.lhs, p.rhs, span=p.span)
+    if isinstance(p, PAnd):
+        return POr(tuple(negate_pred(q) for q in p.items), span=p.span)
+    if isinstance(p, POr):
+        return PAnd(tuple(negate_pred(q) for q in p.items), span=p.span)
+    if isinstance(p, PTrue):
+        return PFalse(span=p.span)
+    return PTrue(span=p.span)
 
 
 # ------------------------------------------------------ refinement types
@@ -333,8 +346,6 @@ def pred_terms(p: Pred) -> Iterator[Term]:
     elif isinstance(p, (PAnd, POr)):
         for q in p.items:
             yield from pred_terms(q)
-    elif isinstance(p, PNot):
-        yield from pred_terms(p.item)
 
 
 def body_terms(b: Chain) -> tuple[Term, ...]:
@@ -365,8 +376,6 @@ def substitute_pred(p: Pred, subst: dict[str, Term]) -> Pred:
         return PAnd(tuple(substitute_pred(q, subst) for q in p.items), span=p.span)
     if isinstance(p, POr):
         return POr(tuple(substitute_pred(q, subst) for q in p.items), span=p.span)
-    if isinstance(p, PNot):
-        return PNot(substitute_pred(p.item, subst), span=p.span)
     return p
 
 
@@ -466,8 +475,6 @@ def pretty_pred(p: Pred, level: int = 0) -> str:
         return "false"
     if isinstance(p, PAtom):
         return f"{_term_doc(p.lhs, 0)} {p.rel} {_term_doc(p.rhs, 0)}"
-    if isinstance(p, PNot):
-        return f"not ({pretty_pred(p.item, 0)})"
     if isinstance(p, PAnd):
         s = " && ".join(pretty_pred(q, 2) for q in p.items)
         return f"({s})" if level > 1 else s

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     App, BoolLit, Clause, Con, DataDecl, FunDecl, IntLit, PAtom, PAnd, PBool,
-    PCon, PFalse, PInt, PNot, POr, PTrue, PVar, PWild, Pattern, Pred, PrimOp,
+    PCon, PFalse, PInt, POr, PTrue, PVar, PWild, Pattern, Pred, PrimOp,
     PRELUDE_LIST, Signature, SourceModule, Span, Term, TypeExpr, UnitLit, Var,
     NO_SPAN, apps, pred_terms, substitute_pred, subterms,
 )
@@ -416,9 +416,6 @@ class _ModuleChecker:
         if isinstance(p, (PAnd, POr)):
             for q in p.items:
                 self.check_pred(q, venv, fname)
-            return
-        if isinstance(p, PNot):
-            self.check_pred(p.item, venv, fname)
             return
         raise TypeCheckError(f"internal: unexpected predicate {p!r}", p.span)
 

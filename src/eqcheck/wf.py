@@ -22,7 +22,7 @@ from .types import (
 # ------------------------------------------------------- pattern matrices
 
 @dataclass(frozen=True)
-class _PNotIn(Pattern):
+class _PIntExcept(Pattern):
     """Internal: an integer position known to avoid a finite literal set."""
     excluded: tuple[int, ...] = ()
 
@@ -78,7 +78,7 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Ro
                 out.append((PInt(k), *u))
         sub_rows = [r[1:] for r in rows if _is_wild(r[0])]
         for u in uncovered(sub_rows, rest_sorts, env):
-            out.append((_PNotIn(tuple(lits)), *u))
+            out.append((_PIntExcept(tuple(lits)), *u))
         return out
     # abstract sorts (type variables, Proof): only wildcards can match
     sub_rows = [r[1:] for r in rows if _is_wild(r[0])]
@@ -88,7 +88,7 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Ro
 def missing_pattern_text(row: Row) -> str:
     """Render a witness row plainly (constructors spelled out, no sugar)."""
     def render(p: Pattern, atom: bool) -> str:
-        if isinstance(p, _PNotIn):
+        if isinstance(p, _PIntExcept):
             k = 0
             while k in p.excluded:
                 k += 1
@@ -126,7 +126,7 @@ class Leaf:
 def _name_wilds(p: Pattern, fresh: FreshNames) -> Pattern:
     if isinstance(p, PWild):
         return PVar(fresh.take("_w"))
-    if isinstance(p, _PNotIn):
+    if isinstance(p, _PIntExcept):
         return p
     if isinstance(p, PCon):
         return PCon(p.name, tuple(_name_wilds(a, fresh) for a in p.args), span=p.span)
@@ -140,7 +140,7 @@ def _intersect(p: Pattern, q: Pattern, fresh: FreshNames,
     Variable names from p survive; refinements of p's variables are recorded."""
     if isinstance(q, (PWild,)):
         return _name_wilds(p, fresh)
-    if isinstance(q, _PNotIn):
+    if isinstance(q, _PIntExcept):
         if isinstance(p, PInt):
             return p if p.value not in q.excluded else None
         named = _name_wilds(p, fresh)

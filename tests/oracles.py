@@ -7,8 +7,11 @@ from __future__ import annotations
 import random
 
 from eqcheck.logic import SolverState, assert_fact, entails
+from eqcheck.parser import parse_pred
 from eqcheck.semantics import evaluate, value_to_term
-from eqcheck.syntax import App, IntLit, PAtom, PrimOp, Term, Var, subterms
+from eqcheck.syntax import (
+    App, IntLit, PAtom, PrimOp, Term, Var, pred_terms, pretty_pred, subterms,
+)
 from eqcheck.types import INT, SortData, SortVar
 
 
@@ -189,6 +192,18 @@ def atom_truth(env, atom: PAtom, valuation: dict) -> bool:
     return _REL_FUN[atom.rel](lhs, rhs)
 
 
+def _query(env, facts, goal, ple: bool) -> bool:
+    """Entailment of `goal` by `facts` over the random constants, with every
+    fact term written (active)."""
+    var_sorts = {c: SortData("List", (INT,)) for c in _LIST_CONSTS}
+    var_sorts.update({c: INT for c in _INT_CONSTS})
+    st = SolverState(env, var_sorts=var_sorts, ple=ple, ple_fuel=20)
+    for f in facts:
+        for t in pred_terms(f):
+            st.intern_term(t, active=True)
+    return entails(st, facts, goal)
+
+
 def soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
     """One randomized trial: facts true under a random valuation, a random
     goal.  Returns (entailed, goal_true); soundness demands entailed -> true."""
@@ -201,14 +216,53 @@ def soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
         if atom_truth(env, a, valuation):
             facts.append(a)
     goal = random_atom(rng)
-    var_sorts = {c: SortData("List", (INT,)) for c in _LIST_CONSTS}
-    var_sorts.update({c: INT for c in _INT_CONSTS})
-    st = SolverState(env, var_sorts=var_sorts, ple=ple, ple_fuel=20)
-    for f in facts:
-        st.intern_term(f.lhs, active=True)
-        st.intern_term(f.rhs, active=True)
-    entailed = entails(st, facts, goal)
-    return entailed, atom_truth(env, goal, valuation)
+    return _query(env, facts, goal, ple), atom_truth(env, goal, valuation)
+
+
+# A compound predicate is a random atom or a tuple ("not", c), ("&&", c, d)
+# or ("||", c, d).  Its truth is computed on the tuple, from atom truths, so
+# the parser's handling of `not` is checked rather than trusted.
+
+def random_compound(rng, depth: int = 2):
+    if depth == 0 or rng.random() < 0.3:
+        return random_atom(rng)
+    op = rng.choice(("not", "&&", "||"))
+    if op == "not":
+        return (op, random_compound(rng, depth - 1))
+    return (op, random_compound(rng, depth - 1), random_compound(rng, depth - 1))
+
+
+def compound_truth(env, c, valuation: dict) -> bool:
+    if isinstance(c, PAtom):
+        return atom_truth(env, c, valuation)
+    if c[0] == "not":
+        return not compound_truth(env, c[1], valuation)
+    parts = [compound_truth(env, d, valuation) for d in c[1:]]
+    return all(parts) if c[0] == "&&" else any(parts)
+
+
+def compound_text(c) -> str:
+    if isinstance(c, PAtom):
+        return pretty_pred(c)
+    if c[0] == "not":
+        return f"not ({compound_text(c[1])})"
+    return f" {c[0]} ".join(f"({compound_text(d)})" for d in c[1:])
+
+
+def compound_soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
+    """`soundness_trial` over compound predicates, passed to the solver as
+    parsed text."""
+    valuation = random_valuation(rng)
+    facts = []
+    attempts = 0
+    while len(facts) < 4 and attempts < 30:
+        attempts += 1
+        c = random_compound(rng)
+        if compound_truth(env, c, valuation):
+            facts.append(parse_pred(compound_text(c)))
+    goal = random_compound(rng)
+    entailed = _query(env, facts, parse_pred(compound_text(goal)), ple)
+    return entailed, compound_truth(env, goal, valuation)
 
 
 # ------------------------------------------------- chain/evaluation coherence
@@ -304,7 +358,7 @@ def check_derivation_matches_cleaned(env, env2, fname, arg_sorts, *, size=5, int
 
 def eval_pred(env, p, binding) -> bool:
     from eqcheck.semantics import evaluate
-    from eqcheck.syntax import PAnd, PAtom, PFalse, PNot, POr, PTrue
+    from eqcheck.syntax import PAnd, PAtom, PFalse, POr, PTrue
     if isinstance(p, PTrue):
         return True
     if isinstance(p, PFalse):
@@ -313,8 +367,6 @@ def eval_pred(env, p, binding) -> bool:
         return all(eval_pred(env, q, binding) for q in p.items)
     if isinstance(p, POr):
         return any(eval_pred(env, q, binding) for q in p.items)
-    if isinstance(p, PNot):
-        return not eval_pred(env, p.item, binding)
     assert isinstance(p, PAtom)
     lhs = evaluate(env, p.lhs, binding=dict(binding))
     rhs = evaluate(env, p.rhs, binding=dict(binding))

@@ -93,6 +93,29 @@ def test_append_wrong_refinement_fails():
     assert lhs != rhs
 
 
+# ---------------------------------------------------------------- negation
+
+NEGATION_MODULE = """\
+bad : x:Int -> {v:Proof | not (x == x)}
+bad x = () *** QED
+
+f : n:{n:Int | not (n == 0)} -> {v:Int | v == 0}
+f n = n
+
+g : x:Int -> {v:Int | not (v == x)}
+g x = x - 1
+"""
+
+
+def test_negated_refinements_are_read_soundly():
+    report = check_module(NEGATION_MODULE)
+    verdicts = {v.oid: v for v in report.verdicts}
+    assert {oid: v.status for oid, v in verdicts.items()} == {
+        "bad/c0/vc": "failed", "f/c0/vc": "failed", "g/c0/vc": "proved"}
+    assert verdicts["bad/c0/vc"].goal_text == "x /= x"
+    assert verdicts["f/c0/vc"].fact_texts == ("n /= 0",)
+
+
 # ------------------------------------------------------- proof declarations
 
 def test_singletonp_obligations():

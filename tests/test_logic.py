@@ -13,7 +13,7 @@ from eqcheck.types import INT, SortData, SortVar
 from conftest import env_of, pred, term
 from oracles import (
     SOUNDNESS_SRC, UNINTERPRETED_SRC, atom_truth, check_graph_against_oracle,
-    random_atom, random_valuation, soundness_trial,
+    compound_soundness_trial, random_atom, random_valuation, soundness_trial,
 )
 
 A = SortVar("a")
@@ -232,6 +232,19 @@ def test_soundness_smoke():
         if entailed and not true:
             unsound += 1
     assert unsound == 0
+
+
+def test_compound_predicate_soundness():
+    # facts and goals under `not`, `&&` and `||`; truth comes from the atoms
+    env = env_of(SOUNDNESS_SRC)
+    rng = random.Random(3)
+    entailed_count = unsound = 0
+    for i in range(400):
+        entailed, true = compound_soundness_trial(env, rng, ple=(i % 4 == 0))
+        entailed_count += entailed
+        unsound += entailed and not true
+    assert unsound == 0
+    assert entailed_count >= 20
 
 
 @settings(max_examples=60, deadline=None)

@@ -116,6 +116,14 @@ def test_plain_body_sort_error_message():
     assert str(e.value) == "2:8: body of f: expected sort Int, found List ?1"
 
 
+def test_sort_error_under_not_names_the_dual_relation():
+    # `not` is stored pushed into its atom, which keeps its span
+    with pytest.raises(TypeCheckError) as e:
+        env_of("f : xs:(List Int) -> ys:(List Int) -> {v:Int | not (xs <= ys)}\n"
+               "f xs ys = 0\n")
+    assert str(e.value) == "1:53: operand of >: expected sort Int, found List Int"
+
+
 def test_qed_chain_requires_proof_result():
     src = LIST_BASICS + """\
 
