@@ -161,6 +161,10 @@ def run(argv: list[str]) -> int:
         except OSError as e:
             print(f"eqcheck: cannot read {path}: {e.strerror}", file=sys.stderr)
             return EXIT_ERROR
+        except UnicodeDecodeError as e:
+            print(f"eqcheck: cannot read {path}: not valid UTF-8 "
+                  f"(byte {e.object[e.start]:#04x} at offset {e.start})", file=sys.stderr)
+            return EXIT_ERROR
         try:
             reports.append(check_module(source, config, file=os.path.basename(path)))
         except (ParseError, TypeCheckError) as e:

@@ -45,7 +45,8 @@ SYMBOLS = [
 
 # Digits are ASCII: "²" passes str.isdigit but not int(), and int() reads "٣"
 # as 3.  `ident` also admits "²", "½" and "Ⅳ" as a first character; tokenize
-# rejects any first character that is not str.isalpha().
+# rejects any first character that is not str.isalpha().  It also rejects a
+# literal longer than the 4300 digits int() converts by default.
 _TOKEN_RE = re.compile("|".join([
     r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
     r"(?P<int>[0-9]+)", r"(?P<ident>[^\W\d_][\w']*)",
@@ -64,6 +65,8 @@ def tokenize(source: str) -> list[Token]:
             line, line_start = line + 1, m.end()
         elif kind == "bad" or kind == "ident" and not text[0].isalpha():
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind == "int" and len(text) > 4300:
+            raise ParseError("integer literal too long", line, col)
         elif kind == "ident":
             kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
             toks.append(Token(kind, text, line, col))

@@ -70,6 +70,24 @@ def test_non_ascii_digits_exit_two(tmp_path, capsys):
         assert "2:11: unexpected character" in err and "Traceback" not in err
 
 
+def test_invalid_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.eq"
+    path.write_bytes("f : x:Int -> Int\nf x = x -- caf\u00e9\n".encode("latin-1"))
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"eqcheck: cannot read {path}: not valid UTF-8")
+
+
+def test_overlong_integer_literal_exits_two(tmp_path, capsys):
+    digits = "9" * 4301
+    path = tmp_path / "long.eq"
+    for clause, where in ((f"f x = x + {digits}", "2:11"), (f"f {digits} = 0", "2:3")):
+        path.write_text(f"f : x:Int -> Int\n{clause}\nf _ = 1\n")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert f"{where}: integer literal too long" in err
+
+
 def test_bad_flags_exit_two(capsys):
     code, _, _ = run_cli(["check", corpus_file("section2.eq"), "--ple-fuel", "0"], capsys)
     assert code == 2
