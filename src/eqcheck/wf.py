@@ -11,7 +11,7 @@ from .logic import SolverState, entails
 from .syntax import (
     App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
     PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, body_terms,
-    pattern_term, pattern_vars, pretty_pattern, substitute, substitute_pred,
+    pattern_term, pattern_vars, pretty, pretty_pattern, substitute, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
@@ -466,7 +466,7 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
             if not entails(st, facts, goal):
                 return NonTermination(
                     call.span,
-                    f"cannot show metric [{', '.join(str(m) for m in metric)}] "
+                    f"cannot show metric [{', '.join(pretty(m) for m in metric)}] "
                     f"decreases at recursive call in clause {ctx.clause_index + 1}",
                 )
     return None
