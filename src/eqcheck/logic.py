@@ -10,8 +10,10 @@ reflected application unfolds only where it was written; PLE also unfolds
 the applications that earlier unfoldings create.
 
 One SolverState serves one obligation.  Equalities are decided by union-find
-with congruence repair; integer atoms by Fourier-Motzkin elimination with
-integer sharpening of strict bounds (sound, incomplete).  The two theories
+with congruence repair; integer atoms by Gaussian elimination of the
+equalities, run once per store state and cached, then Fourier-Motzkin
+elimination per query, with integer sharpening of strict bounds (sound,
+incomplete).  The two theories
 exchange equalities: congruence merges of integer classes feed the arithmetic
 store, and arithmetic-pinched variable pairs (x <= y and y <= x) are merged
 back into the term graph.
@@ -53,11 +55,42 @@ def _gcd_norm(coeffs: dict[int, int], const: int, rel: str) -> tuple[dict[int, i
     return (coeffs, const, rel)
 
 
+def _eliminate(coeffs: dict[int, int], const: int, var: int, a: int,
+               ecoeffs: dict[int, int], econst: int, rel: str) -> Lin:
+    """Substitute the equality `ecoeffs + econst == 0`, whose coefficient of
+    `var` is `a`, into a row that mentions `var`: |a|*row - sign(a)*b*eq,
+    which keeps an inequality's direction."""
+    b = coeffs[var]
+    scale_r = abs(a)
+    scale_e = -b if a > 0 else b
+    out: dict[int, int] = {}
+    for v, c in coeffs.items():
+        out[v] = c * scale_r
+    for v, c in ecoeffs.items():
+        out[v] = out.get(v, 0) + c * scale_e
+    out = {v: c for v, c in out.items() if c != 0}
+    c2, k2, _ = _gcd_norm(out, const * scale_r + econst * scale_e, rel)
+    return (c2, k2)
+
+
+Pivot = tuple[int, int, dict[int, int], int]  # var, its coefficient a, the equality
+Reduction = tuple[list[Pivot], list[Lin]]  # pivots, reduced inequalities
+
+_STALE = object()  # no reduction cached for the current atoms
+
+
 class _Lia:
     """Conjunction of normalised integer linear atoms `expr REL 0` with REL
     in {'==', '<='}; strict bounds are sharpened to <= at creation.  Decided
     by Gaussian elimination of the equalities followed by Fourier-Motzkin,
-    with gcd/floor tightening on every derived row (sound, incomplete)."""
+    with gcd/floor tightening on every derived row (sound, incomplete).
+
+    The equality phase is run once per store state: its pivot sequence and
+    the store's reduced inequalities are cached until an atom is added.  A
+    query passes only its own inequality rows and its disequality-branch rows
+    through the recorded pivots, then runs Fourier-Motzkin.  An equality
+    extra would change the pivot order, so it is reduced with the store from
+    scratch."""
 
     ATOM_CAP = 600
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
@@ -66,6 +99,7 @@ class _Lia:
         self.atoms: list[tuple[dict[int, int], int, str]] = []
         self.diseqs: list[Lin] = []  # each meaning expr != 0
         self._feasible_cache: Optional[bool] = None
+        self._reduction = _STALE  # _reduce(self.atoms), once asked for
 
     def add_diseq(self, coeffs: dict[int, int], const: int) -> None:
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
@@ -74,7 +108,9 @@ class _Lia:
                 # x != x: impossible; poison the store
                 self.atoms.append(({}, 1, "<="))
                 self._feasible_cache = None
+                self._reduction = _STALE
             return
+        # the atoms, and so the cached reduction, are unchanged
         self.diseqs.append((coeffs, const))
         self._feasible_cache = None
 
@@ -95,6 +131,7 @@ class _Lia:
             return
         self.atoms.append(atom)
         self._feasible_cache = None
+        self._reduction = _STALE
 
     @staticmethod
     def _ground_holds(const: int, rel: str) -> bool:
@@ -103,25 +140,36 @@ class _Lia:
     def feasible(self, extra: tuple = ()) -> bool:
         if not extra and self._feasible_cache is not None:
             return self._feasible_cache
-        atoms = list(self.atoms)
-        for coeffs, const, rel in extra:
-            atoms.append(self.normalise(dict(coeffs), const, rel))
-        result = self._feasible_branches(atoms, self.diseqs[:self.DISEQ_CAP])
+        rows = [self.normalise(dict(coeffs), const, rel) for coeffs, const, rel in extra]
+        reduction: Optional[Reduction]
+        if any(rel == "==" for _, _, rel in rows):
+            reduction = self._reduce(self.atoms + rows)
+        else:
+            if self._reduction is _STALE:
+                self._reduction = self._reduce(self.atoms)
+            reduction = self._reduction
+            if reduction is not None and rows:
+                pivots, ineqs = reduction
+                more = self._through(pivots, [(c, k) for c, k, _ in rows])
+                reduction = None if more is None else (pivots, ineqs + more)
+        result = reduction is not None and self._feasible_branches(
+            *reduction, self.diseqs[:self.DISEQ_CAP])
         if not extra:
             self._feasible_cache = result
         return result
 
-    def _feasible_branches(self, atoms, diseqs) -> bool:
+    def _feasible_branches(self, pivots: list[Pivot], ineqs: list[Lin], diseqs) -> bool:
         """Integer disequalities: expr != 0 splits into expr <= -1 or
         expr >= 1; the atoms are feasible if some branch assignment is."""
         if not diseqs:
-            return self._solve(atoms)
+            return self._fm(ineqs)
         (coeffs, const), rest = diseqs[0], diseqs[1:]
-        low = self.normalise(dict(coeffs), const, "<")
-        if self._feasible_branches(atoms + [low], rest):
-            return True
-        high = self.normalise({v: -c for v, c in coeffs.items()}, -const, "<")
-        return self._feasible_branches(atoms + [high], rest)
+        for row in (self.normalise(dict(coeffs), const, "<"),
+                    self.normalise({v: -c for v, c in coeffs.items()}, -const, "<")):
+            more = self._through(pivots, [row[:2]])
+            if more is not None and self._feasible_branches(pivots, ineqs + more, rest):
+                return True
+        return False
 
     def entails(self, coeffs: dict[int, int], const: int, rel: str) -> bool:
         """Store |= expr REL 0, by refuting the negation."""
@@ -135,65 +183,55 @@ class _Lia:
                     and not self.feasible(((neg_coeffs, -const, "<"),)))
         raise AssertionError(rel)
 
-    # Gaussian elimination of equalities (integer-scaled), then FM.
-    def _solve(self, atoms: list[tuple[dict[int, int], int, str]]) -> bool:
+    @staticmethod
+    def _through(pivots: list[Pivot], rows: list[Lin]) -> Optional[list[Lin]]:
+        """Rows `expr <= 0` with the pivots substituted in order; None if one
+        becomes false, and rows that become true are dropped."""
+        out: list[Lin] = []
+        for coeffs, const in rows:
+            for var, a, ecoeffs, econst in pivots:
+                if var in coeffs:  # most pivots miss most rows
+                    coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, "<=")
+            if not coeffs:
+                if const > 0:
+                    return None
+                continue
+            out.append((coeffs, const))
+        return out
+
+    def _reduce(self, atoms: list[tuple[dict[int, int], int, str]]) -> Optional[Reduction]:
+        """Gaussian elimination of the equalities (integer-scaled): the pivot
+        sequence and the inequalities it leaves, or None if infeasible."""
         eqs: list[Lin] = []
         ineqs: list[Lin] = []
         for coeffs, const, rel in atoms:
             coeffs = {v: c for v, c in coeffs.items() if c != 0}
             if not coeffs:
                 if not self._ground_holds(const, rel):
-                    return False
+                    return None
                 continue
-            (eqs if rel == "==" else ineqs).append((dict(coeffs), const))
-
+            (eqs if rel == "==" else ineqs).append((coeffs, const))
+        pivots: list[Pivot] = []
         while eqs:
             ecoeffs, econst = eqs.pop()
-            ecoeffs = {v: c for v, c in ecoeffs.items() if c != 0}
-            if not ecoeffs:
-                if econst != 0:
-                    return False
-                continue
             var = min(ecoeffs, key=lambda v: abs(ecoeffs[v]))
             a = ecoeffs[var]
-
-            def eliminate(row: Lin, is_eq: bool) -> Optional[Lin]:
-                coeffs, const = row
-                b = coeffs.get(var, 0)
-                if b == 0:
-                    return row
-                # |a|*row - sign(a)*b*eq keeps inequality direction
-                scale_r = abs(a)
-                scale_e = -b if a > 0 else b
-                out: dict[int, int] = {}
-                for v, c in coeffs.items():
-                    out[v] = c * scale_r
-                for v, c in ecoeffs.items():
-                    out[v] = out.get(v, 0) + c * scale_e
-                out = {v: c for v, c in out.items() if c != 0}
-                c2, k2, _ = _gcd_norm(out, const * scale_r + econst * scale_e,
-                                      "==" if is_eq else "<=")
-                return (c2, k2)
-
+            pivots.append((var, a, ecoeffs, econst))
             new_eqs = []
-            for row in eqs:
-                r = eliminate(row, True)
-                coeffs, const = r
-                if not coeffs and const != 0:
-                    return False
-                if coeffs:
-                    new_eqs.append(r)
+            for coeffs, const in eqs:
+                if var in coeffs:
+                    coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, "==")
+                    if not coeffs:
+                        if const != 0:
+                            return None
+                        continue
+                new_eqs.append((coeffs, const))
             eqs = new_eqs
-            new_ineqs = []
-            for row in ineqs:
-                coeffs, const = eliminate(row, False)
-                if not coeffs:
-                    if const > 0:
-                        return False
-                    continue
-                new_ineqs.append((coeffs, const))
-            ineqs = new_ineqs
+        ineqs = self._through(pivots, ineqs)
+        return None if ineqs is None else (pivots, ineqs)
 
+    def _fm(self, ineqs: list[Lin]) -> bool:
+        """Fourier-Motzkin elimination over rows `expr <= 0`."""
         while True:
             varset: set[int] = set()
             for coeffs, _ in ineqs:

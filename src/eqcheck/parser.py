@@ -33,6 +33,7 @@ class Token:
     text: str
     line: int
     col: int
+    value: int = 0  # an 'int' token's value
 
 
 KEYWORDS = {"data", "measure", "reflect", "ple", "not", "true", "false", "QED"}
@@ -45,8 +46,9 @@ SYMBOLS = [
 
 # Digits are ASCII: "²" passes str.isdigit but not int(), and int() reads "٣"
 # as 3.  `ident` also admits "²", "½" and "Ⅳ" as a first character; tokenize
-# rejects any first character that is not str.isalpha().  It also rejects a
-# literal longer than the 4300 digits int() converts by default.
+# rejects any first character that is not str.isalpha().  A literal is
+# converted where it is read, so one longer than int()'s digit limit (4300 by
+# default, or PYTHONINTMAXSTRDIGITS) is a located error.
 _TOKEN_RE = re.compile("|".join([
     r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
     r"(?P<int>[0-9]+)", r"(?P<ident>[^\W\d_][\w']*)",
@@ -65,12 +67,15 @@ def tokenize(source: str) -> list[Token]:
             line, line_start = line + 1, m.end()
         elif kind == "bad" or kind == "ident" and not text[0].isalpha():
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        elif kind == "int" and len(text) > 4300:
-            raise ParseError("integer literal too long", line, col)
+        elif kind == "int":
+            try:
+                toks.append(Token(kind, text, line, col, int(text)))
+            except ValueError:
+                raise ParseError("integer literal too long", line, col) from None
         elif kind == "ident":
             kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
             toks.append(Token(kind, text, line, col))
-        elif kind in ("int", "sym"):
+        elif kind == "sym":
             toks.append(Token(kind, text, line, col))
     toks.append(Token("eof", "", line + 1, 1))
     return toks
@@ -223,7 +228,7 @@ class _ItemParser:
             return PWild(span=self.span_of(t))
         if self.at("int"):
             self.next()
-            return PInt(int(t.text), span=self.span_of(t))
+            return PInt(t.value, span=self.span_of(t))
         if self.at("kw", "true") or self.at("kw", "false"):
             self.next()
             return PBool(t.text == "true", span=self.span_of(t))
@@ -240,7 +245,7 @@ class _ItemParser:
                 self.next()
                 lit = self.next()
                 self.expect("sym", ")")
-                return PInt(-int(lit.text), span=self.span_of(lit))
+                return PInt(-lit.value, span=self.span_of(lit))
             p = self.pattern_cons()
             self.expect("sym", ")")
             return p
@@ -279,7 +284,7 @@ class _ItemParser:
             return Con(t.text, (), span=self.span_of(t))
         if self.at("int"):
             self.next()
-            return IntLit(int(t.text), span=self.span_of(t))
+            return IntLit(t.value, span=self.span_of(t))
         if self.at("kw", "true") or self.at("kw", "false"):
             self.next()
             return BoolLit(t.text == "true", span=self.span_of(t))
@@ -306,7 +311,7 @@ class _ItemParser:
                 self.next()
                 lit = self.next()
                 self.expect("sym", ")")
-                return IntLit(-int(lit.text), span=self.span_of(lit))
+                return IntLit(-lit.value, span=self.span_of(lit))
             inner = self.term()
             self.expect("sym", ")")
             return inner

@@ -88,6 +88,18 @@ def test_overlong_integer_literal_exits_two(tmp_path, capsys):
         assert f"{where}: integer literal too long" in err
 
 
+def test_literal_over_lowered_digit_limit_exits_two(tmp_path):
+    # int() converts at most PYTHONINTMAXSTRDIGITS digits, here fewer than 1000
+    path = tmp_path / "long.eq"
+    path.write_text(f"f : x:Int -> Int\nf x = x + {'9' * 1000}\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run([sys.executable, "-m", "eqcheck.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert f"{path}: 2:11: integer literal too long" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_flags_exit_two(capsys):
     code, _, _ = run_cli(["check", corpus_file("section2.eq"), "--ple-fuel", "0"], capsys)
     assert code == 2

@@ -313,6 +313,61 @@ def test_lia_store_agrees_with_box_enumeration(problem):
         assert all(_holds(goal, goal_rel, p) for p in models)
 
 
+# One store keeps its verdict and its equality reduction between calls; every
+# answer must equal that of a fresh store given the same atoms and diseqs.
+_LIN3 = st.tuples(st.dictionaries(st.integers(min_value=0, max_value=2),
+                                  st.integers(min_value=-3, max_value=3), max_size=3),
+                  st.integers(min_value=-4, max_value=4))
+_RELS = st.sampled_from(["==", "<=", "<"])
+_LIA_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _RELS, _LIN3),
+    st.tuples(st.just("diseq"), _LIN3),
+    st.just(("diseq", ({}, 0))),  # x /= x poisons the store
+    st.tuples(st.just("feasible"), st.lists(st.tuples(_RELS, _LIN3), max_size=2)),
+    st.tuples(st.just("entails"), _RELS, _LIN3),
+), max_size=16)
+
+
+def _update(lia, call):
+    if call[0] == "add":
+        _, rel, (coeffs, const) = call
+        lia.add(dict(coeffs), const, rel)
+    else:
+        _, (coeffs, const) = call
+        lia.add_diseq(dict(coeffs), const)
+
+
+def _ask(lia, call):
+    if call[0] == "feasible":
+        return lia.feasible(tuple((dict(c), k, rel) for rel, (c, k) in call[1]))
+    _, rel, (coeffs, const) = call
+    return lia.entails(dict(coeffs), const, rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LIA_CALLS)
+# an atom and a poisoning disequality arrive after the reduction was cached
+@example([("add", "<=", ({0: 1}, 0)), ("feasible", []), ("add", "<", ({0: -1}, 0)),
+          ("feasible", [])])
+@example([("add", "<=", ({0: 1}, 0)), ("feasible", []), ("diseq", ({}, 0)),
+          ("feasible", [("<=", ({0: 1}, 0))])])
+# more disequalities than DISEQ_CAP, then an equality extra
+@example([("add", "<=", ({0: -1}, 0)), ("add", "==", ({0: 1, 1: -1}, 0))]
+         + [("diseq", ({1: 1}, -j)) for j in range(_Lia.DISEQ_CAP + 2)]
+         + [("entails", "<=", ({0: -1}, 6)), ("feasible", [("==", ({1: 1}, -6))])])
+def test_lia_caches_agree_with_fresh_store(calls):
+    lia, updates = _Lia(), []
+    for call in calls:
+        if call[0] in ("add", "diseq"):
+            _update(lia, call)
+            updates.append(call)
+            continue
+        fresh = _Lia()
+        for update in updates:
+            _update(fresh, update)
+        assert _ask(lia, call) == _ask(fresh, call), (updates, call)
+
+
 def test_diseq_cap_reports_true_entailment_as_not_entailed(monkeypatch):
     # 0 <= x <= k with x /= 0, ..., x /= k - 1 entails x >= k, but only by
     # branching on all k disequalities
