@@ -11,9 +11,9 @@ the applications that earlier unfoldings create.
 
 One SolverState serves one obligation.  Equalities are decided by union-find
 with congruence repair; integer atoms by Gaussian elimination of the
-equalities, run once per store state and cached, then Fourier-Motzkin
-elimination per query, with integer sharpening of strict bounds (sound,
-incomplete).  The two theories
+equalities, one step per atom as it arrives, so the store is always in
+solved form, then Fourier-Motzkin elimination per query, with integer
+sharpening of strict bounds (sound, incomplete).  The two theories
 exchange equalities: congruence merges of integer classes feed the arithmetic
 store, and arithmetic-pinched variable pairs (x <= y and y <= x) are merged
 back into the term graph.
@@ -21,6 +21,7 @@ back into the term graph.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 from typing import Optional
 
@@ -74,9 +75,6 @@ def _eliminate(coeffs: dict[int, int], const: int, var: int, a: int,
 
 
 Pivot = tuple[int, int, dict[int, int], int]  # var, its coefficient a, the equality
-Reduction = tuple[list[Pivot], list[Lin]]  # pivots, reduced inequalities
-
-_STALE = object()  # no reduction cached for the current atoms
 
 
 class _Lia:
@@ -85,12 +83,11 @@ class _Lia:
     by Gaussian elimination of the equalities followed by Fourier-Motzkin,
     with gcd/floor tightening on every derived row (sound, incomplete).
 
-    The equality phase is run once per store state: its pivot sequence and
-    the store's reduced inequalities are cached until an atom is added.  A
-    query passes only its own inequality rows and its disequality-branch rows
-    through the recorded pivots, then runs Fourier-Motzkin.  An equality
-    extra would change the pivot order, so it is reduced with the store from
-    scratch."""
+    The atoms are kept in solved form as they arrive (`_solve`): a pivot
+    sequence of equalities, each free of the earlier pivots' variables, and
+    the inequalities with every pivot substituted in.  A query puts its own
+    rows through the same step on copies, passes each disequality-branch row
+    through the pivots, and runs Fourier-Motzkin on the inequalities."""
 
     ATOM_CAP = 600
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
@@ -98,19 +95,17 @@ class _Lia:
     def __init__(self) -> None:
         self.atoms: list[tuple[dict[int, int], int, str]] = []
         self.diseqs: list[Lin] = []  # each meaning expr != 0
+        self.pivots: list[Pivot] = []
+        self.ineqs: list[Lin] = []
+        self.consistent = True  # False once an atom made the solved form false
         self._feasible_cache: Optional[bool] = None
-        self._reduction = _STALE  # _reduce(self.atoms), once asked for
 
     def add_diseq(self, coeffs: dict[int, int], const: int) -> None:
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
         if not coeffs:
             if const == 0:
-                # x != x: impossible; poison the store
-                self.atoms.append(({}, 1, "<="))
-                self._feasible_cache = None
-                self._reduction = _STALE
+                self.add({}, 1, "<=")  # x != x: impossible; poison the store
             return
-        # the atoms, and so the cached reduction, are unchanged
         self.diseqs.append((coeffs, const))
         self._feasible_cache = None
 
@@ -131,7 +126,7 @@ class _Lia:
             return
         self.atoms.append(atom)
         self._feasible_cache = None
-        self._reduction = _STALE
+        self.consistent = self.consistent and self._solve(self.pivots, self.ineqs, atom)
 
     @staticmethod
     def _ground_holds(const: int, rel: str) -> bool:
@@ -140,20 +135,11 @@ class _Lia:
     def feasible(self, extra: tuple = ()) -> bool:
         if not extra and self._feasible_cache is not None:
             return self._feasible_cache
-        rows = [self.normalise(dict(coeffs), const, rel) for coeffs, const, rel in extra]
-        reduction: Optional[Reduction]
-        if any(rel == "==" for _, _, rel in rows):
-            reduction = self._reduce(self.atoms + rows)
-        else:
-            if self._reduction is _STALE:
-                self._reduction = self._reduce(self.atoms)
-            reduction = self._reduction
-            if reduction is not None and rows:
-                pivots, ineqs = reduction
-                more = self._through(pivots, [(c, k) for c, k, _ in rows])
-                reduction = None if more is None else (pivots, ineqs + more)
-        result = reduction is not None and self._feasible_branches(
-            *reduction, self.diseqs[:self.DISEQ_CAP])
+        pivots, ineqs = list(self.pivots), list(self.ineqs)
+        result = (self.consistent
+                  and all(self._solve(pivots, ineqs, self.normalise(dict(coeffs), const, rel))
+                          for coeffs, const, rel in extra)
+                  and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
         if not extra:
             self._feasible_cache = result
         return result
@@ -199,54 +185,45 @@ class _Lia:
             out.append((coeffs, const))
         return out
 
-    def _reduce(self, atoms: list[tuple[dict[int, int], int, str]]) -> Optional[Reduction]:
-        """Gaussian elimination of the equalities (integer-scaled): the pivot
-        sequence and the inequalities it leaves, or None if infeasible."""
-        eqs: list[Lin] = []
-        ineqs: list[Lin] = []
-        for coeffs, const, rel in atoms:
-            coeffs = {v: c for v, c in coeffs.items() if c != 0}
-            if not coeffs:
-                if not self._ground_holds(const, rel):
-                    return None
-                continue
-            (eqs if rel == "==" else ineqs).append((coeffs, const))
-        pivots: list[Pivot] = []
-        while eqs:
-            ecoeffs, econst = eqs.pop()
-            var = min(ecoeffs, key=lambda v: abs(ecoeffs[v]))
-            a = ecoeffs[var]
-            pivots.append((var, a, ecoeffs, econst))
-            new_eqs = []
-            for coeffs, const in eqs:
-                if var in coeffs:
-                    coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, "==")
-                    if not coeffs:
-                        if const != 0:
-                            return None
-                        continue
-                new_eqs.append((coeffs, const))
-            eqs = new_eqs
-        ineqs = self._through(pivots, ineqs)
-        return None if ineqs is None else (pivots, ineqs)
+    @staticmethod
+    def _solve(pivots: list[Pivot], ineqs: list[Lin],
+               atom: tuple[dict[int, int], int, str]) -> bool:
+        """One Gaussian elimination step (integer-scaled), updating both lists
+        in place: the atom has the pivots substituted in order; an equality
+        that still has variables becomes the next pivot and is substituted
+        into `ineqs`, an inequality is appended.  False if a row becomes
+        false."""
+        coeffs, const, rel = atom
+        for var, a, ecoeffs, econst in pivots:
+            if var in coeffs:
+                coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, rel)
+        if not coeffs:
+            return _Lia._ground_holds(const, rel)
+        if rel == "<=":
+            ineqs.append((coeffs, const))
+            return True
+        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        pivots.append((var, coeffs[var], coeffs, const))
+        rest = _Lia._through(pivots[-1:], ineqs)
+        if rest is None:
+            return False
+        ineqs[:] = rest
+        return True
 
     def _fm(self, ineqs: list[Lin]) -> bool:
         """Fourier-Motzkin elimination over rows `expr <= 0`."""
         while True:
             varset: set[int] = set()
+            lo: dict[int, int] = defaultdict(int)  # rows bounding each variable below
+            hi: dict[int, int] = defaultdict(int)
             for coeffs, _ in ineqs:
                 varset.update(coeffs)
+                for var2, c in coeffs.items():
+                    (lo if c < 0 else hi)[var2] += 1
             if not varset:
                 return True
             # eliminate the variable with the fewest lower*upper combinations
-            best, best_cost = None, None
-            for v in varset:
-                lo = sum(1 for c, _ in ineqs if c.get(v, 0) < 0)
-                hi = sum(1 for c, _ in ineqs if c.get(v, 0) > 0)
-                cost = lo * hi - lo - hi
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = v, cost
-            v = best
+            v = min(varset, key=lambda u: lo[u] * hi[u] - lo[u] - hi[u])
             lowers, uppers, others = [], [], []
             for coeffs, const in ineqs:
                 c = coeffs.get(v, 0)

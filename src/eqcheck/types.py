@@ -349,7 +349,7 @@ class _ModuleChecker:
                     f"{fi.name!r} cannot be both a measure and reflected", fi.span)
 
     # -- term / predicate inference -------------------------------------------
-    def infer_term(self, t: Term, venv: dict[str, Sort], fname: str) -> Sort:
+    def infer_term(self, t: Term, venv: dict[str, Sort]) -> Sort:
         if isinstance(t, Var):
             s = venv.get(t.name)
             if s is None:
@@ -375,7 +375,7 @@ class _ModuleChecker:
             di = self.env.datas[ci.data_name]
             at = SortData(di.name, tuple(self.uni.fresh() for _ in di.params))
             for arg, want in zip(t.args, ctor_field_sorts(ci, at, self.env)):
-                got = self.infer_term(arg, venv, fname)
+                got = self.infer_term(arg, venv)
                 self.uni.unify(want, got, arg.span, f"argument of {t.name}")
             return at
         if isinstance(t, App):
@@ -388,7 +388,7 @@ class _ModuleChecker:
                     "(partial application is not allowed)", t.span)
             mapping = {v: self.uni.fresh() for v in fi.tyvars}
             for arg, want in zip(t.args, fi.param_sorts):
-                got = self.infer_term(arg, venv, fname)
+                got = self.infer_term(arg, venv)
                 self.uni.unify(subst_sort(want, mapping), got, arg.span,
                                f"argument of {t.name}")
             return subst_sort(fi.result_sort, mapping)
@@ -398,24 +398,24 @@ class _ModuleChecker:
                     "multiplication requires a literal operand (linear arithmetic only)",
                     t.span)
             for side in (t.lhs, t.rhs):
-                got = self.infer_term(side, venv, fname)
+                got = self.infer_term(side, venv)
                 self.uni.unify(INT, got, side.span, f"operand of {t.op}")
             return INT
         raise TypeCheckError(f"internal: unexpected term {t!r}", t.span)
 
-    def check_pred(self, p: Pred, venv: dict[str, Sort], fname: str) -> None:
+    def check_pred(self, p: Pred, venv: dict[str, Sort]) -> None:
         if isinstance(p, (PTrue, PFalse)):
             return
         if isinstance(p, PAtom):
-            ls = self.infer_term(p.lhs, venv, fname)
-            rs = self.infer_term(p.rhs, venv, fname)
+            ls = self.infer_term(p.lhs, venv)
+            rs = self.infer_term(p.rhs, venv)
             self.uni.unify(ls, rs, p.span, f"operands of {p.rel}")
             if p.rel in ("<=", "<", ">=", ">"):
                 self.uni.unify(INT, ls, p.span, f"operand of {p.rel}")
             return
         if isinstance(p, (PAnd, POr)):
             for q in p.items:
-                self.check_pred(q, venv, fname)
+                self.check_pred(q, venv)
             return
         raise TypeCheckError(f"internal: unexpected predicate {p!r}", p.span)
 
@@ -453,14 +453,14 @@ class _ModuleChecker:
         for (name, base), sort in zip(sig.params, fi.param_sorts):
             scoped = dict(venv)
             scoped[base.binder] = sort
-            self.check_pred(base.pred, scoped, fi.name)
+            self.check_pred(base.pred, scoped)
             venv[name] = sort
         scoped = dict(venv)
         scoped[sig.result.binder] = fi.result_sort
-        self.check_pred(sig.result.pred, scoped, fi.name)
+        self.check_pred(sig.result.pred, scoped)
         if sig.metric is not None:
             for m in sig.metric:
-                got = self.infer_term(m, venv, fi.name)
+                got = self.infer_term(m, venv)
                 self.uni.unify(INT, got, m.span, "termination metric")
 
     def _generalize(self, venv: dict[str, Sort]) -> dict[str, Sort]:
@@ -480,16 +480,16 @@ class _ModuleChecker:
             self.check_pattern(pat, sort, venv)
         body = clause.body
         if body.plain:
-            got = self.infer_term(body.head, venv, fi.name)
+            got = self.infer_term(body.head, venv)
             self.uni.unify(fi.result_sort, got, body.head.span,
                            f"body of {fi.name}")
         else:
             chain_sort: Sort = self.uni.fresh()
             for t in (body.head, *(s.rhs for s in body.steps)):
-                got = self.infer_term(t, venv, fi.name)
+                got = self.infer_term(t, venv)
                 self.uni.unify(chain_sort, got, t.span, "equational step")
             for h in (*body.head_hints, *(h for s in body.steps for h in s.hints)):
-                got = self.infer_term(h, venv, fi.name)
+                got = self.infer_term(h, venv)
                 self.uni.unify(PROOF, got, h.span, "proof hint")
             if body.qed:
                 self.uni.unify(PROOF, fi.result_sort, body.span,

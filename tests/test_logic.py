@@ -311,10 +311,13 @@ def test_lia_store_agrees_with_box_enumeration(problem):
             assert not models
     if lia.entails(dict(goal[0]), goal[1], goal_rel):
         assert all(_holds(goal, goal_rel, p) for p in models)
+    # an equality extra, as `x /= y` goals ask it
+    if not lia.feasible(((dict(goal[0]), goal[1], "=="),)):
+        assert not any(_holds(goal, "==", p) for p in models)
 
 
-# One store keeps its verdict and its equality reduction between calls; every
-# answer must equal that of a fresh store given the same atoms and diseqs.
+# One store keeps its verdict and its solved form between calls; every answer
+# must equal that of a fresh store given the same atoms and diseqs.
 _LIN3 = st.tuples(st.dictionaries(st.integers(min_value=0, max_value=2),
                                   st.integers(min_value=-3, max_value=3), max_size=3),
                   st.integers(min_value=-4, max_value=4))
@@ -346,7 +349,7 @@ def _ask(lia, call):
 
 @settings(max_examples=300, deadline=None)
 @given(_LIA_CALLS)
-# an atom and a poisoning disequality arrive after the reduction was cached
+# an atom and a poisoning disequality arrive after the verdict was cached
 @example([("add", "<=", ({0: 1}, 0)), ("feasible", []), ("add", "<", ({0: -1}, 0)),
           ("feasible", [])])
 @example([("add", "<=", ({0: 1}, 0)), ("feasible", []), ("diseq", ({}, 0)),
@@ -355,6 +358,9 @@ def _ask(lia, call):
 @example([("add", "<=", ({0: -1}, 0)), ("add", "==", ({0: 1, 1: -1}, 0))]
          + [("diseq", ({1: 1}, -j)) for j in range(_Lia.DISEQ_CAP + 2)]
          + [("entails", "<=", ({0: -1}, 6)), ("feasible", [("==", ({1: 1}, -6))])])
+# an equality extra must not leave its pivot in the store
+@example([("add", "<=", ({0: 1}, 0)), ("feasible", [("==", ({0: 1, 1: -1}, 0))]),
+          ("add", "<=", ({1: -1}, 1)), ("entails", "<=", ({0: 1}, 0))])
 def test_lia_caches_agree_with_fresh_store(calls):
     lia, updates = _Lia(), []
     for call in calls:
