@@ -1,7 +1,8 @@
 """Golden verdicts: the human rendering and the verdict JSON of every corpus
 and mutation file stay byte-identical unless a change says why they differ.
 The verdict JSON under `--strict-hints` is pinned too, since that mode gives
-chain steps a narrower hypothesis scope than the default.
+chain steps a narrower hypothesis scope than the default, and so is the one
+under `--ple-default`, where goal terms unfold under PLE.
 
 After a deliberate, explained verdict change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -21,7 +22,9 @@ from conftest import CORPUS
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "json.sha256"
 STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
+PLE_DIGESTS = GOLDEN / "json_ple.sha256"
 STRICT = CheckConfig(strict_hints=True)
+PLE = CheckConfig(ple_default=True)
 FILES = sorted(CORPUS.glob("*.eq")) + sorted((CORPUS / "mutations").glob("*.eq"))
 
 
@@ -46,6 +49,7 @@ def test_every_file_has_a_golden():
     assert len(FILES) == 32
     assert sorted(recorded_digests()) == sorted(p.name for p in FILES)
     assert sorted(recorded_digests(STRICT_DIGESTS)) == sorted(p.name for p in FILES)
+    assert sorted(recorded_digests(PLE_DIGESTS)) == sorted(p.name for p in FILES)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
@@ -61,13 +65,21 @@ def test_strict_hints_output_matches_golden(path):
     assert digest == recorded_digests(STRICT_DIGESTS)[path.name]
 
 
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_ple_default_output_matches_golden(path):
+    _, digest = renderings(path, PLE)
+    assert digest == recorded_digests(PLE_DIGESTS)[path.name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    lines, strict_lines = [], []
+    lines, strict_lines, ple_lines = [], [], []
     for path in FILES:
         human, digest = renderings(path)
         (GOLDEN / f"{path.stem}.txt").write_text(human)
         lines.append(f"{digest}  {path.name}\n")
         strict_lines.append(f"{renderings(path, STRICT)[1]}  {path.name}\n")
+        ple_lines.append(f"{renderings(path, PLE)[1]}  {path.name}\n")
     DIGESTS.write_text("".join(lines))
     STRICT_DIGESTS.write_text("".join(strict_lines))
+    PLE_DIGESTS.write_text("".join(ple_lines))
