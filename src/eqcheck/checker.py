@@ -4,9 +4,11 @@ the whole-module pipeline (parse, sorts, wf, then obligations)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
-from .logic import DEFAULT_PLE_FUEL, SolverState, entails
+from .logic import DEFAULT_PLE_FUEL, SolverState, entails, holds
 from .parser import parse_module
 from .syntax import (
     FunDecl, PAtom, Pred, SourceModule, Span, Term, UnitLit, allow_deep_recursion,
@@ -39,6 +41,9 @@ class Obligation:
     var_sorts: dict[str, Sort]
     ple: bool
     step_index: int | None = None
+    # one object per (facts, scope) pair of a leaf, the same for every
+    # obligation that assumes that pair; None for one decided on its own
+    hypotheses: object | None = None
 
 
 @dataclass
@@ -88,14 +93,17 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     obligations: list[Obligation] = []
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
-             scope: list[Term], step_index: int | None = None) -> Obligation:
+             scope: list[Term], hypotheses: object | None,
+             step_index: int | None = None) -> Obligation:
         return Obligation(
             oid=oid, decl=fi.name, kind=kind, span=span, facts=tuple(facts),
             goal=goal, body_terms=tuple(scope), var_sorts=dict(inst.var_sorts),
-            ple=ple, step_index=step_index,
+            ple=ple, step_index=step_index, hypotheses=hypotheses,
         )
 
     facts, scope = inst.facts_for(None)
+    step_hypotheses = None if config.strict_hints else object()
+    vc_hypotheses = object()
 
     # chain steps
     lhs = inst.head
@@ -104,7 +112,8 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                                   else (facts, scope))
         goal = PAtom("==", lhs, step.rhs, span=step.span)
         obligations.append(make(f"{base}/step{k + 1}", "chain-step", step.span,
-                                step_facts, goal, step_scope, step_index=k + 1))
+                                step_facts, goal, step_scope, step_hypotheses,
+                                step_index=k + 1))
         lhs = step.rhs
 
     # the clause VC and the preconditions also assume every chain step
@@ -123,7 +132,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                  else inst.steps[-1].rhs if inst.steps else inst.head)
         goal = substitute_pred(res.pred, {res.binder: value})
         obligations.append(make(f"{base}/vc", "clause-vc", inst.clause.span,
-                                vc_facts, goal, scope))
+                                vc_facts, goal, scope, vc_hypotheses))
 
     # preconditions of calls whose callees have refined arguments
     seen_calls: set[Term] = set()
@@ -140,7 +149,8 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
             pre_n += 1
             goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
             obligations.append(make(
-                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope))
+                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope,
+                vc_hypotheses))
     return obligations
 
 
@@ -161,11 +171,32 @@ def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
 
 # ----------------------------------------------------------------- discharge
 
-def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig) -> Verdict:
-    st = SolverState(env, var_sorts=ob.var_sorts, ple=ob.ple, ple_fuel=config.ple_fuel)
-    for t in ob.body_terms:
-        st.intern_term(t, active=True)
-    ok = entails(st, list(ob.facts), ob.goal)
+States = dict[object, tuple[SolverState, int]]
+
+
+def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
+              states: States | None = None) -> Verdict:
+    """Decide one obligation.  `states` maps an obligation's `hypotheses` to
+    the state saturated for them and the number of nodes its scope terms
+    made.  A goal whose terms are all among those nodes is decided on that
+    state: interning it would add nothing, so its own state would be the
+    same.  Any other goal builds its own state, which is kept for the
+    group's later goals only if its goal added no node."""
+    goal_terms = pred_terms(ob.goal)
+    shared = states is not None and ob.hypotheses is not None
+    cached = states.get(ob.hypotheses) if shared else None
+    if cached is not None and _made_by_scope(*cached, goal_terms):
+        st = cached[0]
+        ok = holds(st, ob.goal)
+    else:
+        st = SolverState(env, var_sorts=ob.var_sorts, ple=ob.ple, ple_fuel=config.ple_fuel)
+        for t in ob.body_terms:
+            st.intern_term(t, active=True)
+        n_scope = len(st.nodes)
+        keep = shared and _made_by_scope(st, n_scope, goal_terms)
+        ok = entails(st, list(ob.facts), ob.goal)
+        if keep:
+            states[ob.hypotheses] = (st, n_scope)
     if ok:
         return Verdict(ob.oid, ob.decl, ob.kind, ob.span, "proved")
     status = "fuel-exhausted" if st.fuel_exhausted else "failed"
@@ -174,6 +205,24 @@ def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig) -> Verdict:
     message = _failure_message(ob)
     return Verdict(ob.oid, ob.decl, ob.kind, ob.span, status, goal_text,
                    fact_texts, message)
+
+
+def _discharge_each(obligations: Iterable[Obligation], env: TypeEnv,
+                    config: CheckConfig) -> Iterator[Verdict]:
+    """The verdicts in order, one saturated state per hypothesis set shared
+    among the obligations; the states go when the iteration does."""
+    states: States = {}
+    for ob in obligations:
+        yield discharge(ob, env, config, states)
+
+
+def _made_by_scope(st: SolverState, n_scope: int, terms: list[Term]) -> bool:
+    """Every term is a node among the first `n_scope`, the scope's."""
+    for t in terms:
+        nid = st.lookup(t)
+        if nid is None or nid >= n_scope:
+            return False
+    return True
 
 
 def _failure_message(ob: Obligation) -> str:
@@ -193,7 +242,7 @@ def check_function(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
     """Per-clause verification conditions for a refined (non-proof) function."""
     config = config or CheckConfig()
     obligations, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
-    return [discharge(ob, env, config) for ob in obligations]
+    return list(_discharge_each(obligations, env, config))
 
 
 # ------------------------------------------------------------- module driver
@@ -229,7 +278,15 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
 
     tainted: dict[str, str] = {}
     wf_verdicts: dict[str, Verdict] = {}
+    # built when termination checks a metric or the VCs are built, so a
+    # declaration blocked by a failed callee builds none
     contexts: dict[str, list[list[LeafContext]]] = {}
+
+    def contexts_of(name: str) -> list[list[LeafContext]]:
+        if name not in contexts:
+            contexts[name] = clause_contexts(env.funs[name], env)
+        return contexts[name]
+
     for name in fun_names:
         fi = env.funs[name]
         if name in in_cycle:
@@ -247,8 +304,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                 message="function is not total; missing patterns: " + "; ".join(texts))
             tainted[name] = "fails totality checking"
             continue
-        contexts[name] = clause_contexts(fi, env)
-        outcome = check_termination(fi, env, contexts[name])
+        outcome = check_termination(fi, env, partial(contexts_of, name))
         if isinstance(outcome, NonTermination):
             wf_verdicts[name] = Verdict(
                 f"{name}/term", name, "termination", outcome.span, "failed",
@@ -284,28 +340,28 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
                 f"{name}/blocked", name, "blocked", fi.span, "failed",
                 message=f"not checked: {blocked[name]}"))
             continue
-        obligations, warnings = build_decl_obligations(fi, contexts[name], config)
+        leaf_contexts = contexts_of(name)
+        obligations, warnings = build_decl_obligations(fi, leaf_contexts, config)
         unreachable.extend(warnings)
-        verdicts = [discharge(ob, env, config) for ob in obligations]
+        verdicts = list(_discharge_each(obligations, env, config))
         report.obligations.extend(obligations)
         report.verdicts.extend(verdicts)
         if config.warn_unused_hints and all(v.proved for v in verdicts):
-            unused.extend(_unused_hint_warnings(fi, contexts[name], config))
+            unused.extend(_unused_hint_warnings(fi, env, leaf_contexts, config))
     report.warnings = unreachable + unused
     return report
 
 
-def _unused_hint_warnings(fi: FunInfo, contexts: list[list[LeafContext]],
+def _unused_hint_warnings(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext]],
                           config: CheckConfig) -> list[str]:
     """A warning per hint whose removal from its clause leaves every
     obligation of the clause proved."""
     warnings: list[str] = []
     for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
         for hint in dict.fromkeys(clause.body.all_hints()):
-            if all(discharge(ob, ctx.env, config).proved
-                   for ctx in leaves
-                   for ob in build_clause_obligations(
-                       ctx.without_hint(hint), len(leaves), config)):
+            obligations = (ob for ctx in leaves for ob in build_clause_obligations(
+                ctx.without_hint(hint), len(leaves), config))
+            if all(v.proved for v in _discharge_each(obligations, env, config)):
                 warnings.append(
                     f"{fi.name}: clause {ci + 1}: hint '? {pretty(hint)}' is unused")
     return warnings

@@ -9,7 +9,11 @@ constructor occurrence feeds its measures to the same rule.  Outside PLE a
 reflected application unfolds only where it was written; PLE also unfolds
 the applications that earlier unfoldings create.
 
-One SolverState serves one obligation.  Equalities are decided by union-find
+One SolverState serves one hypothesis set: the scope terms and facts that
+`entails` saturates it with.  Every goal over that set may be decided on the
+saturated state with `holds`, which only reads, provided each of the goal's
+terms was interned before the facts were asserted: such a goal would have
+built exactly that state on its own.  Equalities are decided by union-find
 with congruence repair; integer atoms by Gaussian elimination of the
 equalities, one step per atom as it arrives, so the store is always in
 solved form, then Fourier-Motzkin elimination per query, with integer
@@ -273,7 +277,8 @@ _TAGGED = ("con", "int", "bool", "unit")
 
 class SolverState:
     """Term graph + union-find + constructor tags + LIA store + instantiation
-    ledger for a single obligation."""
+    ledger for one hypothesis set (see the module docstring for when a goal
+    may reuse it)."""
 
     def __init__(self, env: TypeEnv, var_sorts: Optional[dict[str, Sort]] = None,
                  ple: bool = False, ple_fuel: int = DEFAULT_PLE_FUEL):
@@ -364,6 +369,33 @@ class SolverState:
                     self.intern_term(t.rhs, active, subst))
             return self._mk("prim", t.op, args, True)
         raise AssertionError(f"cannot intern {t!r}")
+
+    def lookup(self, t: Term) -> Optional[int]:
+        """The node of `t` if `t` is interned, else None; creates nothing."""
+        if isinstance(t, Var):
+            key = ("var", t.name, ())
+        elif isinstance(t, IntLit):
+            key = ("int", t.value, ())
+        elif isinstance(t, BoolLit):
+            key = ("bool", t.value, ())
+        elif isinstance(t, UnitLit):
+            key = ("unit", "()", ())
+        else:
+            if isinstance(t, Con):
+                kind, head, subs = "con", t.name, t.args
+            elif isinstance(t, App):
+                kind, head, subs = "app", t.name, t.args
+            else:
+                assert isinstance(t, PrimOp), t
+                kind, head, subs = "prim", t.op, (t.lhs, t.rhs)
+            args = []
+            for a in subs:
+                nid = self.lookup(a)
+                if nid is None:
+                    return None
+                args.append(nid)
+            key = (kind, head, tuple(args))
+        return self.intern_table.get(key)
 
     # -- linear view -----------------------------------------------------------
     def lin(self, nid: int) -> Lin:
@@ -699,7 +731,11 @@ def ple_saturate(st: SolverState, fuel: Optional[int] = None) -> SolverState:
     return _saturate(st, allow_derived=True, max_rounds=fuel)
 
 
-def _holds(st: SolverState, p: Pred) -> bool:
+def holds(st: SolverState, p: Pred) -> bool:
+    """Whether the state, saturated by `entails`, decides the goal true.  When
+    every term of `p` is already interned this only reads the state: it
+    creates no node, merges nothing and adds no arithmetic row, so it may be
+    asked any number of goals."""
     if st.contradiction:
         return True
     if isinstance(p, PTrue):
@@ -707,9 +743,9 @@ def _holds(st: SolverState, p: Pred) -> bool:
     if isinstance(p, PFalse):
         return False
     if isinstance(p, PAnd):
-        return all(_holds(st, q) for q in p.items)
+        return all(holds(st, q) for q in p.items)
     if isinstance(p, POr):
-        return any(_holds(st, q) for q in p.items)
+        return any(holds(st, q) for q in p.items)
     assert isinstance(p, PAtom)
     a, b, rel = _oriented(st, p)
     if rel == "==":
@@ -744,4 +780,4 @@ def entails(st: SolverState, facts: list[Pred], goal: Pred) -> bool:
         ple_saturate(st)
     else:
         instantiate_axioms(st)
-    return _holds(st, goal)
+    return holds(st, goal)

@@ -4,7 +4,9 @@ metric-based termination for every function."""
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .logic import SolverState, entails
@@ -472,16 +474,20 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
     return None
 
 
-def check_termination(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext]]):
+def check_termination(fi: FunInfo, env: TypeEnv,
+                      contexts: Optional[Callable[[], list[list[LeafContext]]]] = None):
     """Structural check first unless an explicit metric was declared; falls
-    back to the guessed first-argument metric before giving up.  `contexts`
-    are fi's `clause_contexts`, whose hypotheses the metric checks assume."""
+    back to the guessed first-argument metric before giving up.  A metric
+    check assumes the hypotheses of fi's `clause_contexts`, which `contexts`
+    returns, built only when a metric is checked (and built here if None)."""
+    if contexts is None:
+        contexts = cache(lambda: clause_contexts(fi, env))
     calls = _self_calls(fi)
     if not calls:
         return TerminationEvidence("structural", ())
     metric = fi.signature.metric
     if metric is not None:
-        failure = _check_metric(fi, tuple(metric), contexts)
+        failure = _check_metric(fi, tuple(metric), contexts())
         if failure is None:
             return TerminationEvidence("semantic", metric=tuple(metric))
         return failure
@@ -489,7 +495,7 @@ def check_termination(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext
     if positions is not None:
         return TerminationEvidence("structural", positions)
     for guess in _guess_metric(fi, env):
-        if _check_metric(fi, guess, contexts) is None:
+        if _check_metric(fi, guess, contexts()) is None:
             return TerminationEvidence("semantic", metric=guess, guessed=True)
     return NonTermination(
         fi.span,

@@ -10,6 +10,8 @@ from eqcheck.types import check_types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
+# the corpus and mutation files, in the order the goldens list them
+FILES = sorted(CORPUS.glob("*.eq")) + sorted((CORPUS / "mutations").glob("*.eq"))
 
 LIST_BASICS = """\
 measure length

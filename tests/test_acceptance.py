@@ -10,7 +10,7 @@ from eqcheck.cli import run
 from eqcheck.semantics import enumerate_values, evaluate, value_to_term
 from eqcheck.syntax import App, Con, FunDecl
 from eqcheck.types import INT, SortData
-from eqcheck.wf import TerminationEvidence, check_termination, clause_contexts
+from eqcheck.wf import TerminationEvidence, check_termination
 
 from conftest import CORPUS, corpus_text, env_of
 from oracles import (
@@ -93,14 +93,11 @@ def test_criterion_3_totality():
 def test_criterion_4_termination():
     env2 = env_of(corpus_text("section2.eq"))
     env5 = env_of(corpus_text("section5.eq"))
-    length_ev = check_termination(env2.fun("length"), env2,
-                                  clause_contexts(env2.fun("length"), env2))
-    exec_ev = check_termination(env5.fun("exec"), env5,
-                                clause_contexts(env5.fun("exec"), env5))
+    length_ev = check_termination(env2.fun("length"), env2)
+    exec_ev = check_termination(env5.fun("exec"), env5)
     assert isinstance(length_ev, TerminationEvidence) and length_ev.kind == "structural"
     assert isinstance(exec_ev, TerminationEvidence) and exec_ev.kind == "structural"
-    inv_ev = check_termination(env2.fun("involutionP"), env2,
-                               clause_contexts(env2.fun("involutionP"), env2))
+    inv_ev = check_termination(env2.fun("involutionP"), env2)
     assert isinstance(inv_ev, TerminationEvidence)
     assert inv_ev.kind == "semantic" and not inv_ev.guessed
     loop_report = check_module(

@@ -1,13 +1,18 @@
+import dataclasses
+
+import pytest
+
+from eqcheck import checker
 from eqcheck.checker import (
-    CheckConfig, build_decl_obligations, check_function, check_module,
+    CheckConfig, build_decl_obligations, check_function, check_module, discharge,
 )
 from eqcheck.semantics import evaluate
-from eqcheck.syntax import pretty_pred
+from eqcheck.syntax import PAtom, pretty_pred
 from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
 
-from conftest import LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
+from conftest import FILES, LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
 from oracles import check_chain_coherence
 
 
@@ -247,6 +252,57 @@ lateShadow true = 1
         "trivP: clause 1: hint '? singleLemma x' is unused",
         "trivP2: clause 1: hint '? singleLemma x' is unused",
     ]
+
+
+# ------------------------------------------------------ shared solver states
+
+def _unshared(obligations, env, config):
+    return (discharge(ob, env, config) for ob in obligations)
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(), CheckConfig(strict_hints=True), CheckConfig(ple_default=True),
+    CheckConfig(strict_hints=True, ple_default=True),
+], ids=["default", "strict", "ple", "strict+ple"])
+def test_shared_states_give_the_fresh_verdicts(config, monkeypatch):
+    shared = [check_module(path.read_text(), config) for path in FILES]
+    monkeypatch.setattr(checker, "_discharge_each", _unshared)
+    for path, report in zip(FILES, shared):
+        fresh = check_module(path.read_text(), config)
+        assert report.verdicts == fresh.verdicts, path.name
+        assert report.warnings == fresh.warnings, path.name
+
+
+def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
+    # append's clause body writes no length application: its clause-VC goal
+    # length (x : append xs' ys) == length xs + length ys names terms outside
+    # the scope, and so does the inductive hypothesis, whose terms the
+    # saturated state holds because it was a fact
+    config = CheckConfig()
+    vc = obligations(list_env, "append")["append/c1/vc"]
+    ih = next(f for f in vc.facts
+              if pretty_pred(f) == "length (append xs' ys) == length xs' + length ys")
+    call = vc.body_terms[0].args[1]
+    assert pretty_pred(PAtom("==", call, call)) == "append xs' ys == append xs' ys"
+    entails = checker.entails
+    built = []
+
+    def counting_entails(st, facts, goal):
+        built.append(st)
+        return entails(st, facts, goal)
+
+    monkeypatch.setattr(checker, "entails", counting_entails)
+    states = {}
+    in_scope = dataclasses.replace(vc, goal=PAtom("==", call, call))
+    assert discharge(in_scope, list_env, config, states).proved
+    assert discharge(in_scope, list_env, config, states).proved
+    assert len(built) == 1 and states[vc.hypotheses][0] is built[0]
+    for goal in (vc.goal, ih):
+        ob = dataclasses.replace(vc, goal=goal)
+        n_built = len(built)
+        verdict = discharge(ob, list_env, config, states)
+        assert len(built) == n_built + 1 and states[vc.hypotheses][0] is built[0]
+        assert verdict.proved and verdict == discharge(ob, list_env, config)
 
 
 # -------------------------------------------------------------- module driver

@@ -17,7 +17,7 @@ import pytest
 from eqcheck.checker import CheckConfig, check_module
 from eqcheck.cli import _Paint, render_human, report_to_json
 
-from conftest import CORPUS
+from conftest import FILES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "json.sha256"
@@ -25,7 +25,6 @@ STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
 PLE_DIGESTS = GOLDEN / "json_ple.sha256"
 STRICT = CheckConfig(strict_hints=True)
 PLE = CheckConfig(ple_default=True)
-FILES = sorted(CORPUS.glob("*.eq")) + sorted((CORPUS / "mutations").glob("*.eq"))
 
 
 def renderings(path: pathlib.Path, config: CheckConfig | None = None

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -6,8 +7,9 @@ import weakref
 from hypothesis import example, given, settings, strategies as st
 
 from eqcheck.logic import (
-    SolverState, _Lia, assert_fact, entails, instantiate_axioms, ple_saturate,
+    SolverState, _Lia, assert_fact, entails, holds, instantiate_axioms, ple_saturate,
 )
+from eqcheck.syntax import PAtom, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
 
 from conftest import env_of, pred, term
@@ -263,6 +265,54 @@ def test_entailment_monotonic(seed):
     st2 = SolverState(env, var_sorts=var_sorts)
     if entails(st1, base, goal):
         assert entails(st2, extended, goal)
+
+
+def _snapshot(st):
+    """Everything a query could change in a state, by value."""
+    lia = st.lia
+    return copy.deepcopy((
+        len(st.nodes), st.intern_table, [st.find(i) for i in range(len(st.nodes))],
+        st.tag, st.active, st.reflect_done_nodes, st.reflect_done_keys, st.stats,
+        st.contradiction, lia.atoms, lia.diseqs, lia.pivots, lia.ineqs,
+        lia.consistent, lia._feasible_cache,
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_holds_only_reads_a_saturated_state(seed, ple):
+    # one saturated state answers many goals only if asking changes nothing
+    env = env_of(SOUNDNESS_SRC)
+    rng = random.Random(seed)
+    valuation = random_valuation(rng)
+    facts = [a for a in (random_atom(rng) for _ in range(6))
+             if atom_truth(env, a, valuation)]
+    var_sorts = {"xs": SortData("List", (INT,)), "ys": SortData("List", (INT,)),
+                 "n": INT, "m": INT}
+    state = SolverState(env, var_sorts=var_sorts, ple=ple, ple_fuel=20)
+    for f in facts:
+        for t in pred_terms(f):
+            state.intern_term(t, active=True)
+    first = random_atom(rng)
+    entailed = entails(state, facts, first)
+    # random goals whose terms are interned, and atoms over interned terms,
+    # where arithmetic equalities that congruence has not merged turn up
+    goals = [first] + [g for g in (random_atom(rng) for _ in range(20))
+                       if all(state.lookup(t) is not None for t in pred_terms(g))]
+    terms = list(dict.fromkeys(s for p in (*facts, first) for t in pred_terms(p)
+                               for s in subterms(t)))
+    for _ in range(20):
+        a, b = rng.choice(terms), rng.choice(terms)
+        is_int = state.nodes[state.lookup(a)].is_int
+        if is_int == state.nodes[state.lookup(b)].is_int:
+            goals.append(PAtom(rng.choice(("==", "/=", "<=", "<") if is_int
+                                          else ("==", "/=")), a, b))
+    before = _snapshot(state)
+    for goal in goals:
+        answers = [holds(state, goal), holds(state, goal)]
+        assert _snapshot(state) == before, goal
+        assert answers[0] == answers[1]
+    assert holds(state, first) == entailed
 
 
 # ------------------------------------------------------------- LIA store

@@ -4,7 +4,7 @@ from eqcheck.semantics import Fuel, MatchFailure, enumerate_values, evaluate, va
 from eqcheck.syntax import App, PCon
 from eqcheck.wf import (
     NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
-    check_totality, clause_contexts, clause_leaves, missing_pattern_text,
+    check_totality, clause_leaves, missing_pattern_text,
 )
 from eqcheck.types import INT, SortData
 
@@ -103,22 +103,20 @@ def test_disjoint_clause_has_single_leaf(list_env):
 # ---------------------------------------------------------------- termination
 
 def test_length_structural(list_env):
-    ev = check_termination(list_env.fun("length"), list_env,
-                           clause_contexts(list_env.fun("length"), list_env))
+    ev = check_termination(list_env.fun("length"), list_env)
     assert ev == TerminationEvidence("structural", (0,))
 
 
 def test_exec_structural():
     env = env_of(corpus_text("section5.eq"))
-    ev = check_termination(env.fun("exec"), env, clause_contexts(env.fun("exec"), env))
+    ev = check_termination(env.fun("exec"), env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0,)
 
 
 def test_involution_semantic_metric():
     env = env_of(corpus_text("section2.eq"))
-    ev = check_termination(env.fun("involutionP"), env,
-                           clause_contexts(env.fun("involutionP"), env))
+    ev = check_termination(env.fun("involutionP"), env)
     assert isinstance(ev, TerminationEvidence)
     assert ev.kind == "semantic" and not ev.guessed
     assert len(ev.metric) == 1
@@ -126,9 +124,7 @@ def test_involution_semantic_metric():
 
 def test_loop_rejected():
     env = env_of("loop : xs:(List a) -> List a\nloop xs = loop xs\n")
-    assert isinstance(check_termination(env.fun("loop"), env,
-                                        clause_contexts(env.fun("loop"), env)),
-                      NonTermination)
+    assert isinstance(check_termination(env.fun("loop"), env), NonTermination)
 
 
 def test_metric_guess_used_when_structure_fails():
@@ -140,7 +136,7 @@ churn [] = 0
 churn (_:xs) = churn (reverse xs)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("churn"), env, clause_contexts(env.fun("churn"), env))
+    ev = check_termination(env.fun("churn"), env)
     assert isinstance(ev, NonTermination) or (ev.kind == "semantic" and ev.guessed)
 
 
@@ -151,13 +147,12 @@ count 0 m = m
 count n m = count (n - 1) (m + 1)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("count"), env, clause_contexts(env.fun("count"), env))
+    ev = check_termination(env.fun("count"), env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "semantic" and ev.guessed
 
 
 def test_nonrecursive_trivially_terminates(list_env):
-    ev = check_termination(list_env.fun("length"), list_env,
-                           clause_contexts(list_env.fun("length"), list_env))
+    ev = check_termination(list_env.fun("length"), list_env)
     assert isinstance(ev, TerminationEvidence)
 
 
@@ -171,7 +166,7 @@ ack (S m) Z = ack m (S Z)
 ack (S m) (S n) = ack m (ack (S m) n)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("ack"), env, clause_contexts(env.fun("ack"), env))
+    ev = check_termination(env.fun("ack"), env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0, 1)
 
@@ -180,7 +175,7 @@ def test_structural_terminates_under_fuel():
     # structural evidence implies bounded unfolding on small inputs
     env = env_of(corpus_text("section2.eq"))
     for fname in ["length", "append", "reverse"]:
-        ev = check_termination(env.fun(fname), env, clause_contexts(env.fun(fname), env))
+        ev = check_termination(env.fun(fname), env)
         assert isinstance(ev, TerminationEvidence)
     lists = enumerate_values(env, SortData("List", (INT,)), 6, ints=(0, 1))
     for v in lists:
