@@ -42,8 +42,8 @@ class Obligation:
     ple: bool
     step_index: int | None = None
     # one object per (facts, scope) pair of a leaf, the same for every
-    # obligation that assumes that pair; None for one decided on its own
-    hypotheses: object | None = None
+    # obligation that assumes that pair
+    hypotheses: object = field(default_factory=object)
 
 
 @dataclass
@@ -84,7 +84,8 @@ class Report:
 def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConfig
                              ) -> list[Obligation]:
     """The obligations of one leaf.  All of them share the hypotheses of the
-    full scope; only --strict-hints narrows a chain step's."""
+    full scope; only --strict-hints narrows a chain step's, and then the
+    steps between two hinted steps share theirs."""
     fi = inst.fi
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
@@ -93,7 +94,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     obligations: list[Obligation] = []
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
-             scope: list[Term], hypotheses: object | None,
+             scope: list[Term], hypotheses: object,
              step_index: int | None = None) -> Obligation:
         return Obligation(
             oid=oid, decl=fi.name, kind=kind, span=span, facts=tuple(facts),
@@ -102,14 +103,16 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
         )
 
     facts, scope = inst.facts_for(None)
-    step_hypotheses = None if config.strict_hints else object()
+    step_facts, step_scope, step_hypotheses = facts, scope, object()
     vc_hypotheses = object()
 
-    # chain steps
+    # chain steps; under --strict-hints a step sees the hints up to its own,
+    # so only a step that brings hints narrows less than the step before it
     lhs = inst.head
     for k, step in enumerate(inst.steps):
-        step_facts, step_scope = (inst.facts_for(k) if config.strict_hints
-                                  else (facts, scope))
+        if config.strict_hints and (k == 0 or step.hints):
+            step_facts, step_scope = inst.facts_for(k)
+            step_hypotheses = object()
         goal = PAtom("==", lhs, step.rhs, span=step.span)
         obligations.append(make(f"{base}/step{k + 1}", "chain-step", step.span,
                                 step_facts, goal, step_scope, step_hypotheses,
@@ -183,7 +186,7 @@ def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
     same.  Any other goal builds its own state, which is kept for the
     group's later goals only if its goal added no node."""
     goal_terms = pred_terms(ob.goal)
-    shared = states is not None and ob.hypotheses is not None
+    shared = states is not None
     cached = states.get(ob.hypotheses) if shared else None
     if cached is not None and _made_by_scope(*cached, goal_terms):
         st = cached[0]

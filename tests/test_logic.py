@@ -193,6 +193,45 @@ def test_pinch_feeds_congruence(list_env):
     assert entails(st, [pred("x <= y"), pred("y <= x")], pred("[x] == [y]"))
 
 
+def test_pinch_has_no_representative_cap(list_env):
+    # x1 <= x2 <= ... <= x13 <= x1 forces all thirteen classes equal
+    n = 13
+    st = fresh(list_env, **{f"x{i}": INT for i in range(1, n + 1)})
+    for i in range(1, n + 1):
+        st.intern_term(term(f"[x{i}]"), active=True)
+    facts = [pred(f"x{i} <= x{i % n + 1}") for i in range(1, n + 1)]
+    assert entails(st, facts, pred(f"[x1] == [x{n}]"))
+
+
+def test_pinch_skips_an_unchanged_state(list_env, monkeypatch):
+    st = fresh(list_env, x=INT, y=INT, z=INT)
+    for s in ("[x]", "[y]", "[z]"):
+        st.intern_term(term(s), active=True)
+    facts = [pred("x <= y"), pred("y <= x"), pred("y <= z")]
+    inside, asked = [False], []
+    real_pinch, real_feasible = SolverState._pinch, _Lia.feasible
+
+    def pinch(self):
+        inside[0] = True
+        try:
+            return real_pinch(self)
+        finally:
+            inside[0] = False
+
+    def feasible(self, *args):  # _Lia.entails asks through feasible too
+        if inside[0]:
+            asked.append(args)
+        return real_feasible(self, *args)
+    monkeypatch.setattr(SolverState, "_pinch", pinch)
+    monkeypatch.setattr(_Lia, "feasible", feasible)
+    assert entails(st, facts, pred("[x] == [y]"))
+    assert asked  # the first saturation looked for implied equalities
+    del asked[:]
+    instantiate_axioms(st)
+    ple_saturate(st, fuel=3)
+    assert asked == []
+
+
 def test_tag_survives_union_by_rank_swap(list_env):
     # the tagged class has lower rank and is absorbed; the witness must move
     st = fresh(list_env, u1=LA, u2=LA)
@@ -364,6 +403,36 @@ def test_lia_store_agrees_with_box_enumeration(problem):
     # an equality extra, as `x /= y` goals ask it
     if not lia.feasible(((dict(goal[0]), goal[1], "=="),)):
         assert not any(_holds(goal, "==", p) for p in models)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lia_problems())
+# x2 == x0 + 1 and x0 <= x1 <= x0 + 1 with x1 /= x0: the store forces
+# x1 == x2 only through integer branching on the disequality
+@example((3, [("==", ({2: 1, 0: -1}, -1)), ("<=", ({0: 1, 1: -1}, 0)),
+              ("<=", ({1: 1, 0: -1}, -1)), ("/=", ({0: 1, 1: -1}, 0))], ("<=", ({}, 0))))
+@example((2, [("<=", ({0: 1, 1: -1}, 0)), ("<=", ({1: 1, 0: -1}, 0))], ("<=", ({}, 0))))
+def test_pinch_merges_agree_with_box_enumeration(list_env, problem):
+    # every pair of classes the store is said to force equal is equal in each
+    # integer model of the store in the box
+    n, ops, _ = problem
+    st = SolverState(list_env, var_sorts={f"x{i}": INT for i in range(n)})
+    nids = [st.intern_term(term(f"x{i}")) for i in range(n)]
+    for i in range(n):
+        st.intern_term(term(f"[x{i}]"))
+    models = list(itertools.product(_BOX, repeat=n))
+    for rel, (coeffs, const) in ops:
+        node_coeffs = {nids[v]: c for v, c in coeffs.items()}
+        if rel == "/=":
+            st.lia.add_diseq(node_coeffs, const)
+        else:
+            st.lia.add(node_coeffs, const, rel)
+        models = [p for p in models if _holds((coeffs, const), rel, p)]
+    before = [st.find(nid) for nid in nids]
+    st._pinch()
+    for i, j in itertools.combinations(range(n), 2):
+        if before[i] != before[j] and st.find(nids[i]) == st.find(nids[j]):
+            assert all(p[i] == p[j] for p in models), (i, j)
 
 
 # One store keeps its verdict and its solved form between calls; every answer
