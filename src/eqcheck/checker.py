@@ -41,9 +41,9 @@ class Obligation:
     var_sorts: dict[str, Sort]
     ple: bool
     step_index: int | None = None
-    # one object per (facts, scope) pair of a leaf, the same for every
-    # obligation that assumes that pair
-    hypotheses: object = field(default_factory=object)
+    # the key of a run of chain steps that assume one (facts, scope) pair, and
+    # so may share one solver state; None for an obligation that builds its own
+    hypotheses: object | None = None
 
 
 @dataclass
@@ -83,9 +83,13 @@ class Report:
 
 def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConfig
                              ) -> list[Obligation]:
-    """The obligations of one leaf.  All of them share the hypotheses of the
+    """The obligations of one leaf.  All of them assume the hypotheses of the
     full scope; only --strict-hints narrows a chain step's, and then the
-    steps between two hinted steps share theirs."""
+    steps between two hinted steps assume the same ones.  Chain steps that
+    assume the same hypotheses get one key, `hypotheses`: a step's goal
+    equates two terms of its own scope (which holds the head and every step's
+    rhs), so interning it adds no node and every step of the run would build
+    the same state.  The clause VC and the preconditions get no key."""
     fi = inst.fi
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
@@ -94,7 +98,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     obligations: list[Obligation] = []
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
-             scope: list[Term], hypotheses: object,
+             scope: list[Term], hypotheses: object | None = None,
              step_index: int | None = None) -> Obligation:
         return Obligation(
             oid=oid, decl=fi.name, kind=kind, span=span, facts=tuple(facts),
@@ -104,7 +108,6 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
 
     facts, scope = inst.facts_for(None)
     step_facts, step_scope, step_hypotheses = facts, scope, object()
-    vc_hypotheses = object()
 
     # chain steps; under --strict-hints a step sees the hints up to its own,
     # so only a step that brings hints narrows less than the step before it
@@ -135,7 +138,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                  else inst.steps[-1].rhs if inst.steps else inst.head)
         goal = substitute_pred(res.pred, {res.binder: value})
         obligations.append(make(f"{base}/vc", "clause-vc", inst.clause.span,
-                                vc_facts, goal, scope, vc_hypotheses))
+                                vc_facts, goal, scope))
 
     # preconditions of calls whose callees have refined arguments
     seen_calls: set[Term] = set()
@@ -152,8 +155,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
             pre_n += 1
             goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
             obligations.append(make(
-                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope,
-                vc_hypotheses))
+                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope))
     return obligations
 
 
@@ -174,32 +176,26 @@ def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
 
 # ----------------------------------------------------------------- discharge
 
-States = dict[object, tuple[SolverState, int]]
+States = dict[object, SolverState]
 
 
 def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
               states: States | None = None) -> Verdict:
     """Decide one obligation.  `states` maps an obligation's `hypotheses` to
-    the state saturated for them and the number of nodes its scope terms
-    made.  A goal whose terms are all among those nodes is decided on that
-    state: interning it would add nothing, so its own state would be the
-    same.  Any other goal builds its own state, which is kept for the
-    group's later goals only if its goal added no node."""
-    goal_terms = pred_terms(ob.goal)
-    shared = states is not None
-    cached = states.get(ob.hypotheses) if shared else None
-    if cached is not None and _made_by_scope(*cached, goal_terms):
-        st = cached[0]
+    the state saturated for them: a keyed goal adds no node to it (see
+    `build_clause_obligations`), so it is decided there with `holds`.
+    Otherwise the goal builds its own state, kept for the key's later goals
+    when it has a key."""
+    st = states.get(ob.hypotheses) if states is not None else None
+    if st is not None:
         ok = holds(st, ob.goal)
     else:
         st = SolverState(env, var_sorts=ob.var_sorts, ple=ob.ple, ple_fuel=config.ple_fuel)
         for t in ob.body_terms:
             st.intern_term(t, active=True)
-        n_scope = len(st.nodes)
-        keep = shared and _made_by_scope(st, n_scope, goal_terms)
         ok = entails(st, list(ob.facts), ob.goal)
-        if keep:
-            states[ob.hypotheses] = (st, n_scope)
+        if states is not None and ob.hypotheses is not None:
+            states[ob.hypotheses] = st
     if ok:
         return Verdict(ob.oid, ob.decl, ob.kind, ob.span, "proved")
     status = "fuel-exhausted" if st.fuel_exhausted else "failed"
@@ -212,20 +208,11 @@ def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
 
 def _discharge_each(obligations: Iterable[Obligation], env: TypeEnv,
                     config: CheckConfig) -> Iterator[Verdict]:
-    """The verdicts in order, one saturated state per hypothesis set shared
-    among the obligations; the states go when the iteration does."""
+    """The verdicts in order, one saturated state per key shared among the
+    obligations; the states go when the iteration does."""
     states: States = {}
     for ob in obligations:
         yield discharge(ob, env, config, states)
-
-
-def _made_by_scope(st: SolverState, n_scope: int, terms: list[Term]) -> bool:
-    """Every term is a node among the first `n_scope`, the scope's."""
-    for t in terms:
-        nid = st.lookup(t)
-        if nid is None or nid >= n_scope:
-            return False
-    return True
 
 
 def _failure_message(ob: Obligation) -> str:

@@ -13,15 +13,18 @@ One SolverState serves one hypothesis set: the scope terms and facts that
 `entails` saturates it with.  Every goal over that set may be decided on the
 saturated state with `holds`, which only reads, provided each of the goal's
 terms was interned before the facts were asserted: such a goal would have
-built exactly that state on its own.  Equalities are decided by union-find
-with congruence repair; integer atoms by Gaussian elimination of the
-equalities, one step per atom as it arrives, so the store is always in
-solved form, then Fourier-Motzkin elimination per query, with integer
-sharpening of strict bounds (sound, incomplete).  The two theories
-exchange equalities: congruence merges of integer classes feed the arithmetic
-store, and the classes the store forces equal (found from its implicit
-equalities, the inequality rows it also bounds the other way) are merged
-back into the term graph.
+built exactly that state on its own.  The checker meets this by
+construction, not by a test at run time: it shares a state only among chain
+steps, whose goals equate two terms of their scope.
+
+Equalities are decided by union-find with congruence repair; integer atoms
+by Gaussian elimination of the equalities, one step per atom as it arrives,
+so the store is always in solved form, then Fourier-Motzkin elimination per
+query, with integer sharpening of strict bounds (sound, incomplete).  The
+two theories exchange equalities: congruence merges of integer classes feed
+the arithmetic store, and the classes the store forces equal (found from its
+implicit equalities, the inequality rows it also bounds the other way) are
+merged back into the term graph.
 """
 
 from __future__ import annotations
@@ -393,33 +396,6 @@ class SolverState:
             return self._mk("prim", t.op, args, True)
         raise AssertionError(f"cannot intern {t!r}")
 
-    def lookup(self, t: Term) -> Optional[int]:
-        """The node of `t` if `t` is interned, else None; creates nothing."""
-        if isinstance(t, Var):
-            key = ("var", t.name, ())
-        elif isinstance(t, IntLit):
-            key = ("int", t.value, ())
-        elif isinstance(t, BoolLit):
-            key = ("bool", t.value, ())
-        elif isinstance(t, UnitLit):
-            key = ("unit", "()", ())
-        else:
-            if isinstance(t, Con):
-                kind, head, subs = "con", t.name, t.args
-            elif isinstance(t, App):
-                kind, head, subs = "app", t.name, t.args
-            else:
-                assert isinstance(t, PrimOp), t
-                kind, head, subs = "prim", t.op, (t.lhs, t.rhs)
-            args = []
-            for a in subs:
-                nid = self.lookup(a)
-                if nid is None:
-                    return None
-                args.append(nid)
-            key = (kind, head, tuple(args))
-        return self.intern_table.get(key)
-
     # -- linear view -----------------------------------------------------------
     def lin(self, nid: int) -> Lin:
         node = self.nodes[nid]
@@ -533,9 +509,10 @@ class SolverState:
         if not any(rel == "<=" for _, _, rel in lia.atoms):
             # Equality-only stores are skipped, though their pivots alone
             # can force two classes equal (x + 1 == y + 1 forces x == y).
-            # Going on here changed no answer of a solver_trials pass (seed
-            # 7) and no golden, made 1.2% more Python calls in that pass,
-            # and moved its time by no more than the host's noise.
+            # The exit is not free to remove: without it every
+            # representative of the length and PLE scale files is reduced
+            # through hundreds of pivots each round, and the scale workload
+            # ran at about 41 inputs/s instead of 50 (CHANGES.md).
             return False
         reps: list[int] = []
         seen: set[int] = set()
@@ -660,9 +637,15 @@ def _match(st: SolverState, pat, nid: int, binding: dict[str, int]) -> str:
         return "unknown"
     if node.head != pat.name:
         return "no"
+    return _match_row(st, pat.args, node.args, binding)
+
+
+def _match_row(st: SolverState, pats, nids, binding: dict[str, int]) -> str:
+    """Match patterns against nodes pairwise: 'no' if any is 'no', else
+    'unknown' if any is 'unknown', else 'yes'."""
     verdict = "yes"
-    for sub, arg in zip(pat.args, node.args):
-        r = _match(st, sub, arg, binding)
+    for pat, nid in zip(pats, nids):
+        r = _match(st, pat, nid, binding)
         if r == "no":
             return "no"
         if r == "unknown":
@@ -676,14 +659,7 @@ def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     blocks unfolding entirely."""
     for clause in fi.clauses:
         binding: dict[str, int] = {}
-        verdict = "yes"
-        for pat, nid in zip(clause.patterns, arg_nids):
-            r = _match(st, pat, nid, binding)
-            if r == "no":
-                verdict = "no"
-                break
-            if r == "unknown":
-                verdict = "unknown"
+        verdict = _match_row(st, clause.patterns, arg_nids, binding)
         if verdict == "yes":
             return clause, binding
         if verdict == "unknown":
@@ -778,7 +754,9 @@ def holds(st: SolverState, p: Pred) -> bool:
     """Whether the state, saturated by `entails`, decides the goal true.  When
     every term of `p` is already interned this only reads the state: it
     creates no node, merges nothing and adds no arithmetic row, so it may be
-    asked any number of goals."""
+    asked any number of goals.  Outside `entails` the checker asks it only
+    the goals of chain steps, whose terms their scope interned before the
+    facts (see the module docstring)."""
     if st.contradiction:
         return True
     if isinstance(p, PTrue):

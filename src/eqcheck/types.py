@@ -138,9 +138,6 @@ class TypeEnv:
     funs: dict[str, FunInfo] = field(default_factory=dict)
     measures_of: dict[str, list[str]] = field(default_factory=dict)
 
-    def fun(self, name: str) -> FunInfo:
-        return self.funs[name]
-
 
 def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str], span: Span = NO_SPAN) -> Sort:
     if te.is_tyvar:

@@ -10,9 +10,37 @@ from eqcheck.logic import SolverState, assert_fact, entails
 from eqcheck.parser import parse_pred
 from eqcheck.semantics import evaluate, value_to_term
 from eqcheck.syntax import (
-    App, IntLit, PAtom, PrimOp, Term, Var, pred_terms, pretty_pred, subterms,
+    App, BoolLit, Con, IntLit, PAtom, PrimOp, Term, UnitLit, Var, pred_terms,
+    pretty_pred, subterms,
 )
 from eqcheck.types import INT, SortData, SortVar
+
+
+# ------------------------------------------------------ state reading
+
+def interned_node(st: SolverState, t: Term) -> int | None:
+    """The node of `t` if the state has interned it, else None.  Reads only
+    `st.intern_table`, with the keys `SolverState._mk` files nodes under, so
+    it creates nothing."""
+    if isinstance(t, Var):
+        return st.intern_table.get(("var", t.name, ()))
+    if isinstance(t, IntLit):
+        return st.intern_table.get(("int", t.value, ()))
+    if isinstance(t, BoolLit):
+        return st.intern_table.get(("bool", t.value, ()))
+    if isinstance(t, UnitLit):
+        return st.intern_table.get(("unit", "()", ()))
+    if isinstance(t, Con):
+        kind, head, subs = "con", t.name, t.args
+    elif isinstance(t, App):
+        kind, head, subs = "app", t.name, t.args
+    else:
+        assert isinstance(t, PrimOp), t
+        kind, head, subs = "prim", t.op, (t.lhs, t.rhs)
+    args = tuple(interned_node(st, a) for a in subs)
+    if None in args:
+        return None
+    return st.intern_table.get((kind, head, args))
 
 
 # ------------------------------------------------- brute-force closure

@@ -84,7 +84,7 @@ def test_criterion_3_totality():
     assert "Cons _ _" in bad[0].message
     env5 = env_of(corpus_text("section5.eq"))
     from eqcheck.wf import check_totality
-    assert check_totality(env5.fun("exec"), env5) == []
+    assert check_totality(env5.funs["exec"], env5) == []
     assert check_module(corpus_text("section5.eq")).ok
     print("\nACCEPTANCE 3: PASS - single-clause involutionP rejected with "
           "missing pattern 'Cons _ _'; total exec accepted")
@@ -93,11 +93,11 @@ def test_criterion_3_totality():
 def test_criterion_4_termination():
     env2 = env_of(corpus_text("section2.eq"))
     env5 = env_of(corpus_text("section5.eq"))
-    length_ev = check_termination(env2.fun("length"), env2)
-    exec_ev = check_termination(env5.fun("exec"), env5)
+    length_ev = check_termination(env2.funs["length"], env2)
+    exec_ev = check_termination(env5.funs["exec"], env5)
     assert isinstance(length_ev, TerminationEvidence) and length_ev.kind == "structural"
     assert isinstance(exec_ev, TerminationEvidence) and exec_ev.kind == "structural"
-    inv_ev = check_termination(env2.fun("involutionP"), env2)
+    inv_ev = check_termination(env2.funs["involutionP"], env2)
     assert isinstance(inv_ev, TerminationEvidence)
     assert inv_ev.kind == "semantic" and not inv_ev.guessed
     loop_report = check_module(
@@ -227,7 +227,7 @@ def test_supporting_accepted_goals_hold_on_random_inputs():
         for decl in report.module.decls:
             if not isinstance(decl, FunDecl):
                 continue
-            fi = env.fun(decl.name)
+            fi = env.funs[decl.name]
             if fi.signature.result.refined:
                 check_statement_spot(env, fi, rng, trials=1000)
                 checked.append(decl.name)
@@ -245,6 +245,6 @@ def test_supporting_chain_evaluation_coherence():
         env = report.env
         for decl in report.module.decls:
             if isinstance(decl, FunDecl):
-                total += check_chain_coherence(env, env.fun(decl.name), size=4)
+                total += check_chain_coherence(env, env.funs[decl.name], size=4)
     assert total > 1000
     print(f"\nSUPPORTING: chain/evaluation coherence on {total} instantiations")

@@ -55,6 +55,6 @@ def test_solver_state_counters_exist():
 def test_vcgen_result_starts_with_obligations():
     # the tracer counts obligations as len(result[0])
     env = env_of(LIST_BASICS)
-    fi = env.fun("append")
+    fi = env.funs["append"]
     result = build_decl_obligations(fi, clause_contexts(fi, env), CheckConfig())
     assert result[0] and all(isinstance(ob, Obligation) for ob in result[0])

@@ -7,7 +7,7 @@ from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_function, check_module, discharge,
 )
 from eqcheck.semantics import evaluate
-from eqcheck.syntax import PAtom, pretty_pred
+from eqcheck.syntax import PAtom, pretty_pred, subterms
 from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
@@ -22,7 +22,7 @@ def facts_text(facts):
 
 def obligations(env, decl, config=CheckConfig()):
     """The obligations of one declaration, by id."""
-    fi = env.fun(decl)
+    fi = env.funs[decl]
     obs, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
     return {ob.oid: ob for ob in obs}
 
@@ -50,14 +50,14 @@ def test_wildcard_clause_context_has_only_pattern_facts(list_env):
 
 def test_lemma_facts_instantiation():
     env = env_of(corpus_text("section2.eq"))
-    fact = lemma_facts(env.fun("singletonP"), (parse_term("1"),))
+    fact = lemma_facts(env.funs["singletonP"], (parse_term("1"),))
     assert pretty_pred(fact) == "reverse (1 : []) == 1 : []"
 
 
 def test_lemma_facts_assoc_instance():
     env = env_of(corpus_text("section2.eq"))
     args = tuple(term(s) for s in ["reverse ys", "reverse xs", "[x]"])
-    fact = lemma_facts(env.fun("assocP"), args)
+    fact = lemma_facts(env.funs["assocP"], args)
     assert pretty_pred(fact) == (
         "append (reverse ys) (append (reverse xs) (x : [])) == "
         "append (append (reverse ys) (reverse xs)) (x : [])")
@@ -66,7 +66,7 @@ def test_lemma_facts_assoc_instance():
 def test_lemma_facts_sequence_instance():
     env = env_of(corpus_text("section5.eq"))
     args = tuple(term(s) for s in ["c", "d", "n : s"])
-    fact = lemma_facts(env.fun("sequenceP"), args)
+    fact = lemma_facts(env.funs["sequenceP"], args)
     assert pretty_pred(fact) == (
         "exec (append c d) (n : s) == bindExec (exec c (n : s)) d")
 
@@ -74,12 +74,12 @@ def test_lemma_facts_sequence_instance():
 # --------------------------------------------------------------- check_function
 
 def test_length_both_clauses_proved(list_env):
-    verdicts = check_function(list_env.fun("length"), list_env)
+    verdicts = check_function(list_env.funs["length"], list_env)
     assert [v.status for v in verdicts] == ["proved", "proved"]
 
 
 def test_append_refinement_proved(list_env):
-    verdicts = check_function(list_env.fun("append"), list_env)
+    verdicts = check_function(list_env.funs["append"], list_env)
     assert all(v.proved for v in verdicts)
 
 
@@ -87,7 +87,7 @@ def test_append_wrong_refinement_fails():
     src = LIST_BASICS.replace("length zs == length xs + length ys",
                               "length zs == length xs")
     env = env_of(src)
-    verdicts = check_function(env.fun("append"), env)
+    verdicts = check_function(env.funs["append"], env)
     failing = [v for v in verdicts if not v.proved]
     # countermodel xs=[], ys=[0] falsifies the statement, landing in the
     # clause that handles xs=[] (the 'cons' step is inductively consistent)
@@ -125,7 +125,7 @@ def test_negated_refinements_are_read_soundly():
 
 def test_singletonp_obligations():
     env = env_of(corpus_text("section2.eq"))
-    verdicts = check_function(env.fun("singletonP"), env)
+    verdicts = check_function(env.funs["singletonP"], env)
     kinds = [(v.kind, v.status) for v in verdicts]
     assert kinds == [("chain-step", "proved")] * 3 + [("clause-vc", "proved")]
 
@@ -134,7 +134,7 @@ def test_mutated_singletonp_step_fails():
     src = corpus_text("section2.eq").replace(
         "  ==. [x]\n  *** QED", "  ==. x : (x : [])\n  *** QED", 1)
     env = env_of(src)
-    verdicts = check_function(env.fun("singletonP"), env)
+    verdicts = check_function(env.funs["singletonP"], env)
     failing = [v for v in verdicts if not v.proved]
     assert [v.oid for v in failing] == ["singletonP/c0/step3"]
     # evaluator countermodel x = 0
@@ -145,12 +145,12 @@ def test_mutated_singletonp_step_fails():
 
 def test_involution_proof_accepted():
     env = env_of(corpus_text("section2.eq"))
-    assert all(v.proved for v in check_function(env.fun("involutionP"), env))
+    assert all(v.proved for v in check_function(env.funs["involutionP"], env))
 
 
 def test_derivation_goal_uses_last_rhs():
     env = env_of(corpus_text("section4.eq"))
-    fi = env.fun("reverseApp")
+    fi = env.funs["reverseApp"]
     obs, _ = build_decl_obligations(fi, clause_contexts(fi, env), CheckConfig())
     vc = next(ob for ob in obs if ob.oid == "reverseApp/c1/vc")
     assert pretty_pred(vc.goal) == "reverseApp xs' (x : ys) == append (reverse xs) ys"
@@ -256,14 +256,17 @@ lateShadow true = 1
 
 # ------------------------------------------------------ shared solver states
 
+ALL_MODES = pytest.mark.parametrize("config", [
+    CheckConfig(), CheckConfig(strict_hints=True), CheckConfig(ple_default=True),
+    CheckConfig(strict_hints=True, ple_default=True),
+], ids=["default", "strict", "ple", "strict+ple"])
+
+
 def _unshared(obligations, env, config):
     return (discharge(ob, env, config) for ob in obligations)
 
 
-@pytest.mark.parametrize("config", [
-    CheckConfig(), CheckConfig(strict_hints=True), CheckConfig(ple_default=True),
-    CheckConfig(strict_hints=True, ple_default=True),
-], ids=["default", "strict", "ple", "strict+ple"])
+@ALL_MODES
 def test_shared_states_give_the_fresh_verdicts(config, monkeypatch):
     shared = [check_module(path.read_text(), config) for path in FILES]
     monkeypatch.setattr(checker, "_discharge_each", _unshared)
@@ -274,14 +277,12 @@ def test_shared_states_give_the_fresh_verdicts(config, monkeypatch):
 
 
 def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
-    # append's clause body writes no length application: its clause-VC goal
-    # length (x : append xs' ys) == length xs + length ys names terms outside
-    # the scope, and so does the inductive hypothesis, whose terms the
-    # saturated state holds because it was a fact
+    # append's clause-VC goal length (x : append xs' ys) == length xs +
+    # length ys names terms outside the scope; a goal in scope, written into
+    # the same keyless obligation, is not decided on a kept state either
     config = CheckConfig()
     vc = obligations(list_env, "append")["append/c1/vc"]
-    ih = next(f for f in vc.facts
-              if pretty_pred(f) == "length (append xs' ys) == length xs' + length ys")
+    assert vc.hypotheses is None
     call = vc.body_terms[0].args[1]
     assert pretty_pred(PAtom("==", call, call)) == "append xs' ys == append xs' ys"
     entails = checker.entails
@@ -293,16 +294,49 @@ def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
 
     monkeypatch.setattr(checker, "entails", counting_entails)
     states = {}
-    in_scope = dataclasses.replace(vc, goal=PAtom("==", call, call))
-    assert discharge(in_scope, list_env, config, states).proved
-    assert discharge(in_scope, list_env, config, states).proved
-    assert len(built) == 1 and states[vc.hypotheses][0] is built[0]
-    for goal in (vc.goal, ih):
+    for goal in (PAtom("==", call, call), vc.goal):
         ob = dataclasses.replace(vc, goal=goal)
-        n_built = len(built)
-        verdict = discharge(ob, list_env, config, states)
-        assert len(built) == n_built + 1 and states[vc.hypotheses][0] is built[0]
-        assert verdict.proved and verdict == discharge(ob, list_env, config)
+        for _ in range(2):
+            n_built = len(built)
+            verdict = discharge(ob, list_env, config, states)
+            assert len(built) == n_built + 1 and states == {}
+            assert verdict.proved and verdict == discharge(ob, list_env, config)
+    # the two chain steps of one leaf share one key, and so one state
+    env = env_of(HINT_AFTER_NEEDING_STEP)
+    obs = obligations(env, "rightIdP")
+    steps = [obs["rightIdP/c1/step1"], obs["rightIdP/c1/step2"]]
+    assert steps[0].hypotheses is not None
+    assert steps[0].hypotheses is steps[1].hypotheses
+    fresh = [discharge(ob, env, config) for ob in steps]
+    n_built = len(built)
+    assert list(checker._discharge_each(steps, env, config)) == fresh
+    assert len(built) == n_built + 1
+
+
+@ALL_MODES
+def test_only_chain_steps_share_states(config, monkeypatch):
+    # a step's goal equates two terms of its scope, so interning it adds no
+    # node to the state its key shares; every other obligation has no key
+    built = []
+    build = checker.build_clause_obligations
+
+    def recording_build(*args):
+        out = build(*args)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(checker, "build_clause_obligations", recording_build)
+    for path in FILES:
+        check_module(path.read_text(), config)
+    assert {ob.kind for ob in built} >= {"chain-step", "clause-vc", "hint-pre"}
+    for ob in built:
+        if ob.kind == "chain-step":
+            scope = {s for t in ob.body_terms for s in subterms(t)}
+            assert isinstance(ob.goal, PAtom) and ob.goal.rel == "==", ob.oid
+            assert ob.goal.lhs in scope and ob.goal.rhs in scope, ob.oid
+            assert ob.hypotheses is not None, ob.oid
+        else:
+            assert ob.hypotheses is None, ob.oid
 
 
 # -------------------------------------------------------------- module driver
@@ -351,6 +385,6 @@ invP x = ()
 
 def test_chain_coherence_smoke():
     env = env_of(corpus_text("section2.eq"))
-    n = check_chain_coherence(env, env.fun("rightIdP"), size=4)
+    n = check_chain_coherence(env, env.funs["rightIdP"], size=4)
     assert n > 0
-    check_chain_coherence(env, env.fun("singletonP"), size=4)
+    check_chain_coherence(env, env.funs["singletonP"], size=4)

@@ -15,7 +15,8 @@ from eqcheck.types import INT, SortData, SortVar
 from conftest import env_of, pred, term
 from oracles import (
     SOUNDNESS_SRC, UNINTERPRETED_SRC, atom_truth, check_graph_against_oracle,
-    compound_soundness_trial, random_atom, random_valuation, soundness_trial,
+    compound_soundness_trial, interned_node, random_atom, random_valuation,
+    soundness_trial,
 )
 
 A = SortVar("a")
@@ -337,13 +338,13 @@ def test_holds_only_reads_a_saturated_state(seed, ple):
     # random goals whose terms are interned, and atoms over interned terms,
     # where arithmetic equalities that congruence has not merged turn up
     goals = [first] + [g for g in (random_atom(rng) for _ in range(20))
-                       if all(state.lookup(t) is not None for t in pred_terms(g))]
+                       if all(interned_node(state, t) is not None for t in pred_terms(g))]
     terms = list(dict.fromkeys(s for p in (*facts, first) for t in pred_terms(p)
                                for s in subterms(t)))
     for _ in range(20):
         a, b = rng.choice(terms), rng.choice(terms)
-        is_int = state.nodes[state.lookup(a)].is_int
-        if is_int == state.nodes[state.lookup(b)].is_int:
+        is_int = state.nodes[interned_node(state, a)].is_int
+        if is_int == state.nodes[interned_node(state, b)].is_int:
             goals.append(PAtom(rng.choice(("==", "/=", "<=", "<") if is_int
                                           else ("==", "/=")), a, b))
     before = _snapshot(state)

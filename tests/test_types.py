@@ -9,9 +9,9 @@ from conftest import LIST_BASICS, env_of
 
 
 def test_length_signature_accepted(list_env):
-    fi = list_env.fun("length")
+    fi = list_env.funs["length"]
     assert fi.is_measure
-    assert fi.param_sorts == (SortData("List", (list_env.fun("length").param_sorts[0].args[0],)),)
+    assert fi.param_sorts == (SortData("List", (list_env.funs["length"].param_sorts[0].args[0],)),)
     assert fi.result_sort == INT
 
 
@@ -105,7 +105,7 @@ def test_nonlinear_multiplication_rejected():
 
 def test_literal_multiplication_accepted():
     env = env_of("f : x:Int -> Int\nf x = 2 * x + x * 3\n")
-    assert env.fun("f").result_sort == INT
+    assert env.funs["f"].result_sort == INT
 
 
 def test_plain_body_sort_error_message():
@@ -192,10 +192,10 @@ lemma : xs:(List a) -> {v:Proof | length xs >= 0}
 lemma xs = ()
 """
     env = env_of(src)
-    assert isinstance(env.fun("lemma").result_sort, SortProof)
+    assert isinstance(env.funs["lemma"].result_sort, SortProof)
 
 
 def test_polymorphic_instantiation_at_int():
     src = LIST_BASICS + "\nuse : t:Int -> List Int\nuse t = append [t] [1, 2]\n"
     env = env_of(src)
-    assert env.fun("use").result_sort == SortData("List", (INT,))
+    assert env.funs["use"].result_sort == SortData("List", (INT,))

@@ -24,34 +24,34 @@ involutionP []
 
 def test_single_clause_involution_missing_cons():
     env = env_of(INVOLUTION_BASE_ONLY)
-    missing = check_totality(env.fun("involutionP"), env)
+    missing = check_totality(env.funs["involutionP"], env)
     assert [missing_pattern_text(r) for r in missing] == ["Cons _ _"]
 
 
 def test_total_exec_accepted():
     env = env_of(corpus_text("section5.eq"))
-    assert check_totality(env.fun("exec"), env) == []
+    assert check_totality(env.funs["exec"], env) == []
 
 
 def test_exec_without_catchall_missing():
     src = corpus_text("section5.eq").replace("exec _ _ = Nothing\n", "")
     env = env_of(src)
-    missing = {missing_pattern_text(r) for r in check_totality(env.fun("exec"), env)}
+    missing = {missing_pattern_text(r) for r in check_totality(env.funs["exec"], env)}
     assert missing == {"(Cons ADD _) Nil", "(Cons ADD _) (Cons _ Nil)"}
 
 
 def test_bool_clauses_total():
     env = env_of("neg : b:Bool -> Bool\nneg true = false\nneg false = true\n")
-    assert check_totality(env.fun("neg"), env) == []
+    assert check_totality(env.funs["neg"], env) == []
 
 
 def test_int_literals_never_exhaustive():
     env = env_of("iszero : n:Int -> Bool\niszero 0 = true\n")
-    missing = check_totality(env.fun("iszero"), env)
+    missing = check_totality(env.funs["iszero"], env)
     assert missing and missing_pattern_text(missing[0]) == "1"
     # a negative literal is written the way a pattern spells it
     env = env_of("f : n:Int -> m:Int -> Int\nf (-1) 0 = 0\n")
-    missing = {missing_pattern_text(r) for r in check_totality(env.fun("f"), env)}
+    missing = {missing_pattern_text(r) for r in check_totality(env.funs["f"], env)}
     assert missing == {"(-1) 1", "0 _"}
 
 
@@ -65,7 +65,7 @@ weird Dot _ = 0
 weird (Box Dot x) Dot = 1
 """
     env = env_of(src)
-    fi = env.fun("weird")
+    fi = env.funs["weird"]
     missing = check_totality(fi, env)
     shape = SortData("Shape", ())
     values = enumerate_values(env, shape, 5)
@@ -88,14 +88,14 @@ weird (Box Dot x) Dot = 1
 
 def test_leaves_of_overlapping_clause():
     env = env_of(corpus_text("section5.eq"))
-    fi = env.fun("sequenceP")
+    fi = env.funs["sequenceP"]
     leaves = clause_leaves(fi, 3, env)  # the (ADD:c) d s clause
     rows = {missing_pattern_text(l.row) for l in leaves}
     assert rows == {"(Cons ADD c) d Nil", "(Cons ADD c) d (Cons _w Nil)"}
 
 
 def test_disjoint_clause_has_single_leaf(list_env):
-    fi = list_env.fun("append")
+    fi = list_env.funs["append"]
     assert len(clause_leaves(fi, 0, list_env)) == 1
     assert len(clause_leaves(fi, 1, list_env)) == 1
 
@@ -103,20 +103,20 @@ def test_disjoint_clause_has_single_leaf(list_env):
 # ---------------------------------------------------------------- termination
 
 def test_length_structural(list_env):
-    ev = check_termination(list_env.fun("length"), list_env)
+    ev = check_termination(list_env.funs["length"], list_env)
     assert ev == TerminationEvidence("structural", (0,))
 
 
 def test_exec_structural():
     env = env_of(corpus_text("section5.eq"))
-    ev = check_termination(env.fun("exec"), env)
+    ev = check_termination(env.funs["exec"], env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0,)
 
 
 def test_involution_semantic_metric():
     env = env_of(corpus_text("section2.eq"))
-    ev = check_termination(env.fun("involutionP"), env)
+    ev = check_termination(env.funs["involutionP"], env)
     assert isinstance(ev, TerminationEvidence)
     assert ev.kind == "semantic" and not ev.guessed
     assert len(ev.metric) == 1
@@ -124,7 +124,7 @@ def test_involution_semantic_metric():
 
 def test_loop_rejected():
     env = env_of("loop : xs:(List a) -> List a\nloop xs = loop xs\n")
-    assert isinstance(check_termination(env.fun("loop"), env), NonTermination)
+    assert isinstance(check_termination(env.funs["loop"], env), NonTermination)
 
 
 def test_metric_guess_used_when_structure_fails():
@@ -136,7 +136,7 @@ churn [] = 0
 churn (_:xs) = churn (reverse xs)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("churn"), env)
+    ev = check_termination(env.funs["churn"], env)
     assert isinstance(ev, NonTermination) or (ev.kind == "semantic" and ev.guessed)
 
 
@@ -147,12 +147,12 @@ count 0 m = m
 count n m = count (n - 1) (m + 1)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("count"), env)
+    ev = check_termination(env.funs["count"], env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "semantic" and ev.guessed
 
 
 def test_nonrecursive_trivially_terminates(list_env):
-    ev = check_termination(list_env.fun("length"), list_env)
+    ev = check_termination(list_env.funs["length"], list_env)
     assert isinstance(ev, TerminationEvidence)
 
 
@@ -166,7 +166,7 @@ ack (S m) Z = ack m (S Z)
 ack (S m) (S n) = ack m (ack (S m) n)
 """
     env = env_of(src)
-    ev = check_termination(env.fun("ack"), env)
+    ev = check_termination(env.funs["ack"], env)
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0, 1)
 
@@ -175,7 +175,7 @@ def test_structural_terminates_under_fuel():
     # structural evidence implies bounded unfolding on small inputs
     env = env_of(corpus_text("section2.eq"))
     for fname in ["length", "append", "reverse"]:
-        ev = check_termination(env.fun(fname), env)
+        ev = check_termination(env.funs[fname], env)
         assert isinstance(ev, TerminationEvidence)
     lists = enumerate_values(env, SortData("List", (INT,)), 6, ints=(0, 1))
     for v in lists:
