@@ -20,9 +20,12 @@ steps, whose goals equate two terms of their scope.
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
 so the store is always in solved form, then Fourier-Motzkin elimination per
-query, with integer sharpening of strict bounds (sound, incomplete).  The
-two theories exchange equalities: congruence merges of integer classes feed
-the arithmetic store, and the classes the store forces equal (found from its
+query, with integer sharpening of strict bounds (sound, incomplete).  Both
+combine rows by the one elimination step, `_eliminate`: Fourier-Motzkin
+resolution of a lower and an upper bound on a variable is the same
+nonnegative combination as substituting an equality.  The two theories
+exchange equalities: congruence merges of integer classes feed the
+arithmetic store, and the classes the store forces equal (found from its
 implicit equalities, the inequality rows it also bounds the other way) are
 merged back into the term graph.
 """
@@ -62,6 +65,14 @@ def _gcd_norm(coeffs: dict[int, int], const: int, rel: str) -> tuple[dict[int, i
             coeffs = {v: c // g for v, c in coeffs.items()}
             const //= g
     return (coeffs, const, rel)
+
+
+def _combine(lc: dict[int, int], lk: int, rc: dict[int, int], rk: int, sign: int) -> Lin:
+    """lhs + sign * rhs, for sign in {1, -1}."""
+    coeffs = dict(lc)
+    for v, c in rc.items():
+        coeffs[v] = coeffs.get(v, 0) + sign * c
+    return (coeffs, lk + sign * rk)
 
 
 def _substitute(coeffs: dict[int, int], const: int, var: int, a: int,
@@ -145,8 +156,6 @@ class _Lia:
         if rel == "<":
             const += 1
             rel = "<="
-        if not coeffs:
-            return ({}, const, rel)
         return _gcd_norm(coeffs, const, rel)
 
     def add(self, coeffs: dict[int, int], const: int, rel: str) -> None:
@@ -166,7 +175,7 @@ class _Lia:
             return self._feasible_cache
         pivots, ineqs = list(self.pivots), list(self.ineqs)
         result = (self.consistent
-                  and all(self._solve(pivots, ineqs, self.normalise(dict(coeffs), const, rel))
+                  and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
                           for coeffs, const, rel in extra)
                   and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
         if not extra:
@@ -179,7 +188,7 @@ class _Lia:
         if not diseqs:
             return self._fm(ineqs)
         (coeffs, const), rest = diseqs[0], diseqs[1:]
-        for row in (self.normalise(dict(coeffs), const, "<"),
+        for row in (self.normalise(coeffs, const, "<"),
                     self.normalise({v: -c for v, c in coeffs.items()}, -const, "<")):
             more = self._through(pivots, [row[:2]])
             if more is not None and self._feasible_branches(pivots, ineqs + more, rest):
@@ -257,23 +266,15 @@ class _Lia:
             for coeffs, const in ineqs:
                 c = coeffs.get(v, 0)
                 if c < 0:
-                    lowers.append((coeffs, const, c))
+                    lowers.append((coeffs, const))
                 elif c > 0:
                     uppers.append((coeffs, const, c))
                 else:
                     others.append((coeffs, const))
-            for lc, lk, lcv in lowers:
+            for lc, lk in lowers:
                 for uc, uk, ucv in uppers:
-                    # ucv*L + (-lcv)*U, both multipliers positive
-                    out: dict[int, int] = {}
-                    for var2, c in lc.items():
-                        if var2 != v:
-                            out[var2] = c * ucv
-                    for var2, c in uc.items():
-                        if var2 != v:
-                            out[var2] = out.get(var2, 0) + c * -lcv
-                    out = {k2: c for k2, c in out.items() if c != 0}
-                    c2, k2, _ = _gcd_norm(out, lk * ucv + uk * -lcv, "<=")
+                    # ucv*L - L[v]*U: both multipliers positive, v cancels
+                    c2, k2 = _eliminate(lc, lk, v, ucv, uc, uk, "<=")
                     if not c2:
                         if k2 > 0:
                             return False
@@ -324,7 +325,6 @@ class SolverState:
         self.reflect_done_nodes: set[int] = set()
         self.reflect_done_keys: set[tuple] = set()
         self.contradiction = False
-        self.reason = ""
         self.fuel_exhausted = False
         self.stats = {"reflect": 0, "measure": 0, "merges": 0, "dropped_or": 0}
         self._pinch_key: Optional[tuple] = None  # state sizes at the last _pinch
@@ -336,11 +336,6 @@ class SolverState:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
-
-    def _contradict(self, reason: str) -> None:
-        if not self.contradiction:
-            self.contradiction = True
-            self.reason = reason
 
     # -- node creation -----------------------------------------------------
     def _mk(self, kind: str, head, args: tuple[int, ...], is_int: bool) -> int:
@@ -359,13 +354,17 @@ class SolverState:
         if args:
             for a in args:
                 self.use.setdefault(self.find(a), []).append(nid)
-            sig = (kind, head, tuple(self.find(a) for a in args))
-            other = self.sig_table.get(sig)
-            if other is None:
-                self.sig_table[sig] = nid
-            else:
+            other = self._congruent(nid)
+            if other != nid:
                 self._merge(nid, other)
         return nid
+
+    def _congruent(self, nid: int) -> int:
+        """The node filed under the signature of `nid` (its kind, head and
+        argument classes); `nid` itself, now filed, if there was none."""
+        node = self.nodes[nid]
+        sig = (node.kind, node.head, tuple(self.find(a) for a in node.args))
+        return self.sig_table.setdefault(sig, nid)
 
     def intern_term(self, t: Term, active: bool = False,
                     subst: Optional[dict[str, int]] = None) -> int:
@@ -404,16 +403,8 @@ class SolverState:
         if node.kind == "prim":
             lc, lk = self.lin(node.args[0])
             rc, rk = self.lin(node.args[1])
-            if node.head == "+":
-                coeffs = dict(lc)
-                for v, c in rc.items():
-                    coeffs[v] = coeffs.get(v, 0) + c
-                return (coeffs, lk + rk)
-            if node.head == "-":
-                coeffs = dict(lc)
-                for v, c in rc.items():
-                    coeffs[v] = coeffs.get(v, 0) - c
-                return (coeffs, lk - rk)
+            if node.head in ("+", "-"):
+                return _combine(lc, lk, rc, rk, 1 if node.head == "+" else -1)
             # multiplication: one side is a constant (enforced by sorts)
             if not lc:
                 return ({v: c * lk for v, c in rc.items()}, rk * lk)
@@ -423,12 +414,7 @@ class SolverState:
         return ({nid: 1}, 0)
 
     def _lin_diff(self, a: int, b: int) -> Lin:
-        ac, ak = self.lin(a)
-        bc, bk = self.lin(b)
-        coeffs = dict(ac)
-        for v, c in bc.items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        return (coeffs, ak - bk)
+        return _combine(*self.lin(a), *self.lin(b), -1)
 
     def _is_int(self, nid: int) -> bool:
         return self.nodes[nid].is_int
@@ -448,9 +434,7 @@ class SolverState:
             if tx is not None and ty is not None:
                 nx, ny = self.nodes[tx], self.nodes[ty]
                 if nx.kind != ny.kind or nx.head != ny.head:
-                    self._contradict(
-                        f"distinct values forced equal: "
-                        f"{self.describe(tx)} == {self.describe(ty)}")
+                    self.contradiction = True
                     return
                 if nx.kind == "con":
                     pending.extend(zip(nx.args, ny.args))
@@ -468,12 +452,8 @@ class SolverState:
             if moved:
                 self.use.setdefault(rx, []).extend(moved)
             for p in moved:
-                node = self.nodes[p]
-                sig = (node.kind, node.head, tuple(self.find(q) for q in node.args))
-                other = self.sig_table.get(sig)
-                if other is None:
-                    self.sig_table[sig] = p
-                elif self.find(other) != self.find(p):
+                other = self._congruent(p)
+                if self.find(other) != self.find(p):
                     pending.append((p, other))
 
     # -- contradiction checkpoints ------------------------------------------------
@@ -482,12 +462,10 @@ class SolverState:
             return
         for a, b in self.diseqs:
             if self.find(a) == self.find(b):
-                self._contradict(
-                    f"both sides of a disequality merged: {self.describe(a)}")
+                self.contradiction = True
                 return
         if (self.lia.atoms or self.lia.diseqs) and not self.lia.feasible():
-            self._contradict("arithmetic store infeasible")
-            return
+            self.contradiction = True
 
     def _pinch(self) -> bool:
         """Merge the integer classes that the LIA store forces equal, so
@@ -547,23 +525,6 @@ class SolverState:
                     changed = True
         return changed
 
-    # -- rendering ------------------------------------------------------------
-    def describe(self, nid: int) -> str:
-        node = self.nodes[nid]
-        if node.kind == "var":
-            return str(node.head)
-        if node.kind == "int":
-            return str(node.head)
-        if node.kind == "bool":
-            return "true" if node.head else "false"
-        if node.kind == "unit":
-            return "()"
-        if node.kind == "prim":
-            return f"({self.describe(node.args[0])} {node.head} {self.describe(node.args[1])})"
-        if not node.args:
-            return str(node.head)
-        return "(" + str(node.head) + " " + " ".join(self.describe(a) for a in node.args) + ")"
-
 
 # ------------------------------------------------------------ public API
 
@@ -586,7 +547,7 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
     if isinstance(p, PTrue):
         return st
     if isinstance(p, PFalse):
-        st._contradict("false hypothesis")
+        st.contradiction = True
         return st
     if isinstance(p, PAnd):
         for q in p.items:
@@ -624,12 +585,8 @@ def _match(st: SolverState, pat, nid: int, binding: dict[str, int]) -> str:
     if t is None:
         return "unknown"
     node = st.nodes[t]
-    if isinstance(pat, PInt):
-        if node.kind != "int":
-            return "unknown"
-        return "yes" if node.head == pat.value else "no"
-    if isinstance(pat, PBool):
-        if node.kind != "bool":
+    if isinstance(pat, (PInt, PBool)):
+        if node.kind != ("int" if isinstance(pat, PInt) else "bool"):
             return "unknown"
         return "yes" if node.head == pat.value else "no"
     assert isinstance(pat, PCon)

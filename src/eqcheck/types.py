@@ -95,6 +95,7 @@ class CtorInfo:
     name: str
     data_name: str
     fields: tuple[TypeExpr, ...]
+    field_sorts: tuple[Sort, ...] = ()  # over the data type's parameters
 
     @property
     def arity(self) -> int:
@@ -183,8 +184,7 @@ def ctor_field_sorts(ci: CtorInfo, at: Sort, env: TypeEnv) -> tuple[Sort, ...]:
     mapping: dict[str, Sort] = {}
     if isinstance(at, SortData) and at.name == di.name:
         mapping = dict(zip(di.params, at.args))
-    return tuple(subst_sort(sort_of_typeexpr(f, env, set(di.params)), mapping)
-                 for f in ci.fields)
+    return tuple(subst_sort(f, mapping) for f in ci.field_sorts)
 
 
 def lemma_facts(gi: FunInfo, args: tuple[Term, ...]) -> Pred:
@@ -293,11 +293,11 @@ class _ModuleChecker:
                 ctors.append(info)
                 self.env.ctors[c.name] = info
             self.env.datas[d.name] = DataInfo(d.name, d.params, tuple(ctors))
-        # validate field types once all data names are known
+        # convert (and so validate) field types once all data names are known
         for di in self.env.datas.values():
             for ci in di.ctors:
-                for f in ci.fields:
-                    sort_of_typeexpr(f, self.env, set(di.params))
+                ci.field_sorts = tuple(sort_of_typeexpr(f, self.env, set(di.params))
+                                       for f in ci.fields)
 
     # -- pass 2: signatures ----------------------------------------------
     def collect_signatures(self) -> None:

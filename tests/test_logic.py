@@ -4,6 +4,7 @@ import itertools
 import random
 import weakref
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqcheck.logic import (
@@ -244,9 +245,17 @@ def test_tag_survives_union_by_rank_swap(list_env):
     assert entails(st, [], pred("append u1 u2 == u2"))
 
 
-def test_contradictory_facts_entail_anything(list_env):
-    st = fresh(list_env, x=A, xs=LA)
-    assert entails(st, [pred("[] == x : xs")], pred("1 <= 0"))
+@pytest.mark.parametrize("facts", [
+    ["[] == x : xs"],
+    ["n == 1", "n == 2"],
+    ["xs /= ys", "xs == ys"],
+    ["false"],
+    ["n <= 0", "1 <= n"],
+], ids=["constructors", "literals", "merged-diseq", "false", "infeasible-lia"])
+def test_contradictory_facts_entail_anything(list_env, facts):
+    st = fresh(list_env, x=A, xs=LA, ys=LA, n=INT)
+    assert entails(st, [pred(f) for f in facts], pred("1 <= 0"))
+    assert st.contradiction
 
 
 def test_dropped_disjunction_is_sound(list_env):
