@@ -314,6 +314,7 @@ class SolverState:
         self.ple_fuel = ple_fuel
         self.nodes: list[_Node] = []
         self.intern_table: dict[tuple, int] = {}
+        self.term_memo: dict[int, tuple[Term, int, bool]] = {}  # see intern_term
         self.parent: list[int] = []
         self.rank: list[int] = []
         self.use: dict[int, list[int]] = {}
@@ -368,32 +369,51 @@ class SolverState:
 
     def intern_term(self, t: Term, active: bool = False,
                     subst: Optional[dict[str, int]] = None) -> int:
+        """The node of `t`, created with its subterms' nodes if new; with
+        `active`, every application in `t` is marked active (written, so
+        unfolded outside PLE); `subst` maps variable names to nodes.
+
+        Without `subst` each term object is walked at most once per active
+        flag: `term_memo` keeps, by `id(t)`, the object itself (so its id is
+        not reused), its node and whether that walk marked it active; an
+        active lookup hits only an active entry.  This is exact, because a
+        walk over an interned term only looks its nodes up.  Terms share
+        their unchanged subterms (`syntax.substitute`), so lemma facts and
+        chain equalities hit on the scope's objects."""
+        memo = subst is None
+        if memo:
+            hit = self.term_memo.get(id(t))
+            if hit is not None and (hit[2] or not active):
+                return hit[1]
         if isinstance(t, Var):
-            if subst is not None and t.name in subst:
+            if not memo and t.name in subst:
                 return subst[t.name]
-            return self._mk("var", t.name, (),
-                            isinstance(self.var_sorts.get(t.name), SortInt))
-        if isinstance(t, IntLit):
-            return self._mk("int", t.value, (), True)
-        if isinstance(t, BoolLit):
-            return self._mk("bool", t.value, (), False)
-        if isinstance(t, UnitLit):
-            return self._mk("unit", "()", (), False)
-        if isinstance(t, Con):
+            nid = self._mk("var", t.name, (),
+                           isinstance(self.var_sorts.get(t.name), SortInt))
+        elif isinstance(t, IntLit):
+            nid = self._mk("int", t.value, (), True)
+        elif isinstance(t, BoolLit):
+            nid = self._mk("bool", t.value, (), False)
+        elif isinstance(t, UnitLit):
+            nid = self._mk("unit", "()", (), False)
+        elif isinstance(t, Con):
             args = tuple(self.intern_term(a, active, subst) for a in t.args)
-            return self._mk("con", t.name, args, False)
-        if isinstance(t, App):
+            nid = self._mk("con", t.name, args, False)
+        elif isinstance(t, App):
             args = tuple(self.intern_term(a, active, subst) for a in t.args)
             nid = self._mk("app", t.name, args,
                            isinstance(self.env.funs[t.name].result_sort, SortInt))
             if active:
                 self.active.add(nid)
-            return nid
-        if isinstance(t, PrimOp):
+        elif isinstance(t, PrimOp):
             args = (self.intern_term(t.lhs, active, subst),
                     self.intern_term(t.rhs, active, subst))
-            return self._mk("prim", t.op, args, True)
-        raise AssertionError(f"cannot intern {t!r}")
+            nid = self._mk("prim", t.op, args, True)
+        else:
+            raise AssertionError(f"cannot intern {t!r}")
+        if memo:
+            self.term_memo[id(t)] = (t, nid, active)
+        return nid
 
     # -- linear view -----------------------------------------------------------
     def lin(self, nid: int) -> Lin:
@@ -711,7 +731,8 @@ def holds(st: SolverState, p: Pred) -> bool:
     """Whether the state, saturated by `entails`, decides the goal true.  When
     every term of `p` is already interned this only reads the state: it
     creates no node, merges nothing and adds no arithmetic row, so it may be
-    asked any number of goals.  Outside `entails` the checker asks it only
+    asked any number of goals.  It may add entries to `term_memo`, a cache
+    that changes no answer.  Outside `entails` the checker asks it only
     the goals of chain steps, whose terms their scope interned before the
     facts (see the module docstring)."""
     if st.contradiction:

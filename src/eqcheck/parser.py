@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Annotation, BaseRef, Chain, Clause, CtorDef, DataDecl, Decl, FunDecl, IntLit,
@@ -27,8 +28,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'lower', 'upper', 'int', 'sym', 'kw', 'eof'
     text: str
     line: int

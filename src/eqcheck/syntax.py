@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from operator import is_
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A source range; printed as its start, `line:col`."""
     line: int
     col: int
     end_line: int
@@ -358,24 +359,44 @@ def body_terms(b: Chain) -> tuple[Term, ...]:
 
 
 def substitute(t: Term, subst: dict[str, Term]) -> Term:
+    """`t` with every variable named in `subst` replaced by its image.
+
+    The result shares structure with `t`: a subterm with no replaced
+    variable under it is returned as the very same object, so an empty map
+    returns `t` itself, and a rebuilt node keeps its unchanged arguments.
+    Terms are immutable, so the sharing is invisible to `==`; the solver's
+    intern memo (`SolverState.intern_term`) uses it to skip walks."""
+    if not subst:
+        return t
     if isinstance(t, Var):
         return subst.get(t.name, t)
-    if isinstance(t, Con):
-        return Con(t.name, tuple(substitute(a, subst) for a in t.args), span=t.span)
-    if isinstance(t, App):
-        return App(t.name, tuple(substitute(a, subst) for a in t.args), span=t.span)
+    if isinstance(t, (Con, App)):
+        args = tuple(substitute(a, subst) for a in t.args)
+        if all(map(is_, args, t.args)):
+            return t
+        return type(t)(t.name, args, span=t.span)
     if isinstance(t, PrimOp):
-        return PrimOp(t.op, substitute(t.lhs, subst), substitute(t.rhs, subst), span=t.span)
+        lhs, rhs = substitute(t.lhs, subst), substitute(t.rhs, subst)
+        if lhs is t.lhs and rhs is t.rhs:
+            return t
+        return PrimOp(t.op, lhs, rhs, span=t.span)
     return t
 
 
 def substitute_pred(p: Pred, subst: dict[str, Term]) -> Pred:
+    """`substitute` on every term of `p`, sharing structure the same way."""
+    if not subst:
+        return p
     if isinstance(p, PAtom):
-        return PAtom(p.rel, substitute(p.lhs, subst), substitute(p.rhs, subst), span=p.span)
-    if isinstance(p, PAnd):
-        return PAnd(tuple(substitute_pred(q, subst) for q in p.items), span=p.span)
-    if isinstance(p, POr):
-        return POr(tuple(substitute_pred(q, subst) for q in p.items), span=p.span)
+        lhs, rhs = substitute(p.lhs, subst), substitute(p.rhs, subst)
+        if lhs is p.lhs and rhs is p.rhs:
+            return p
+        return PAtom(p.rel, lhs, rhs, span=p.span)
+    if isinstance(p, (PAnd, POr)):
+        items = tuple(substitute_pred(q, subst) for q in p.items)
+        if all(map(is_, items, p.items)):
+            return p
+        return type(p)(items, span=p.span)
     return p
 
 

@@ -4,6 +4,7 @@ every later phase and enforces the measure/annotation rules."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from .syntax import (
     App, BoolLit, Clause, Con, DataDecl, FunDecl, IntLit, PAtom, PAnd, PBool,
@@ -72,6 +73,15 @@ class SortData(Sort):
         return self.name + " " + " ".join(
             f"({a})" if isinstance(a, SortData) and a.args else str(a) for a in self.args
         )
+
+    def map_args(self, f) -> SortData:
+        """This sort with `f` applied to each argument: `self` itself when
+        every argument comes back as the same object, so a walk over sorts
+        shares whatever it leaves unchanged."""
+        args = tuple(f(a) for a in self.args)
+        if all(map(is_, args, self.args)):
+            return self
+        return SortData(self.name, args)
 
 
 @dataclass(frozen=True)
@@ -172,8 +182,8 @@ def subst_sort(s: Sort, mapping: dict[str, Sort]) -> Sort:
     """Replace the type variables of `s` by their images under `mapping`."""
     if isinstance(s, SortVar):
         return mapping.get(s.name, s)
-    if isinstance(s, SortData):
-        return SortData(s.name, tuple(subst_sort(a, mapping) for a in s.args))
+    if isinstance(s, SortData) and mapping:
+        return s.map_args(lambda a: subst_sort(a, mapping))
     return s
 
 
@@ -232,7 +242,7 @@ class _Unifier:
         while isinstance(s, SortMeta) and s.uid in self.subst:
             s = self.subst[s.uid]
         if isinstance(s, SortData):
-            return SortData(s.name, tuple(self.resolve(a) for a in s.args))
+            return s.map_args(self.resolve)
         return s
 
     def occurs(self, uid: int, s: Sort) -> bool:
@@ -560,7 +570,7 @@ def _close_metas(s: Sort) -> Sort:
     if isinstance(s, SortMeta):
         return SortVar(f"_t{s.uid}")
     if isinstance(s, SortData):
-        return SortData(s.name, tuple(_close_metas(a) for a in s.args))
+        return s.map_args(_close_metas)
     return s
 
 

@@ -3,8 +3,9 @@ import os
 import subprocess
 import sys
 
-from eqcheck import checker
-from eqcheck.cli import run
+from eqcheck import checker, logic, types
+from eqcheck.cli import _span_json, run
+from eqcheck.syntax import Span
 
 from conftest import CORPUS, ROOT, UNUSED_HINT_MODULE
 
@@ -222,3 +223,37 @@ def test_console_script_installed():
         input="", capture_output=True, text=True)
     # argparse usage error: missing subcommand
     assert proc.returncode == 2
+
+
+def test_span_json_has_the_four_keys():
+    assert _span_json(Span(3, 4, 5, 9)) == {"line": 3, "col": 4, "end_line": 5, "end_col": 9}
+
+
+# Work per pass of corpus/*.eq, counted rather than timed so that it holds on
+# any host: solver node lookups (`SolverState._mk`) and sort constructions.
+# Sharing unchanged terms and sorts, and interning each term object once per
+# state, took them from 12278 and 5453 to these.
+CORPUS_MK_CALLS = 5443
+CORPUS_SORTDATA = 1927
+
+
+def test_corpus_work_counts_stay_near_recorded(capsys, monkeypatch):
+    counts = {"mk": 0, "sortdata": 0}
+    mk, init = logic.SolverState._mk, types.SortData.__init__
+
+    def counting_mk(self, *args):
+        counts["mk"] += 1
+        return mk(self, *args)
+
+    def counting_init(self, *args, **kwargs):
+        counts["sortdata"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(logic.SolverState, "_mk", counting_mk)
+    monkeypatch.setattr(types.SortData, "__init__", counting_init)
+    for path in sorted(CORPUS.glob("*.eq")):
+        assert run(["check", str(path)]) == 0
+    capsys.readouterr()
+    # about 10% either way: more is lost work; less is a gain to record here
+    assert 0.9 * CORPUS_MK_CALLS <= counts["mk"] <= 1.1 * CORPUS_MK_CALLS, counts
+    assert 0.9 * CORPUS_SORTDATA <= counts["sortdata"] <= 1.1 * CORPUS_SORTDATA, counts

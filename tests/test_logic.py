@@ -364,6 +364,76 @@ def test_holds_only_reads_a_saturated_state(seed, ple):
     assert holds(state, first) == entailed
 
 
+# ------------------------------------------------------- intern memo
+# `intern_term` memoises each term object's node; these check that the memo
+# changes nothing a walk would have built.
+
+def _graph(st):
+    return ([(n.nid, n.kind, n.head, n.args, n.is_int) for n in st.nodes],
+            st.intern_table, st.active, [st.find(i) for i in range(len(st.nodes))])
+
+
+class _NoMemo(dict):
+    """A memo that never stores, so every intern_term call walks."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_equal_copy_of_interned_term_gets_its_node(list_env):
+    st = fresh(list_env, xs=LA, x=A)
+    nid = st.intern_term(term("append (reverse xs) [x]"), active=True)
+    size = len(st.nodes)
+    assert st.intern_term(term("append (reverse xs) [x]")) == nid
+    assert st.intern_term(term("append (reverse xs) [x]"), active=True) == nid
+    assert len(st.nodes) == size
+
+
+def test_active_intern_after_inactive_marks_applications(list_env):
+    t = term("append (reverse xs) (reverse [x])")
+    st = fresh(list_env, xs=LA, x=A)
+    st.intern_term(t)
+    assert not st.active
+    st.intern_term(t, active=True)
+    first_active = fresh(list_env, xs=LA, x=A)
+    first_active.intern_term(t, active=True)
+    first_active.intern_term(t)
+    assert _graph(st) == _graph(first_active)
+    assert len(st.active) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_intern_memo_builds_what_walks_build(seed):
+    # fact lists that reuse term objects, interned active or not and then
+    # asserted, build the same state with the memo as with every call walking
+    env = env_of(SOUNDNESS_SRC)
+    rng = random.Random(seed)
+    var_sorts = {"xs": SortData("List", (INT,)), "ys": SortData("List", (INT,)),
+                 "n": INT, "m": INT}
+    scratch = SolverState(env, var_sorts=var_sorts)
+    atoms = [random_atom(rng) for _ in range(6)]
+    pool = [s for a in atoms for t in pred_terms(a) for s in subterms(t)]
+    for _ in range(6):
+        a, b = rng.choice(pool), rng.choice(pool)
+        if (scratch.nodes[scratch.intern_term(a)].is_int
+                == scratch.nodes[scratch.intern_term(b)].is_int):
+            atoms.append(PAtom(rng.choice(("==", "/=")), a, b))
+    plan = [(fact, [rng.random() < 0.5 for _ in pred_terms(fact)])
+            for fact in rng.sample(atoms, len(atoms)) * 2]
+    memo = SolverState(env, var_sorts=var_sorts)
+    walk = SolverState(env, var_sorts=var_sorts)
+    walk.term_memo = _NoMemo()
+    for state in (memo, walk):
+        for fact, flags in plan:
+            for t, active in zip(pred_terms(fact), flags):
+                state.intern_term(t, active=active)
+            assert_fact(state, fact)
+    assert memo.term_memo and not walk.term_memo
+    assert _graph(memo) == _graph(walk)
+    assert (memo.stats, memo.contradiction) == (walk.stats, walk.contradiction)
+
+
 # ------------------------------------------------------------- LIA store
 # The store is checked against brute force over an integer box: the box holds
 # only some of the integer points, so this checks soundness (an infeasible

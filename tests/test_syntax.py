@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from eqcheck.parser import ParseError, parse_module, parse_term, tokenize
+from eqcheck.parser import ParseError, Token, parse_module, parse_term, tokenize
 from eqcheck.syntax import (
-    App, Annotation, Con, IntLit, PrimOp, Span, Var, apps, cons, nil, pretty,
-    pretty_module, subterms,
+    App, Annotation, Con, IntLit, PAnd, PAtom, POr, PTrue, PrimOp, Span, Var,
+    apps, cons, nil, pred_terms, pretty, pretty_module, substitute,
+    substitute_pred, subterms,
 )
 
 from conftest import corpus_text
@@ -169,3 +172,110 @@ def test_pretty_parse_roundtrip(t):
 def test_apps_preorder_left_to_right():
     terms = [parse_term("f (g x) [h 1, k] + (m (n 2) : p 3)"), parse_term("q y")]
     assert [a.name for a in apps(terms)] == ["f", "g", "h", "m", "n", "p", "q"]
+
+
+# ------------------------------------------------ shared substitution
+
+def _copying_substitute(t, subst):
+    """The reference: rebuilds every compound node."""
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    if isinstance(t, (Con, App)):
+        return type(t)(t.name, tuple(_copying_substitute(a, subst) for a in t.args),
+                       span=t.span)
+    if isinstance(t, PrimOp):
+        return PrimOp(t.op, _copying_substitute(t.lhs, subst),
+                      _copying_substitute(t.rhs, subst), span=t.span)
+    return t
+
+
+def _copying_substitute_pred(p, subst):
+    if isinstance(p, PAtom):
+        return PAtom(p.rel, _copying_substitute(p.lhs, subst),
+                     _copying_substitute(p.rhs, subst), span=p.span)
+    if isinstance(p, (PAnd, POr)):
+        return type(p)(tuple(_copying_substitute_pred(q, subst) for q in p.items),
+                       span=p.span)
+    return p
+
+
+def _preds():
+    atom = st.tuples(st.sampled_from(["==", "/=", "<="]), _terms(), _terms()).map(
+        lambda r: PAtom(*r))
+    return st.recursive(
+        st.one_of(atom, st.just(PTrue())),
+        lambda sub: st.lists(sub, min_size=1, max_size=3).flatmap(
+            lambda items: st.sampled_from([PAnd(tuple(items)), POr(tuple(items))])),
+        max_leaves=4,
+    )
+
+
+def _children(x):
+    if isinstance(x, (Con, App)):
+        return x.args
+    if isinstance(x, (PrimOp, PAtom)):
+        return (x.lhs, x.rhs)
+    if isinstance(x, (PAnd, POr)):
+        return x.items
+    return ()
+
+
+def _var_names(x):
+    terms = pred_terms(x) if isinstance(x, (PAtom, PAnd, POr, PTrue)) else [x]
+    return {s.name for t in terms for s in subterms(t) if isinstance(s, Var)}
+
+
+def _assert_shared(orig, out, subst):
+    """`out` is `orig` itself when no mapped variable occurs in it; else the
+    same holds, argument by argument, for the node it rebuilt."""
+    if not _var_names(orig) & subst.keys():
+        assert out is orig
+        return
+    if isinstance(orig, Var):
+        assert out is subst[orig.name]
+        return
+    assert type(out) is type(orig)
+    for a, b in zip(_children(orig), _children(out), strict=True):
+        _assert_shared(a, b, subst)
+
+
+_maps = st.dictionaries(_names, _terms(), max_size=3)
+
+
+@given(_terms(), _maps)
+def test_substitute_shares_what_it_leaves_unchanged(t, subst):
+    out = substitute(t, subst)
+    assert out == _copying_substitute(t, subst)
+    _assert_shared(t, out, subst)
+    assert substitute(t, {}) is t
+
+
+@given(_preds(), _maps)
+def test_substitute_pred_shares_what_it_leaves_unchanged(p, subst):
+    out = substitute_pred(p, subst)
+    assert out == _copying_substitute_pred(p, subst)
+    _assert_shared(p, out, subst)
+    assert substitute_pred(p, {}) is p
+
+
+# ------------------------------------------------ tokens and spans
+
+def test_tokens_and_spans_are_tuples_not_dataclasses():
+    assert not dataclasses.is_dataclass(Span) and not dataclasses.is_dataclass(Token)
+    assert str(Span(3, 4, 3, 9)) == "3:4"
+    assert Span(3, 4, 3, 9).end_col == 9
+    assert tokenize("f 12")[1] == Token("int", "12", 1, 3, 12)
+
+
+def test_spans_do_not_affect_term_equality():
+    s1, s2 = Span(1, 1, 1, 2), Span(7, 3, 7, 4)
+    assert Var("x", span=s1) == Var("x", span=s2)
+    assert hash(Var("x", span=s1)) == hash(Var("x", span=s2))
+    assert parse_term("f (x + 1)") == parse_term("f  (x  +  1)")
+
+
+def test_parse_error_carries_line_and_col():
+    with pytest.raises(ParseError) as e:
+        parse_module("f : Int -> Int\nf x = x +\n")
+    assert str(e.value).startswith("2:")
+    assert (e.value.line, e.value.col) == (2, 10)

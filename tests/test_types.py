@@ -1,8 +1,8 @@
 import pytest
 
 from eqcheck.types import (
-    INT, MeasureShapeError, RefinementWfError, SortData, SortProof,
-    TypeCheckError, check_refinement_wf,
+    INT, MeasureShapeError, RefinementWfError, SortData, SortProof, SortVar,
+    TypeCheckError, check_refinement_wf, subst_sort,
 )
 
 from conftest import LIST_BASICS, env_of
@@ -114,6 +114,21 @@ def test_plain_body_sort_error_message():
     with pytest.raises(TypeCheckError) as e:
         env_of("f : x:Int -> Int\nf x = (Nil)\n")
     assert str(e.value) == "2:8: body of f: expected sort Int, found List ?1"
+
+
+def test_sort_substitution_shares_unchanged_sorts():
+    inner = SortData("List", (SortVar("b"),))
+    nested = SortData("Pair", (SortVar("a"), inner))
+    assert subst_sort(nested, {}) is nested
+    assert subst_sort(nested, {"c": INT}) is nested
+    out = subst_sort(nested, {"a": INT})
+    assert out == SortData("Pair", (INT, inner)) and out.args[1] is inner
+
+
+def test_type_error_carries_line_and_col_only_with_a_span():
+    from eqcheck.syntax import NO_SPAN, Span
+    assert str(TypeCheckError("bad", Span(4, 2, 4, 7))) == "4:2: bad"
+    assert str(TypeCheckError("bad", NO_SPAN)) == "bad"
 
 
 def test_sort_error_under_not_names_the_dual_relation():
