@@ -4,6 +4,7 @@ from eqcheck.types import (
     INT, MeasureShapeError, RefinementWfError, SortData, SortProof, SortVar,
     TypeCheckError, check_refinement_wf, subst_sort,
 )
+from eqcheck.syntax import NO_SPAN, Span
 
 from conftest import LIST_BASICS, env_of
 
@@ -126,7 +127,6 @@ def test_sort_substitution_shares_unchanged_sorts():
 
 
 def test_type_error_carries_line_and_col_only_with_a_span():
-    from eqcheck.syntax import NO_SPAN, Span
     assert str(TypeCheckError("bad", Span(4, 2, 4, 7))) == "4:2: bad"
     assert str(TypeCheckError("bad", NO_SPAN)) == "bad"
 
