@@ -8,6 +8,11 @@ The solver's own answers are pinned as well: one digest over the entailment
 bits of 3000 seeded random queries (`tests/oracles`), with the count of
 entailed answers beside it, so a moved answer shows as a number.
 
+So are the parser's outcomes: one digest over the AST, printed with every
+span, or the exact `ParseError` of each corpus and mutation file, of 25
+seeded token-level mutations of each, and of a few term and predicate
+fragments, with the input and error counts beside it.
+
 After a deliberate, explained verdict change, rewrite the goldens with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -21,6 +26,8 @@ import pytest
 
 from eqcheck.checker import CheckConfig, check_module
 from eqcheck.cli import _Paint, render_human, report_to_json
+from eqcheck.parser import ParseError, parse_module, parse_pred, parse_term, tokenize
+from eqcheck.syntax import Span
 
 from conftest import FILES, env_of
 from oracles import SOUNDNESS_SRC, compound_soundness_trial, soundness_trial
@@ -30,6 +37,7 @@ DIGESTS = GOLDEN / "json.sha256"
 STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
 PLE_DIGESTS = GOLDEN / "json_ple.sha256"
 SOLVER_ANSWERS = GOLDEN / "solver_answers.sha256"
+PARSE_OUTCOMES = GOLDEN / "parse_outcomes.sha256"
 STRICT = CheckConfig(strict_hints=True)
 PLE = CheckConfig(ple_default=True)
 
@@ -54,6 +62,73 @@ def solver_answers() -> tuple[str, int]:
             entailed, _ = trial(env, rng, ple=(i % 4 == 0))
             bits.append("1" if entailed else "0")
     return hashlib.sha256("".join(bits).encode()).hexdigest(), bits.count("1")
+
+
+def dump(x) -> str:
+    """A syntax tree printed with every field, spans included (the dataclass
+    repr leaves spans out)."""
+    if isinstance(x, tuple) and not isinstance(x, Span):
+        return "(" + ", ".join(map(dump, x)) + ")"
+    fields = getattr(x, "__dataclass_fields__", None)
+    if fields is None:
+        return repr(x)
+    return type(x).__name__ + "(" + ", ".join(
+        f"{name}={dump(getattr(x, name))}" for name in fields) + ")"
+
+
+def parse_outcome(parse, source: str) -> str:
+    try:
+        return dump(parse(source))
+    except ParseError as e:
+        return f"ParseError({str(e)!r}, {e.line}, {e.col}, {e.expected!r})"
+
+
+# what a mutation inserts or puts in place of a token
+FILLERS = ["(", ")", "[", "]", ",", ":", "=", "==", "==.", "->", "-", "+", "*",
+           "&&", "||", "/", "?", "_", "{", "}", "|", "<", "***", "x", "f", "Cons",
+           "Int", "3", "true", "false", "not", "data", "measure", "QED"]
+FRAGMENTS = [
+    "f x (g y) [1, z] : zs", "(-3)", "a + b * 2 - c", "()", "[]", "x : y : []",
+    "f (", "x +", "[1,", "f x ]", "(- x)", "x == y", "(x) == y", "((x + 1)) <= 2",
+    "not (x < y) && true || false", "true == b", "true", "false && x /= y",
+    "(x == y || y >= z) && f x > 0", "x ==", "x y z ) ", "C (D 1) true",
+]
+
+
+def token_mutants(source: str, rng: random.Random, count: int) -> list[str]:
+    """`count` copies of `source`, each with one token deleted, or one of
+    FILLERS inserted before it or put in its place."""
+    starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    toks = [t for t in tokenize(source) if t.kind != "eof"]
+    out = []
+    for _ in range(count):
+        t = rng.choice(toks)
+        at = starts[t.line - 1] + t.col - 1
+        action, filler = rng.choice(["delete", "insert", "replace"]), rng.choice(FILLERS)
+        if action == "delete":
+            out.append(source[:at] + source[at + len(t.text):])
+        elif action == "insert":
+            out.append(source[:at] + filler + " " + source[at:])
+        else:
+            out.append(source[:at] + filler + source[at + len(t.text):])
+    return out
+
+
+def parse_outcomes() -> tuple[str, int, int]:
+    """(sha256 of every outcome, input count, error count) over the corpus
+    and mutation files, 25 seeded mutants of each, and FRAGMENTS read both
+    as a term and as a predicate."""
+    inputs = []
+    for path in FILES:
+        source = path.read_text()
+        inputs.append((parse_module, source))
+        rng = random.Random(path.name)
+        inputs.extend((parse_module, m) for m in token_mutants(source, rng, 25))
+    for fragment in FRAGMENTS:
+        inputs += [(parse_term, fragment), (parse_pred, fragment)]
+    outcomes = [parse_outcome(parse, source) for parse, source in inputs]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    return digest, len(outcomes), sum(o.startswith("ParseError(") for o in outcomes)
 
 
 def recorded_digests(digest_file: pathlib.Path = DIGESTS) -> dict[str, str]:
@@ -95,6 +170,11 @@ def test_solver_answers_match_golden():
     assert solver_answers() == (digest, int(entailed))
 
 
+def test_parse_outcomes_match_golden():
+    digest, inputs, errors = PARSE_OUTCOMES.read_text().split()
+    assert parse_outcomes() == (digest, int(inputs), int(errors))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     lines, strict_lines, ple_lines = [], [], []
@@ -109,3 +189,5 @@ if __name__ == "__main__":
     PLE_DIGESTS.write_text("".join(ple_lines))
     digest, entailed = solver_answers()
     SOLVER_ANSWERS.write_text(f"{digest}  {entailed}\n")
+    digest, inputs, errors = parse_outcomes()
+    PARSE_OUTCOMES.write_text(f"{digest}  {inputs} {errors}\n")
