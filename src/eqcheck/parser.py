@@ -7,8 +7,7 @@ Layout rule: a top-level item starts on a line whose first token is in column
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from .syntax import (
     Annotation, BaseRef, Chain, Clause, CtorDef, DataDecl, Decl, FunDecl, IntLit,
@@ -81,28 +80,37 @@ def tokenize(source: str) -> list[Token]:
     return toks
 
 
+def _ended(toks: list[Token]) -> list[Token]:
+    """`toks` and an end token just past the last of them (at 1:1 if none)."""
+    if not toks:
+        return [Token("eof", "", 1, 1)]
+    last = toks[-1]
+    return toks + [Token("eof", "", last.line, last.col + len(last.text))]
+
+
 def _split_items(toks: list[Token]) -> list[list[Token]]:
+    """The layout items of `toks`, each closed by its own end token."""
     items: list[list[Token]] = []
-    current: list[Token] = []
     last_line = -1
-    for t in toks:
-        if t.kind == "eof":
-            break
+    for t in toks[:-1]:  # tokenize's end token closes no item
         if t.col == 1 and t.line != last_line:
-            if current:
-                items.append(current)
-            current = []
-        elif not current and t.col != 1:
+            items.append([])
+        elif not items:
             raise ParseError("top-level item must start in column 1", t.line, t.col)
-        current.append(t)
+        items[-1].append(t)
         last_line = t.line
-    if current:
-        items.append(current)
-    return items
+    return [_ended(item) for item in items]
+
+
+T = TypeVar("T")
+
+# the texts of the 'sym' and 'kw' tokens that start a term atom
+_ATOM_TEXTS = frozenset(("(", "[", "true", "false"))
 
 
 class _ItemParser:
-    """Recursive-descent parser over one layout item's tokens."""
+    """Recursive-descent parser over one layout item's tokens, which end in
+    an 'eof' token."""
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -110,23 +118,25 @@ class _ItemParser:
 
     # -- token plumbing -------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        if i < len(self.toks):
-            return self.toks[i]
-        last = self.toks[-1]
-        return Token("eof", "", last.line, last.col + max(len(last.text), 1))
+        return self.toks[self.pos + offset]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
+
+    def accept(self, kind: str, text: str | None = None) -> Token | None:
+        """Consume the next token if it is `kind` (reading `text`)."""
+        return self.next() if self.at(kind, text) else None
+
+    def at_atom(self, also: tuple[str, ...] = ()) -> bool:
+        """Does a term atom, or a symbol in `also`, start here?"""
+        t = self.toks[self.pos]
+        return t.kind in ("lower", "upper", "int") or t.text in _ATOM_TEXTS or t.text in also
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
@@ -135,23 +145,52 @@ class _ItemParser:
             raise ParseError(f"unexpected {t.text!r}", t.line, t.col, (want,))
         return self.next()
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()):
+    def fail(self, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
         t = self.peek()
         raise ParseError(message, t.line, t.col, expected)
 
+    def finish(self, message: str) -> None:
+        """Fail with `message` unless the item's tokens are all consumed."""
+        if not self.at("eof"):
+            self.fail(message)
+
+    def separated(self, item: Callable[[], T], sep: str) -> list[T]:
+        """One or more `item`s separated by the symbol `sep` (sepBy1)."""
+        items = [item()]
+        while self.accept("sym", sep):
+            items.append(item())
+        return items
+
+    def chainl1(self, operand: Callable[[], Term], ops: tuple[str, ...]) -> Term:
+        """Operands joined by the symbols `ops`, grouped to the left."""
+        start = self.peek()
+        left = operand()
+        while self.peek().text in ops:
+            op = self.next().text
+            left = PrimOp(op, left, operand(), span=self.span_from(start))
+        return left
+
+    def negative_int(self) -> Token | None:
+        """After '(': read `-n)` and return n's token, or read nothing."""
+        if self.at("sym", "-") and self.peek(1).kind == "int":
+            self.next()
+            lit = self.next()
+            self.expect("sym", ")")
+            return lit
+        return None
+
     @staticmethod
     def span_of(tok: Token) -> Span:
-        return Span(tok.line, tok.col, tok.line, tok.col + max(len(tok.text), 1))
+        return Span(tok.line, tok.col, tok.line, tok.col + len(tok.text))
 
     def span_from(self, start: Token) -> Span:
-        prev = self.toks[min(self.pos, len(self.toks)) - 1]
+        prev = self.toks[self.pos - 1]
         return Span(start.line, start.col, prev.line, prev.col + len(prev.text))
 
     # -- types -----------------------------------------------------------
     def type_atom(self) -> TypeExpr:
         t = self.peek()
-        if self.at("sym", "("):
-            self.next()
+        if self.accept("sym", "("):
             te = self.type_expr()
             self.expect("sym", ")")
             return te
@@ -159,209 +198,149 @@ class _ItemParser:
             self.next()
             return TypeExpr(t.text, (), span=self.span_of(t))
         self.fail("expected a type", ("type",))
-        raise AssertionError
+
+    def type_args(self) -> tuple[TypeExpr, ...]:
+        args: list[TypeExpr] = []
+        while self.peek().kind in ("upper", "lower") or self.at("sym", "("):
+            args.append(self.type_atom())
+        return tuple(args)
 
     def type_expr(self) -> TypeExpr:
         start = self.peek()
         head = self.type_atom()
         if head.args or not head.name[0].isupper():
             return head
-        args: list[TypeExpr] = []
-        while self.at("upper") or self.at("lower") or self.at("sym", "("):
-            args.append(self.type_atom())
-        if not args:
-            return head
-        return TypeExpr(head.name, tuple(args), span=self.span_from(start))
+        args = self.type_args()
+        return TypeExpr(head.name, args, span=self.span_from(start)) if args else head
 
     def base_ref(self) -> BaseRef:
         start = self.peek()
-        if self.at("sym", "{"):
-            self.next()
-            binder = self.expect("lower").text
-            self.expect("sym", ":")
-            ty = self.type_expr()
-            self.expect("sym", "|")
-            pred = self.pred()
-            self.expect("sym", "}")
-            return BaseRef(ty, binder, pred, span=self.span_from(start))
+        if not self.accept("sym", "{"):
+            return BaseRef(self.type_expr(), "v", PTrue(), span=self.span_from(start))
+        binder = self.expect("lower").text
+        self.expect("sym", ":")
         ty = self.type_expr()
-        return BaseRef(ty, "v", PTrue(), span=self.span_from(start))
+        self.expect("sym", "|")
+        pred = self.pred()
+        self.expect("sym", "}")
+        return BaseRef(ty, binder, pred, span=self.span_from(start))
+
+    def binder_ref(self) -> tuple[str | None, BaseRef]:
+        binder: str | None = None
+        if self.at("lower") and self.peek(1).text == ":":
+            binder = self.next().text
+            self.next()  # ':'
+        return binder, self.base_ref()
 
     def ref_type(self) -> Signature:
-        comps: list[tuple[str | None, BaseRef]] = []
-        while True:
-            binder: str | None = None
-            if self.at("lower") and self.peek(1).kind == "sym" and self.peek(1).text == ":":
-                binder = self.next().text
-                self.next()  # ':'
-            comps.append((binder, self.base_ref()))
-            if self.at("sym", "->"):
-                self.next()
-                continue
-            break
+        comps = self.separated(self.binder_ref, "->")
         metric: tuple[Term, ...] | None = None
-        if self.at("sym", "/"):
-            self.next()
+        if self.accept("sym", "/"):
             self.expect("sym", "[")
-            terms = [self.term()]
-            while self.at("sym", ","):
-                self.next()
-                terms.append(self.term())
+            metric = tuple(self.separated(self.term, ","))
             self.expect("sym", "]")
-            metric = tuple(terms)
         res_binder, result = comps[-1]
         if res_binder is not None:
             self.fail("result type must not carry an argument binder")
-        params = []
-        for i, (name, base) in enumerate(comps[:-1]):
-            params.append((name if name is not None else f"_arg{i}", base))
-        return Signature(tuple(params), result, metric)
+        params = tuple((name if name is not None else f"_arg{i}", base)
+                       for i, (name, base) in enumerate(comps[:-1]))
+        return Signature(params, result, metric)
 
     # -- patterns ----------------------------------------------------------
     def pattern_atom(self) -> Pattern:
         t = self.peek()
-        if self.at("lower"):
-            self.next()
+        if self.accept("lower"):
             return PVar(t.text, span=self.span_of(t))
-        if self.at("sym", "_"):
-            self.next()
+        if self.accept("sym", "_"):
             return PWild(span=self.span_of(t))
-        if self.at("int"):
-            self.next()
+        if self.accept("int"):
             return PInt(t.value, span=self.span_of(t))
-        if self.at("kw", "true") or self.at("kw", "false"):
-            self.next()
+        if self.accept("kw", "true") or self.accept("kw", "false"):
             return PBool(t.text == "true", span=self.span_of(t))
-        if self.at("upper"):
-            self.next()
+        if self.accept("upper"):
             return PCon(t.text, (), span=self.span_of(t))
-        if self.at("sym", "["):
-            self.next()
+        if self.accept("sym", "["):
             self.expect("sym", "]")
             return PCon("Nil", (), span=self.span_of(t))
-        if self.at("sym", "("):
-            self.next()
-            if self.at("sym", "-") and self.peek(1).kind == "int":
-                self.next()
-                lit = self.next()
-                self.expect("sym", ")")
+        if self.accept("sym", "("):
+            lit = self.negative_int()
+            if lit:
                 return PInt(-lit.value, span=self.span_of(lit))
             p = self.pattern_cons()
             self.expect("sym", ")")
             return p
         self.fail("expected a pattern", ("pattern",))
-        raise AssertionError
 
     def pattern_app(self) -> Pattern:
         start = self.peek()
-        if self.at("upper"):
-            name = self.next().text
-            args: list[Pattern] = []
-            while self.peek().kind in ("lower", "upper", "int") or (
-                self.peek().kind == "sym" and self.peek().text in ("_", "(", "[")
-            ) or self.peek().kind == "kw" and self.peek().text in ("true", "false"):
-                args.append(self.pattern_atom())
-            return PCon(name, tuple(args), span=self.span_from(start))
-        return self.pattern_atom()
+        if not self.accept("upper"):
+            return self.pattern_atom()
+        args: list[Pattern] = []
+        while self.at_atom(also=("_",)):
+            args.append(self.pattern_atom())
+        return PCon(start.text, tuple(args), span=self.span_from(start))
 
     def pattern_cons(self) -> Pattern:
         start = self.peek()
         head = self.pattern_app()
-        if self.at("sym", ":"):
-            self.next()
-            tail = self.pattern_cons()
-            return PCon("Cons", (head, tail), span=self.span_from(start))
+        if self.accept("sym", ":"):
+            return PCon("Cons", (head, self.pattern_cons()), span=self.span_from(start))
         return head
 
     # -- terms ---------------------------------------------------------------
     def term_atom(self) -> Term:
         t = self.peek()
-        if self.at("lower"):
-            self.next()
+        if self.accept("lower"):
             return Var(t.text, span=self.span_of(t))
-        if self.at("upper"):
-            self.next()
+        if self.accept("upper"):
             return Con(t.text, (), span=self.span_of(t))
-        if self.at("int"):
-            self.next()
+        if self.accept("int"):
             return IntLit(t.value, span=self.span_of(t))
-        if self.at("kw", "true") or self.at("kw", "false"):
-            self.next()
+        if self.accept("kw", "true") or self.accept("kw", "false"):
             return BoolLit(t.text == "true", span=self.span_of(t))
-        if self.at("sym", "["):
-            self.next()
-            items: list[Term] = []
-            if not self.at("sym", "]"):
-                items.append(self.term())
-                while self.at("sym", ","):
-                    self.next()
-                    items.append(self.term())
+        if self.accept("sym", "["):
+            items = [] if self.at("sym", "]") else self.separated(self.term, ",")
             end = self.expect("sym", "]")
             span = Span(t.line, t.col, end.line, end.col + 1)
             out = nil(span)
             for item in reversed(items):
                 out = cons(item, out, span)
             return out
-        if self.at("sym", "("):
-            self.next()
-            if self.at("sym", ")"):
-                end = self.next()
+        if self.accept("sym", "("):
+            end = self.accept("sym", ")")
+            if end:
                 return UnitLit(span=Span(t.line, t.col, end.line, end.col + 1))
-            if self.at("sym", "-") and self.peek(1).kind == "int":
-                self.next()
-                lit = self.next()
-                self.expect("sym", ")")
+            lit = self.negative_int()
+            if lit:
                 return IntLit(-lit.value, span=self.span_of(lit))
             inner = self.term()
             self.expect("sym", ")")
             return inner
         self.fail("expected a term", ("term",))
-        raise AssertionError
 
     def term_app(self) -> Term:
-        start = self.peek()
-        if self.at("lower") or self.at("upper"):
-            head = self.next()
-            args: list[Term] = []
-            while (
-                self.peek().kind in ("lower", "upper", "int")
-                or (self.peek().kind == "sym" and self.peek().text in ("(", "["))
-                or (self.peek().kind == "kw" and self.peek().text in ("true", "false"))
-            ):
-                args.append(self.term_atom())
-            span = self.span_from(start)
-            if head.kind == "upper":
-                return Con(head.text, tuple(args), span=span)
-            if args:
-                return App(head.text, tuple(args), span=span)
-            return Var(head.text, span=span)
-        return self.term_atom()
+        head = self.peek()
+        if head.kind not in ("lower", "upper"):
+            return self.term_atom()
+        self.next()
+        args: list[Term] = []
+        while self.at_atom():
+            args.append(self.term_atom())
+        span = self.span_from(head)
+        if head.kind == "upper":
+            return Con(head.text, tuple(args), span=span)
+        if args:
+            return App(head.text, tuple(args), span=span)
+        return Var(head.text, span=span)
 
     def term_mul(self) -> Term:
-        start = self.peek()
-        left = self.term_app()
-        while self.at("sym", "*"):
-            self.next()
-            right = self.term_app()
-            left = PrimOp("*", left, right, span=self.span_from(start))
-        return left
-
-    def term_add(self) -> Term:
-        start = self.peek()
-        left = self.term_mul()
-        while self.at("sym", "+") or self.at("sym", "-"):
-            op = self.next().text
-            right = self.term_mul()
-            left = PrimOp(op, left, right, span=self.span_from(start))
-        return left
+        return self.chainl1(self.term_app, ("*",))
 
     def term(self) -> Term:
         start = self.peek()
-        head = self.term_add()
-        if self.at("sym", ":"):
-            self.next()
-            tail = self.term()
-            return cons(head, tail, self.span_from(start))
+        head = self.chainl1(self.term_mul, ("+", "-"))
+        if self.accept("sym", ":"):
+            return cons(head, self.term(), self.span_from(start))
         return head
 
     # -- predicates ------------------------------------------------------------
@@ -369,12 +348,10 @@ class _ItemParser:
         t = self.peek()
         # 'true' or 'false' standing alone is a trivial predicate; as a
         # relational operand it is a Bool term, told apart by the next token.
-        if t.kind == "kw" and t.text in ("true", "false") and not (
-                self.peek(1).kind == "sym" and self.peek(1).text in ("==", "/=")):
+        if t.kind == "kw" and t.text in ("true", "false") and self.peek(1).text not in ("==", "/="):
             self.next()
             return (PTrue if t.text == "true" else PFalse)(span=self.span_of(t))
-        if self.at("kw", "not"):
-            self.next()
+        if self.accept("kw", "not"):
             return negate_pred(self.pred_atom())
         if self.at("sym", "("):
             # could be a parenthesised predicate or a parenthesised term
@@ -388,38 +365,26 @@ class _ItemParser:
                 self.pos = save
         lhs = self.term()
         op = self.peek()
-        if op.kind == "sym" and op.text in REL_OPS:
-            self.next()
-            rhs = self.term()
-            return PAtom(op.text, lhs, rhs, span=self.span_from(t))
-        self.fail("expected a relational operator", REL_OPS)
-        raise AssertionError
+        if op.text not in REL_OPS:
+            self.fail("expected a relational operator", REL_OPS)
+        self.next()
+        return PAtom(op.text, lhs, self.term(), span=self.span_from(t))
+
+    def junction(self, item: Callable[[], Pred], sep: str, node: type[PAnd] | type[POr]) -> Pred:
+        start = self.peek()
+        items = self.separated(item, sep)
+        return items[0] if len(items) == 1 else node(tuple(items), span=self.span_from(start))
 
     def pred_and(self) -> Pred:
-        start = self.peek()
-        items = [self.pred_atom()]
-        while self.at("sym", "&&"):
-            self.next()
-            items.append(self.pred_atom())
-        if len(items) == 1:
-            return items[0]
-        return PAnd(tuple(items), span=self.span_from(start))
+        return self.junction(self.pred_atom, "&&", PAnd)
 
     def pred(self) -> Pred:
-        start = self.peek()
-        items = [self.pred_and()]
-        while self.at("sym", "||"):
-            self.next()
-            items.append(self.pred_and())
-        if len(items) == 1:
-            return items[0]
-        return POr(tuple(items), span=self.span_from(start))
+        return self.junction(self.pred_and, "||", POr)
 
-    # -- clause bodies -----------------------------------------------------------
+    # -- items ---------------------------------------------------------------
     def hints(self) -> tuple[Term, ...]:
         out: list[Term] = []
-        while self.at("sym", "?"):
-            self.next()
+        while self.accept("sym", "?"):
             out.append(self.term())
         return tuple(out)
 
@@ -428,51 +393,30 @@ class _ItemParser:
         head = self.term()
         head_hints = self.hints()
         steps: list[Step] = []
-        while self.at("sym", "==."):
-            stok = self.next()
-            rhs = self.term()
-            hints = self.hints()
-            steps.append(Step(rhs, hints, span=self.span_from(stok)))
-        qed = False
-        if self.at("sym", "***"):
-            self.next()
+        while stok := self.accept("sym", "==."):
+            steps.append(Step(self.term(), self.hints(), span=self.span_from(stok)))
+        qed = bool(self.accept("sym", "***"))
+        if qed:
             self.expect("kw", "QED")
-            qed = True
-        if not self.at_end():
-            self.fail("unexpected trailing tokens in clause body")
+        self.finish("unexpected trailing tokens in clause body")
         return Chain(head=head, head_hints=head_hints, steps=tuple(steps), qed=qed,
                      span=self.span_from(start))
 
+    def constructor(self) -> CtorDef:
+        start = self.peek()
+        name = self.expect("upper").text
+        return CtorDef(name, self.type_args(), span=self.span_from(start))
 
-def _parse_data(p: _ItemParser) -> DataDecl:
-    start = p.expect("kw", "data")
-    name = p.expect("upper").text
-    params: list[str] = []
-    while p.at("lower"):
-        params.append(p.next().text)
-    p.expect("sym", "=")
-    ctors: list[CtorDef] = []
-    while True:
-        cstart = p.peek()
-        cname = p.expect("upper").text
-        fields: list[TypeExpr] = []
-        while p.at("upper") or p.at("lower") or p.at("sym", "("):
-            fields.append(p.type_atom())
-        ctors.append(CtorDef(cname, tuple(fields), span=p.span_from(cstart)))
-        if p.at("sym", "|"):
-            p.next()
-            continue
-        break
-    if not p.at_end():
-        p.fail("unexpected tokens after data declaration")
-    return DataDecl(name, tuple(params), tuple(ctors), span=p.span_from(start))
-
-
-@dataclass
-class _RawSig:
-    name: str
-    signature: Signature
-    span: Span
+    def data_decl(self) -> DataDecl:
+        start = self.expect("kw", "data")
+        name = self.expect("upper").text
+        params: list[str] = []
+        while self.at("lower"):
+            params.append(self.next().text)
+        self.expect("sym", "=")
+        ctors = self.separated(self.constructor, "|")
+        self.finish("unexpected tokens after data declaration")
+        return DataDecl(name, tuple(params), tuple(ctors), span=self.span_from(start))
 
 
 def _check_linear(clause: Clause) -> None:
@@ -491,92 +435,78 @@ def parse_module(source: str) -> SourceModule:
     """Parse a .eq module into the core AST: list notation becomes `Cons`/`Nil`
     terms and every clause body a `Chain`."""
     toks = tokenize(source)
-    items = _split_items(toks)
 
     decls: list[Decl] = []
     annotations: list[Annotation] = []
-    pending_sig: _RawSig | None = None
+    pending_sig: tuple[str, Signature, Span] | None = None  # name, signature, span
     pending_clauses: list[Clause] = []
 
     def flush_fun():
         nonlocal pending_sig, pending_clauses
         if pending_sig is None:
             return
+        name, sig, span = pending_sig
         if not pending_clauses:
-            raise ParseError(
-                f"signature for {pending_sig.name!r} has no clauses",
-                pending_sig.span.line, pending_sig.span.col,
-            )
-        decls.append(FunDecl(pending_sig.name, pending_sig.signature,
-                             tuple(pending_clauses), span=pending_sig.span))
+            raise ParseError(f"signature for {name!r} has no clauses", span.line, span.col)
+        decls.append(FunDecl(name, sig, tuple(pending_clauses), span=span))
         pending_sig = None
         pending_clauses = []
 
-    for item in items:
+    for item in _split_items(toks):
         p = _ItemParser(item)
         first = p.peek()
         if first.kind == "kw" and first.text == "data":
             flush_fun()
-            decls.append(_parse_data(p))
+            decls.append(p.data_decl())
             continue
         if first.kind == "kw" and first.text in ("measure", "reflect", "ple"):
             kind = p.next().text
             target = p.expect("lower").text
-            if not p.at_end():
-                p.fail("unexpected tokens after annotation")
+            p.finish("unexpected tokens after annotation")
             annotations.append(Annotation(kind, target, span=p.span_of(first)))
             continue
         if first.kind != "lower":
             raise ParseError(f"unexpected {first.text!r} at top level", first.line, first.col,
                              ("data", "measure", "reflect", "ple", "identifier"))
         name = p.next().text
-        if p.at("sym", ":"):
-            p.next()
+        if p.accept("sym", ":"):
             flush_fun()
             sig = p.ref_type()
-            if not p.at_end():
-                p.fail("unexpected tokens after type signature")
-            pending_sig = _RawSig(name, sig, _ItemParser.span_of(first))
+            p.finish("unexpected tokens after type signature")
+            pending_sig = (name, sig, p.span_of(first))
             continue
         # clause
         patterns: list[Pattern] = []
-        while not p.at("sym", "="):
-            if p.at_end():
+        while not p.accept("sym", "="):
+            if p.at("eof"):
                 p.fail("expected '=' in clause", ("=",))
             patterns.append(p.pattern_atom())
-        p.expect("sym", "=")
         body = p.body()
-        clause = Clause(name, tuple(patterns), body, span=_ItemParser.span_of(first))
+        clause = Clause(name, tuple(patterns), body, span=p.span_of(first))
         _check_linear(clause)
-        if pending_sig is not None and pending_sig.name == name:
-            pending_clauses.append(clause)
-        else:
+        if pending_sig is None or pending_sig[0] != name:
             raise ParseError(
                 f"clause for {name!r} without a preceding type signature",
                 first.line, first.col,
             )
+        pending_clauses.append(clause)
     flush_fun()
 
-    if toks:
-        last = toks[-1]
-        span = Span(1, 1, last.line, last.col)
-    else:
-        span = Span(1, 1, 1, 1)
-    return SourceModule(tuple(decls), tuple(annotations), span=span)
+    end = toks[-1]
+    return SourceModule(tuple(decls), tuple(annotations), span=Span(1, 1, end.line, end.col))
+
+
+def _parse_alone(source: str, rule: Callable[[_ItemParser], T], what: str) -> T:
+    p = _ItemParser(_ended(tokenize(source)[:-1]))
+    out = rule(p)
+    p.finish(f"unexpected trailing tokens after {what}")
+    return out
 
 
 def parse_term(source: str) -> Term:
     """Parse a single term (testing convenience)."""
-    p = _ItemParser([t for t in tokenize(source) if t.kind != "eof"])
-    t = p.term()
-    if not p.at_end():
-        p.fail("unexpected trailing tokens after term")
-    return t
+    return _parse_alone(source, _ItemParser.term, "term")
 
 
 def parse_pred(source: str) -> Pred:
-    p = _ItemParser([t for t in tokenize(source) if t.kind != "eof"])
-    q = p.pred()
-    if not p.at_end():
-        p.fail("unexpected trailing tokens after predicate")
-    return q
+    return _parse_alone(source, _ItemParser.pred, "predicate")

@@ -150,12 +150,12 @@ class TypeEnv:
     measures_of: dict[str, list[str]] = field(default_factory=dict)
 
 
-def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str], span: Span = NO_SPAN) -> Sort:
+def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str]) -> Sort:
     if te.is_tyvar:
         if te.args:
-            raise TypeCheckError(f"type variable {te.name!r} cannot take arguments", te.span or span)
+            raise TypeCheckError(f"type variable {te.name!r} cannot take arguments", te.span)
         if te.name not in tyvars:
-            raise TypeCheckError(f"type variable {te.name!r} not in scope", te.span or span)
+            raise TypeCheckError(f"type variable {te.name!r} not in scope", te.span)
         return SortVar(te.name)
     if te.name == "Int":
         base: Sort = INT
@@ -166,15 +166,15 @@ def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str], span: Span = 
     else:
         info = env.datas.get(te.name)
         if info is None:
-            raise TypeCheckError(f"unknown type {te.name!r}", te.span or span)
+            raise TypeCheckError(f"unknown type {te.name!r}", te.span)
         if len(te.args) != len(info.params):
             raise TypeCheckError(
                 f"type {te.name!r} expects {len(info.params)} argument(s), got {len(te.args)}",
-                te.span or span,
+                te.span,
             )
-        return SortData(te.name, tuple(sort_of_typeexpr(a, env, tyvars, span) for a in te.args))
+        return SortData(te.name, tuple(sort_of_typeexpr(a, env, tyvars) for a in te.args))
     if te.args:
-        raise TypeCheckError(f"type {te.name!r} takes no arguments", te.span or span)
+        raise TypeCheckError(f"type {te.name!r} takes no arguments", te.span)
     return base
 
 
@@ -322,9 +322,8 @@ class _ModuleChecker:
                     f"{d.name!r}: zero-argument functions are not supported", d.span)
             tyvars = signature_tyvars(sig)
             tvset = set(tyvars)
-            param_sorts = tuple(sort_of_typeexpr(b.ty, self.env, tvset, d.span)
-                                for _, b in sig.params)
-            result_sort = sort_of_typeexpr(sig.result.ty, self.env, tvset, d.span)
+            param_sorts = tuple(sort_of_typeexpr(b.ty, self.env, tvset) for _, b in sig.params)
+            result_sort = sort_of_typeexpr(sig.result.ty, self.env, tvset)
             names = [n for n, _ in sig.params]
             if len(set(names)) != len(names):
                 raise TypeCheckError(f"{d.name!r}: duplicate argument binder", d.span)

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eqcheck.parser import ParseError, Token, parse_module, parse_term, tokenize
+from eqcheck.parser import (
+    ParseError, Token, parse_module, parse_pred, parse_term, tokenize,
+)
 from eqcheck.syntax import (
-    App, Annotation, Con, IntLit, PAnd, PAtom, POr, PTrue, PrimOp, Span, Var,
-    apps, cons, nil, pred_terms, pretty, pretty_module, substitute,
+    App, Annotation, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse,
+    PInt, POr, PTrue, PVar, PWild, PrimOp, REL_OPS, Span, Var, apps, cons, nil,
+    pred_terms, pretty, pretty_module, pretty_pattern, pretty_pred, substitute,
     substitute_pred, subterms,
 )
 
@@ -169,6 +173,62 @@ def test_pretty_parse_roundtrip(t):
     assert parse_term(pretty(t)) == t
 
 
+# random linear patterns: a clause's patterns print and read back
+def _patterns():
+    base = st.one_of(
+        st.just(PVar("x")), st.just(PWild()), st.integers(min_value=-9, max_value=9).map(PInt),
+        st.booleans().map(PBool), st.just(PCon("Nil")), st.just(PCon("Leaf")),
+    )
+    return st.recursive(
+        base,
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: PCon("Cons", p)),
+            st.tuples(st.sampled_from(["Just", "Node"]), st.lists(sub, min_size=1, max_size=3)).map(
+                lambda c: PCon(c[0], tuple(c[1]))),
+        ),
+        max_leaves=8,
+    )
+
+
+def _numbered(p, counter):
+    """`p` with its variables renamed x0, x1, ... so that a clause stays linear."""
+    if isinstance(p, PVar):
+        return PVar(f"x{next(counter)}")
+    if isinstance(p, PCon):
+        return PCon(p.name, tuple(_numbered(a, counter) for a in p.args))
+    return p
+
+
+@given(st.lists(_patterns(), min_size=1, max_size=3))
+def test_pattern_print_parse_roundtrip(pats):
+    counter = itertools.count()
+    pats = tuple(_numbered(p, counter) for p in pats)
+    text = " ".join(pretty_pattern(p, True) for p in pats)
+    (decl,) = parse_module(f"f : a -> Int\nf {text} = 0\n").decls
+    assert decl.clauses[0].patterns == pats
+
+
+# random predicates: pretty_pred . parse_pred round trips
+def _pred_trees():
+    atom = st.one_of(
+        st.tuples(st.sampled_from(REL_OPS), _terms(), _terms()).map(lambda r: PAtom(*r)),
+        st.just(PAtom("==", BoolLit(True), Var("b"))),
+        st.just(PTrue()), st.just(PFalse()),
+    )
+    return st.recursive(
+        atom,
+        lambda sub: st.tuples(st.sampled_from([PAnd, POr]),
+                              st.lists(sub, min_size=2, max_size=3)).map(
+            lambda c: c[0](tuple(c[1]))),
+        max_leaves=6,
+    )
+
+
+@given(_pred_trees())
+def test_pred_print_parse_roundtrip(p):
+    assert parse_pred(pretty_pred(p)) == p
+
+
 def test_apps_preorder_left_to_right():
     terms = [parse_term("f (g x) [h 1, k] + (m (n 2) : p 3)"), parse_term("q y")]
     assert [a.name for a in apps(terms)] == ["f", "g", "h", "m", "n", "p", "q"]
@@ -279,3 +339,12 @@ def test_parse_error_carries_line_and_col():
         parse_module("f : Int -> Int\nf x = x +\n")
     assert str(e.value).startswith("2:")
     assert (e.value.line, e.value.col) == (2, 10)
+
+
+@pytest.mark.parametrize("parse", [parse_term, parse_pred])
+@pytest.mark.parametrize("source", ["", "  "])
+def test_empty_input_is_a_located_parse_error(parse, source):
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    assert str(e.value).startswith("1:1: expected a term")
+    assert (e.value.line, e.value.col) == (1, 1)
