@@ -82,20 +82,22 @@ class Report:
 # ------------------------------------------------------- obligation building
 
 def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConfig
-                             ) -> list[Obligation]:
-    """The obligations of one leaf.  All of them assume the hypotheses of the
-    full scope; only --strict-hints narrows a chain step's, and then the
-    steps between two hinted steps assume the same ones.  Chain steps that
-    assume the same hypotheses get one key, `hypotheses`: a step's goal
-    equates two terms of its own scope (which holds the head and every step's
-    rhs), so interning it adds no node and every step of the run would build
-    the same state.  The clause VC and the preconditions get no key."""
+                             ) -> Iterator[Obligation]:
+    """The obligations of one leaf, yielded lazily in a fixed order: the chain
+    steps, the clause VC, then the preconditions.  A consumer that stops at
+    the first failed obligation builds none of the later ones.  All of them
+    assume the hypotheses of the full scope; only --strict-hints narrows a
+    chain step's, and then the steps between two hinted steps assume the
+    same ones.  Chain steps that assume the same hypotheses get one key,
+    `hypotheses`: a step's goal equates two terms of its own scope (which
+    holds the head and every step's rhs), so interning it adds no node and
+    every step of the run would build the same state.  The clause VC and the
+    preconditions get no key."""
     fi = inst.fi
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
     if n_leaves > 1:
         base += f"/l{inst.leaf.index}"
-    obligations: list[Obligation] = []
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
              scope: list[Term], hypotheses: object | None = None,
@@ -117,9 +119,8 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
             step_facts, step_scope = inst.facts_for(k)
             step_hypotheses = object()
         goal = PAtom("==", lhs, step.rhs, span=step.span)
-        obligations.append(make(f"{base}/step{k + 1}", "chain-step", step.span,
-                                step_facts, goal, step_scope, step_hypotheses,
-                                step_index=k + 1))
+        yield make(f"{base}/step{k + 1}", "chain-step", step.span, step_facts, goal,
+                   step_scope, step_hypotheses, step_index=k + 1)
         lhs = step.rhs
 
     # the clause VC and the preconditions also assume every chain step
@@ -137,8 +138,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
         value = (UnitLit() if is_proof
                  else inst.steps[-1].rhs if inst.steps else inst.head)
         goal = substitute_pred(res.pred, {res.binder: value})
-        obligations.append(make(f"{base}/vc", "clause-vc", inst.clause.span,
-                                vc_facts, goal, scope))
+        yield make(f"{base}/vc", "clause-vc", inst.clause.span, vc_facts, goal, scope)
 
     # preconditions of calls whose callees have refined arguments
     seen_calls: set[Term] = set()
@@ -154,9 +154,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                 continue
             pre_n += 1
             goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
-            obligations.append(make(
-                f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope))
-    return obligations
+            yield make(f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope)
 
 
 def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
@@ -345,7 +343,9 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
 def _unused_hint_warnings(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext]],
                           config: CheckConfig) -> list[str]:
     """A warning per hint whose removal from its clause leaves every
-    obligation of the clause proved."""
+    obligation of the clause proved.  The obligations are built and
+    discharged one at a time, so a hint is kept at its clause's first failed
+    obligation and nothing after it is built."""
     warnings: list[str] = []
     for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
         for hint in dict.fromkeys(clause.body.all_hints()):

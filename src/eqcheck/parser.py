@@ -115,6 +115,8 @@ class _ItemParser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        # start position -> (the term `term` read there, the position after it)
+        self.terms: dict[int, tuple[Term, int]] = {}
 
     # -- token plumbing -------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
@@ -337,11 +339,20 @@ class _ItemParser:
         return self.chainl1(self.term_app, ("*",))
 
     def term(self) -> Term:
+        """A term.  The one read at each start position is remembered (a term
+        depends only on the tokens), so when `pred_atom` backtracks out of a
+        parenthesised predicate it re-reads the term inside in one step."""
+        at = self.pos
+        hit = self.terms.get(at)
+        if hit is not None:
+            self.pos = hit[1]
+            return hit[0]
         start = self.peek()
-        head = self.chainl1(self.term_mul, ("+", "-"))
+        out = self.chainl1(self.term_mul, ("+", "-"))
         if self.accept("sym", ":"):
-            return cons(head, self.term(), self.span_from(start))
-        return head
+            out = cons(out, self.term(), self.span_from(start))
+        self.terms[at] = (out, self.pos)
+        return out
 
     # -- predicates ------------------------------------------------------------
     def pred_atom(self) -> Pred:
@@ -354,7 +365,8 @@ class _ItemParser:
         if self.accept("kw", "not"):
             return negate_pred(self.pred_atom())
         if self.at("sym", "("):
-            # could be a parenthesised predicate or a parenthesised term
+            # could be a parenthesised predicate or a parenthesised term; a
+            # term read before the ParseError is remembered by `term`
             save = self.pos
             try:
                 self.next()

@@ -230,6 +230,11 @@ def signature_tyvars(sig: Signature) -> tuple[str, ...]:
 # ----------------------------------------------------------- unification
 
 class _Unifier:
+    """Unification over a triangular substitution: a meta may be bound to a
+    sort that mentions other bound metas, so `unify` and `occurs` look one
+    level deep at a time with `walk`, and only a caller that needs a whole
+    sort (an error message, `_generalize`) pays for `resolve`."""
+
     def __init__(self):
         self.subst: dict[int, Sort] = {}
         self.counter = 0
@@ -238,15 +243,23 @@ class _Unifier:
         self.counter += 1
         return SortMeta(self.counter)
 
-    def resolve(self, s: Sort) -> Sort:
+    def walk(self, s: Sort) -> Sort:
+        """`s` with the chain of bound metas at its top followed: an unbound
+        meta or a sort that is not a meta.  A data sort's arguments are left
+        as they are, still mentioning whatever metas they mention."""
         while isinstance(s, SortMeta) and s.uid in self.subst:
             s = self.subst[s.uid]
+        return s
+
+    def resolve(self, s: Sort) -> Sort:
+        """`s` with every bound meta replaced, at every depth."""
+        s = self.walk(s)
         if isinstance(s, SortData):
             return s.map_args(self.resolve)
         return s
 
     def occurs(self, uid: int, s: Sort) -> bool:
-        s = self.resolve(s)
+        s = self.walk(s)
         if isinstance(s, SortMeta):
             return s.uid == uid
         if isinstance(s, SortData):
@@ -254,7 +267,7 @@ class _Unifier:
         return False
 
     def unify(self, a: Sort, b: Sort, span: Span, what: str = "") -> None:
-        a, b = self.resolve(a), self.resolve(b)
+        a, b = self.walk(a), self.walk(b)
         if isinstance(a, SortMeta):
             if isinstance(b, SortMeta) and b.uid == a.uid:
                 return
@@ -274,7 +287,8 @@ class _Unifier:
         if isinstance(a, SortVar) and isinstance(b, SortVar) and a.name == b.name:
             return
         prefix = f"{what}: " if what else ""
-        raise TypeCheckError(f"{prefix}expected sort {a}, found {b}", span)
+        raise TypeCheckError(
+            f"{prefix}expected sort {self.resolve(a)}, found {self.resolve(b)}", span)
 
 
 # -------------------------------------------------------------- checking

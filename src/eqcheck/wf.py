@@ -226,7 +226,14 @@ def _rename_pattern(p: Pattern, renames: dict[str, str]) -> Pattern:
 class LeafContext:
     """One (clause, leaf) pair with clause variables renamed apart from the
     signature binders: the hypotheses that the leaf's obligations and the
-    termination-metric checks at its recursive calls assume."""
+    termination-metric checks at its recursive calls assume.
+
+    Facts that do not depend on hints are built once and shared with every
+    copy `without_hint` makes: `base_facts`, the pattern and refinement
+    facts, and `_call_facts`, which maps `id(t)` of a scope term `t` to `t`
+    itself (so the id is not reused) and the result refinements of the calls
+    in it.  A copy keeps the head, step and hint objects of the context it
+    came from, so its lookups hit.  Neither may be mutated by a caller."""
 
     def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf):
         self.fi = fi
@@ -272,6 +279,8 @@ class LeafContext:
                  span=s.span)
             for s in body.steps
         )
+        self.base_facts = self.pattern_facts() + self.refinement_facts()
+        self._call_facts: dict[int, tuple[Term, list[Pred]]] = {}
 
     def without_hint(self, hint: Term) -> LeafContext:
         """A copy in which every occurrence of `hint`, as written in the
@@ -319,24 +328,21 @@ class LeafContext:
 
     def call_facts(self, scope_terms: list[Term]) -> list[Pred]:
         """Instantiated result refinements for every saturated call in scope,
-        including recursive ones (the inductive hypothesis)."""
-        facts: list[Pred] = []
-        seen: set[Pred] = set()
-        for sub in apps(scope_terms):
-            gi = self.env.funs[sub.name]
-            if not gi.signature.result.refined:
-                continue
-            fact = lemma_facts(gi, sub.args)
-            if fact in seen:
-                continue
-            seen.add(fact)
-            facts.append(fact)
-        return facts
+        including recursive ones (the inductive hypothesis), each once, in
+        the order `apps` meets the calls."""
+        facts: dict[Pred, None] = {}
+        for t in scope_terms:
+            hit = self._call_facts.get(id(t))
+            if hit is None:
+                hit = self._call_facts[id(t)] = (t, [
+                    lemma_facts(gi, sub.args) for sub in apps((t,))
+                    if (gi := self.env.funs[sub.name]).signature.result.refined])
+            facts.update(dict.fromkeys(hit[1]))
+        return list(facts)
 
     def facts_for(self, upto_step: int | None) -> tuple[list[Pred], list[Term]]:
         scope = self.terms_in_scope(upto_step)
-        facts = self.pattern_facts() + self.refinement_facts() + self.call_facts(scope)
-        return facts, scope
+        return self.base_facts + self.call_facts(scope), scope
 
 
 def clause_contexts(fi: FunInfo, env: TypeEnv) -> list[list[LeafContext]]:
@@ -445,12 +451,11 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
         calls = [sub for sub in apps(ctx.terms_in_scope(None)) if sub.name == fi.name]
         if not calls:
             continue
-        base_facts = ctx.pattern_facts() + ctx.refinement_facts()
         for call in calls:
             callee = [substitute(m, dict(zip(binders, call.args))) for m in metric]
             lemmas = (lemma_facts(ctx.env.funs[sub.name], sub.args)
                       for sub in apps((*metric, *callee)) if sub.name != fi.name)
-            facts = base_facts + [f for f in lemmas if not isinstance(f, PTrue)]
+            facts = ctx.base_facts + [f for f in lemmas if not isinstance(f, PTrue)]
             nonneg = [PAtom("<=", IntLit(0), e) for e in callee]
             decreases: list[Pred] = []
             for k in range(len(metric)):

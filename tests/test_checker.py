@@ -12,7 +12,7 @@ from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
 
-from conftest import FILES, LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
+from conftest import CORPUS, FILES, LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
 from oracles import check_chain_coherence
 
 
@@ -227,6 +227,37 @@ def test_unused_hint_warning():
     assert any("trivP" in w and "unused" in w for w in report.warnings)
 
 
+def test_unused_hint_pass_builds_only_what_it_discharges(monkeypatch):
+    # obligations are built one at a time, so a hint kept at a failed chain
+    # step builds none of its clause's later obligations
+    counts = {"built": 0, "discharged": 0}
+    inside = [False]
+    make, discharge = checker.Obligation, checker.discharge
+    unused = checker._unused_hint_warnings
+
+    def counting_make(*args, **kwargs):
+        counts["built"] += inside[0]
+        return make(*args, **kwargs)
+
+    def counting_discharge(*args):
+        counts["discharged"] += inside[0]
+        return discharge(*args)
+
+    def flagged_unused(*args):
+        inside[0] = True
+        try:
+            return unused(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(checker, "Obligation", counting_make)
+    monkeypatch.setattr(checker, "discharge", counting_discharge)
+    monkeypatch.setattr(checker, "_unused_hint_warnings", flagged_unused)
+    for path in sorted(CORPUS.glob("*.eq")):
+        check_module(path.read_text())
+    assert counts["built"] == counts["discharged"] > 0, counts
+
+
 def test_warning_order_unreachable_before_unused():
     src = UNUSED_HINT_MODULE + """
 shadow : x:Int -> Int
@@ -321,13 +352,15 @@ def test_only_chain_steps_share_states(config, monkeypatch):
     build = checker.build_clause_obligations
 
     def recording_build(*args):
-        out = build(*args)
+        out = list(build(*args))
         built.extend(out)
         return out
 
     monkeypatch.setattr(checker, "build_clause_obligations", recording_build)
-    for path in FILES:
-        check_module(path.read_text(), config)
+    reports = [check_module(path.read_text(), config) for path in FILES]
+    # the main pass's obligations all went through the wrapper
+    in_reports = {id(ob) for report in reports for ob in report.obligations}
+    assert in_reports and in_reports <= {id(ob) for ob in built}
     assert {ob.kind for ob in built} >= {"chain-step", "clause-vc", "hint-pre"}
     for ob in built:
         if ob.kind == "chain-step":

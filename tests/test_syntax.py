@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from eqcheck import parser
 from eqcheck.parser import (
     ParseError, Token, parse_module, parse_pred, parse_term, tokenize,
 )
@@ -227,6 +228,25 @@ def _pred_trees():
 @given(_pred_trees())
 def test_pred_print_parse_roundtrip(p):
     assert parse_pred(pretty_pred(p)) == p
+
+
+def test_parenthesised_term_reads_in_linear_time(monkeypatch):
+    # on '(' a predicate is tried first; after backtracking, the term inside
+    # is read from memory instead of token by token again
+    calls = [0]
+    term_atom = parser._ItemParser.term_atom
+
+    def counting_term_atom(self):
+        calls[0] += 1
+        return term_atom(self)
+
+    monkeypatch.setattr(parser._ItemParser, "term_atom", counting_term_atom)
+    counts = []
+    for k in (40, 80):
+        calls[0] = 0
+        assert parse_pred("(" * k + "x" + ")" * k + " == y") == PAtom("==", Var("x"), Var("y"))
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
 
 
 def test_apps_preorder_left_to_right():

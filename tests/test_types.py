@@ -1,5 +1,6 @@
 import pytest
 
+from eqcheck import types
 from eqcheck.types import (
     INT, MeasureShapeError, RefinementWfError, SortData, SortProof, SortVar,
     TypeCheckError, check_refinement_wf, subst_sort,
@@ -214,3 +215,30 @@ def test_polymorphic_instantiation_at_int():
     src = LIST_BASICS + "\nuse : t:Int -> List Int\nuse t = append [t] [1, 2]\n"
     env = env_of(src)
     assert env.funs["use"].result_sort == SortData("List", (INT,))
+
+
+def test_nested_sort_mismatch_message():
+    # the message names the sorts fully resolved at the level that clashes
+    with pytest.raises(TypeCheckError) as e:
+        env_of("f : x:Int -> {v:Proof | [[1]] == [[true]]}\nf x = ()\n")
+    assert str(e.value) == "1:25: operands of ==: expected sort Int, found Bool"
+    with pytest.raises(TypeCheckError) as e:
+        env_of("f : x:Int -> {v:Proof | [[1]] == [true]}\nf x = ()\n")
+    assert str(e.value) == "1:25: operands of ==: expected sort List Int, found Bool"
+
+
+def test_list_literal_resolves_linearly(monkeypatch):
+    calls = [0]
+    resolve = types._Unifier.resolve
+
+    def counting_resolve(self, s):
+        calls[0] += 1
+        return resolve(self, s)
+
+    monkeypatch.setattr(types._Unifier, "resolve", counting_resolve)
+    counts = []
+    for n in (200, 400):
+        calls[0] = 0
+        env_of(f"f : x:Int -> List Int\nf x = [{', '.join(['1'] * n)}]\n")
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
