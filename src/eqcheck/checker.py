@@ -104,7 +104,7 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
              step_index: int | None = None) -> Obligation:
         return Obligation(
             oid=oid, decl=fi.name, kind=kind, span=span, facts=tuple(facts),
-            goal=goal, body_terms=tuple(scope), var_sorts=dict(inst.var_sorts),
+            goal=goal, body_terms=tuple(scope), var_sorts=inst.var_sorts,
             ple=ple, step_index=step_index, hypotheses=hypotheses,
         )
 

@@ -131,7 +131,6 @@ class FunInfo:
     is_measure: bool = False
     is_reflected: bool = False
     is_ple: bool = False
-    clause_var_sorts: tuple[dict[str, Sort], ...] = ()
 
     @property
     def arity(self) -> int:
@@ -233,7 +232,7 @@ class _Unifier:
     """Unification over a triangular substitution: a meta may be bound to a
     sort that mentions other bound metas, so `unify` and `occurs` look one
     level deep at a time with `walk`, and only a caller that needs a whole
-    sort (an error message, `_generalize`) pays for `resolve`."""
+    sort (an error message) pays for `resolve`."""
 
     def __init__(self):
         self.subst: dict[int, Sort] = {}
@@ -483,14 +482,7 @@ class _ModuleChecker:
                 got = self.infer_term(m, venv)
                 self.uni.unify(INT, got, m.span, "termination metric")
 
-    def _generalize(self, venv: dict[str, Sort]) -> dict[str, Sort]:
-        out: dict[str, Sort] = {}
-        for k, v in venv.items():
-            s = self.uni.resolve(v)
-            out[k] = _close_metas(s)
-        return out
-
-    def check_clause(self, fi: FunInfo, clause: Clause) -> dict[str, Sort]:
+    def check_clause(self, fi: FunInfo, clause: Clause) -> None:
         if len(clause.patterns) != fi.arity:
             raise TypeCheckError(
                 f"clause for {fi.name!r} has {len(clause.patterns)} pattern(s), "
@@ -517,7 +509,6 @@ class _ModuleChecker:
             else:
                 self.uni.unify(fi.result_sort, chain_sort, body.span,
                                f"body of {fi.name}")
-        return self._generalize(venv)
 
     # -- measure shape (one ADT argument, one shallow clause per constructor,
     # -- body built from primitives and measures only) -----------------------
@@ -561,8 +552,8 @@ class _ModuleChecker:
         for fi in self.env.funs.values():
             self.check_signature(fi)
         for fi in self.env.funs.values():
-            var_sorts = tuple(self.check_clause(fi, c) for c in fi.clauses)
-            fi.clause_var_sorts = var_sorts
+            for c in fi.clauses:
+                self.check_clause(fi, c)
         for fi in self.env.funs.values():
             if fi.is_measure:
                 self.check_measure_shape(fi)
@@ -576,15 +567,6 @@ class _ModuleChecker:
                     f"'ple {fi.name}' has no effect: {fi.name!r} has nothing to check",
                     fi.span)
         return self.env
-
-
-def _close_metas(s: Sort) -> Sort:
-    """Replace leftover unification variables with opaque type variables."""
-    if isinstance(s, SortMeta):
-        return SortVar(f"_t{s.uid}")
-    if isinstance(s, SortData):
-        return s.map_args(_close_metas)
-    return s
 
 
 def check_types(module: SourceModule) -> TypeEnv:
@@ -607,18 +589,3 @@ def check_refinement_wf(env: TypeEnv) -> None:
                     raise RefinementWfError(
                         f"{where} of {fi.name!r} mentions {sub.name!r}, which is neither "
                         "a measure nor reflected", sub.span)
-
-
-def pattern_binder_sorts(pat: Pattern, sort: Sort, env: TypeEnv) -> dict[str, Sort]:
-    """Sorts of the variables a pattern binds when matched at `sort`."""
-    out: dict[str, Sort] = {}
-
-    def walk(p: Pattern, s: Sort) -> None:
-        if isinstance(p, PVar):
-            out[p.name] = s
-        elif isinstance(p, PCon):
-            for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
-                walk(sub, fs)
-
-    walk(pat, sort)
-    return out

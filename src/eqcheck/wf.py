@@ -16,8 +16,7 @@ from .syntax import (
     pattern_term, pattern_vars, pretty, pretty_pattern, substitute, substitute_pred,
 )
 from .types import (
-    FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts,
-    lemma_facts, pattern_binder_sorts,
+    FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts, lemma_facts,
 )
 
 
@@ -208,25 +207,34 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
     return leaves
 
 
-def leaf_var_sorts(fi: FunInfo, leaf: Leaf, env: TypeEnv) -> dict[str, Sort]:
+def row_var_sorts(fi: FunInfo, row: Row, env: TypeEnv) -> dict[str, Sort]:
+    """Sorts of the variables a pattern row of fi binds, in the order the
+    row binds them."""
     out: dict[str, Sort] = {}
-    for pat, sort in zip(leaf.row, fi.param_sorts):
-        out.update(pattern_binder_sorts(pat, sort, env))
+
+    def walk(p: Pattern, s: Sort) -> None:
+        if isinstance(p, PVar):
+            out[p.name] = s
+        elif isinstance(p, PCon):
+            for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
+                walk(sub, fs)
+
+    for pat, sort in zip(row, fi.param_sorts):
+        walk(pat, sort)
     return out
-
-
-def _rename_pattern(p: Pattern, renames: dict[str, str]) -> Pattern:
-    if isinstance(p, PVar) and p.name in renames:
-        return PVar(renames[p.name], span=p.span)
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(_rename_pattern(a, renames) for a in p.args), span=p.span)
-    return p
 
 
 class LeafContext:
     """One (clause, leaf) pair with clause variables renamed apart from the
     signature binders: the hypotheses that the leaf's obligations and the
     termination-metric checks at its recursive calls assume.
+
+    A clause variable named like a binder keeps its name only when it is the
+    whole clause pattern at that binder's own position, where it denotes the
+    argument itself; any other gets a fresh primed name.  `var_sorts`, read
+    from the clause's and the leaf's pattern rows plus the binders' parameter
+    sorts, is the only source of variable sorts, and every obligation of the
+    leaf shares it.
 
     Facts that do not depend on hints are built once and shared with every
     copy `without_hint` makes: `base_facts`, the pattern and refinement
@@ -240,36 +248,19 @@ class LeafContext:
         self.env = env
         self.clause_index = clause_index
         self.clause = fi.clauses[clause_index]
-        binders = set(fi.signature.binders())
-        leaf_sorts = leaf_var_sorts(fi, leaf, env)
-        # a variable that is itself the whole pattern for the same-named
-        # binder already denotes the argument constant; only clashing
-        # variables bound elsewhere need fresh names
-        aligned = {
-            binder for (binder, _), pat in zip(fi.signature.params, leaf.row)
-            if isinstance(pat, PVar) and pat.name == binder
-        }
-        fresh = FreshNames(binders | set(leaf_sorts))
-        renames = {v: fresh.take(v + "'") for v in leaf_sorts
+        self.leaf = leaf
+        binders = fi.signature.binders()
+        pattern_sorts = (row_var_sorts(fi, self.clause.patterns, env)
+                         | row_var_sorts(fi, leaf.row, env))
+        aligned = {binder for binder, pat in zip(binders, self.clause.patterns)
+                   if isinstance(pat, PVar) and pat.name == binder}
+        fresh = FreshNames(set(binders) | set(pattern_sorts))
+        renames = {v: fresh.take(v + "'") for v in pattern_sorts
                    if v in binders and v not in aligned}
-        rename_terms = {old: Var(new) for old, new in renames.items()}
-
-        self.leaf = Leaf(
-            leaf.index,
-            tuple(_rename_pattern(p, renames) for p in leaf.row),
-            tuple((renames.get(x, x), substitute(t, rename_terms))
-                  for x, t in leaf.var_bindings),
-            tuple((renames.get(x, x), ks) for x, ks in leaf.excluded_ints),
-        )
         self.var_sorts: dict[str, Sort] = {
-            renames.get(v, v): s
-            for v, s in fi.clause_var_sorts[clause_index].items()
-        }
-        for v, s in leaf_sorts.items():
-            self.var_sorts[renames.get(v, v)] = s
-        for (name, _), s in zip(fi.signature.params, fi.param_sorts):
-            self.var_sorts[name] = s
-        self.rename_terms = rename_terms
+            renames.get(v, v): s for v, s in pattern_sorts.items()}
+        self.var_sorts.update(zip(binders, fi.param_sorts))
+        self.rename_terms = rename_terms = {old: Var(new) for old, new in renames.items()}
         body = self.clause.body
         self.head = substitute(body.head, rename_terms)
         self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
@@ -307,15 +298,15 @@ class LeafContext:
         """An equality per argument its pattern constrains, then what the
         leaf adds: an equality per constrained clause variable and a
         disequality per excluded literal."""
-        facts: list[Pred] = []
         fresh = FreshNames(set(self.var_sorts))
-        for (binder, _), pat in zip(self.fi.signature.params, self.leaf.row):
-            t = pattern_term(pat, fresh)
-            if t == Var(binder):
-                continue
-            facts.append(PAtom("==", Var(binder), t))
-        facts.extend(PAtom("==", Var(x), t) for x, t in self.leaf.var_bindings)
-        facts.extend(PAtom("/=", Var(x), IntLit(k))
+        r = self.rename_terms
+        facts: list[Pred] = [
+            PAtom("==", Var(binder), t)
+            for binder, pat in zip(self.fi.signature.binders(), self.leaf.row)
+            if (t := substitute(pattern_term(pat, fresh), r)) != Var(binder)]
+        facts.extend(PAtom("==", substitute(Var(x), r), substitute(t, r))
+                     for x, t in self.leaf.var_bindings)
+        facts.extend(PAtom("/=", substitute(Var(x), r), IntLit(k))
                      for x, ks in self.leaf.excluded_ints for k in ks)
         return facts
 
@@ -510,44 +501,23 @@ def check_termination(fi: FunInfo, env: TypeEnv,
 
 
 def call_graph_cycles(env: TypeEnv) -> list[list[str]]:
-    """Strongly connected components of size > 1 in the call graph (mutual
-    recursion is out of scope and reported as non-termination)."""
-    graph: dict[str, set[str]] = {name: set() for name in env.funs}
-    for name, fi in env.funs.items():
-        for clause in fi.clauses:
-            graph[name].update(sub.name for sub in apps(body_terms(clause.body))
-                               if sub.name != name)
-    # Tarjan SCC
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    out: list[list[str]] = []
-
-    def strongconnect(v: str):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        for w in sorted(graph[v]):
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in onstack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            if len(comp) > 1:
-                out.append(sorted(comp))
-
-    for v in sorted(graph):
-        if v not in index:
-            strongconnect(v)
-    return out
+    """The call cycles through more than one function, each as its sorted
+    names (mutual recursion is out of scope and reported as
+    non-termination).  A function is on a cycle when it reaches itself; its
+    cycle is every function it reaches that reaches it back."""
+    calls = {name: {sub.name for clause in fi.clauses
+                    for sub in apps(body_terms(clause.body))} - {name}
+             for name, fi in env.funs.items()}
+    reach: dict[str, set[str]] = {}
+    for name in calls:
+        seen: set[str] = set()
+        todo = list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(calls[callee])
+        reach[name] = seen
+    cycles = {tuple(sorted(g for g in reach[f] if f in reach[g]))
+              for f in calls if f in reach[f]}
+    return [list(c) for c in sorted(cycles)]

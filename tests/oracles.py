@@ -311,9 +311,9 @@ def leaf_instantiations(env, fi, clause_index, size, ints):
     import itertools
     from eqcheck.semantics import enumerate_values, evaluate
     from eqcheck.types import INT
-    from eqcheck.wf import clause_leaves, leaf_var_sorts
+    from eqcheck.wf import clause_leaves, row_var_sorts
     for leaf in clause_leaves(fi, clause_index, env):
-        lsorts = leaf_var_sorts(fi, leaf, env)
+        lsorts = row_var_sorts(fi, leaf.row, env)
         names = sorted(lsorts)
         domains = [
             enumerate_values(env, _enumerable_sort(lsorts[n], INT), size, ints=ints)
@@ -333,12 +333,13 @@ def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
     evaluates to its last right-hand side, on all enumerated instantiations
     reaching the clause.  Returns the number of instantiations checked."""
     from eqcheck.semantics import evaluate
+    from eqcheck.syntax import pattern_vars
     checked = 0
     for ci, clause in enumerate(fi.clauses):
         body = clause.body
         if body.plain:
             continue
-        n_vars = len(fi.clause_var_sorts[ci])
+        n_vars = len([v for p in clause.patterns for v in pattern_vars(p)])
         use_size = size if n_vars <= 2 else small_size
         terms = [body.head] + [s.rhs for s in body.steps]
         for binding in leaf_instantiations(env, fi, ci, use_size, ints):

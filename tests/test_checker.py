@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -160,6 +161,61 @@ def test_aligned_variables_keep_their_names(list_env):
     facts = facts_text(obligations(list_env, "append")["append/c1/vc"].facts)
     assert "xs == x : xs'" in facts
     assert "length (append xs' ys) == length xs' + length ys" in facts
+
+
+# A clause variable named like a binder at another position denotes another
+# argument, also when an earlier clause refines it into a constructor or a
+# literal; each module below was proved while such a variable kept its name.
+
+SWAPPED_INT_BINDERS = """\
+h : n:Int -> m:Int -> {v:Int | v == m}
+h 0 0 = 0
+h m n = %s
+"""
+
+SWAPPED_LIST_BINDERS = LIST_BASICS + """\
+
+f : xs:(List Int) -> ys:(List Int) -> {v:Int | v == length ys}
+f [] ys = length ys
+f ys xs = length %s
+"""
+
+SEQUENCE_LAST_CLAUSE = """\
+sequenceP (ADD:c) d s
+  =   exec (append (ADD:c) d) s
+  ==. exec (ADD : append c d) s
+  ==. Nothing
+  ==. bindExec Nothing d
+  ==. bindExec (exec (ADD:c) s) d
+"""
+
+
+def statuses(source):
+    return {v.oid: v.status for v in check_module(source).verdicts}
+
+
+def test_refined_variable_named_like_another_binder_is_renamed():
+    assert statuses(SWAPPED_INT_BINDERS % "m")["h/c1/l0/vc"] == "failed"
+    env = env_of(SWAPPED_INT_BINDERS % "m")
+    assert evaluate(env, term("h 0 5")) == 0  # the claim v == m is false
+    assert all(s == "proved" for s in statuses(SWAPPED_INT_BINDERS % "n").values())
+
+
+def test_refined_list_variable_named_like_another_binder_is_renamed():
+    assert statuses(SWAPPED_LIST_BINDERS % "ys")["f/c1/vc"] == "failed"
+    env = env_of(SWAPPED_LIST_BINDERS % "ys")
+    assert evaluate(env, term("f [0] []")) == 1  # length ys is 0
+    assert all(s == "proved" for s in statuses(SWAPPED_LIST_BINDERS % "xs").values())
+
+
+def test_swapped_sequence_variables_keep_the_wrong_step_failed():
+    text = (CORPUS / "mutations" / "bindExec_wrong_nothing.eq").read_text()
+    assert SEQUENCE_LAST_CLAUSE in text
+    swapped = re.sub(r"\b[cs]\b", lambda m: "s" if m[0] == "c" else "c",
+                     SEQUENCE_LAST_CLAUSE)
+    assert swapped.splitlines()[0] == "sequenceP (ADD:s) d c"
+    got = statuses(text.replace(SEQUENCE_LAST_CLAUSE, swapped))
+    assert got["sequenceP/c3/l0/step3"] == got["sequenceP/c3/l1/step3"] == "failed"
 
 
 # ------------------------------------------------------------------ hint modes

@@ -1,0 +1,144 @@
+"""Renaming a clause's variables never changes a verdict.
+
+A renaming that is one-to-one on a clause's variables gives the same
+function, so every obligation of the module must keep its status.  The test
+swaps each variable that an earlier clause refines (one a leaf binds, see
+`Leaf.var_bindings`) with the binder name of every other position.  Run as a
+script, it sweeps every clause with seeded permutations of its binder and
+clause-variable names and exits 1 if any verdict changes:
+
+    PYTHONPATH=src python tests/test_renaming.py [rounds] [seed]
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+
+from eqcheck.checker import CheckConfig, check_module
+from eqcheck.parser import parse_module
+from eqcheck.syntax import (
+    Clause, FunDecl, PCon, PVar, Pattern, SourceModule, Var, pattern_vars, substitute,
+)
+from eqcheck.types import check_types
+from eqcheck.wf import clause_leaves
+
+from conftest import FILES
+
+CONFIG = CheckConfig(warn_unused_hints=False)
+
+Renaming = tuple[str, int, dict[str, str]]  # declaration, clause index, names
+
+
+def _rename_pattern(p: Pattern, names: dict[str, str]) -> Pattern:
+    if isinstance(p, PVar):
+        return PVar(names.get(p.name, p.name), span=p.span)
+    if isinstance(p, PCon):
+        return PCon(p.name, tuple(_rename_pattern(a, names) for a in p.args), span=p.span)
+    return p
+
+
+def _rename_clause(clause: Clause, names: dict[str, str]) -> Clause:
+    """The clause with its patterns, body and hints renamed."""
+    terms = {old: Var(new) for old, new in names.items()}
+    body = clause.body
+    steps = tuple(dataclasses.replace(
+        s, rhs=substitute(s.rhs, terms), hints=tuple(substitute(h, terms) for h in s.hints))
+        for s in body.steps)
+    body = dataclasses.replace(
+        body, head=substitute(body.head, terms), steps=steps,
+        head_hints=tuple(substitute(h, terms) for h in body.head_hints))
+    return dataclasses.replace(
+        clause, patterns=tuple(_rename_pattern(p, names) for p in clause.patterns), body=body)
+
+
+def renamed(module: SourceModule, renaming: Renaming) -> SourceModule:
+    name, ci, names = renaming
+    decls = tuple(
+        dataclasses.replace(d, clauses=(*d.clauses[:ci], _rename_clause(d.clauses[ci], names),
+                                        *d.clauses[ci + 1:]))
+        if isinstance(d, FunDecl) and d.name == name else d
+        for d in module.decls)
+    return dataclasses.replace(module, decls=decls)
+
+
+def statuses(module: SourceModule) -> dict[str, str]:
+    return {v.oid: v.status for v in check_module(module, CONFIG).verdicts}
+
+
+def binder_swaps(module: SourceModule) -> list[Renaming]:
+    """Each variable an earlier clause refines, swapped with the binder name
+    of every other position (and with the clause variable of that name)."""
+    env = check_types(module)
+    out: list[Renaming] = []
+    for fi in env.funs.values():
+        binders = fi.signature.binders()
+        for ci, clause in enumerate(fi.clauses):
+            refined = {x for leaf in clause_leaves(fi, ci, env) for x, _ in leaf.var_bindings}
+            for pos, pat in enumerate(clause.patterns):
+                others = (*binders[:pos], *binders[pos + 1:])
+                out.extend((fi.name, ci, {x: b, b: x})
+                           for x in pattern_vars(pat) if x in refined
+                           for b in others if b != x)
+    return out
+
+
+def permuted_names(module: SourceModule, rounds: int, rng: random.Random) -> list[Renaming]:
+    """`rounds` random permutations of the binder and clause-variable names
+    of every clause that binds a variable."""
+    env = check_types(module)
+    out: list[Renaming] = []
+    for fi in env.funs.values():
+        for ci, clause in enumerate(fi.clauses):
+            clause_vars = [v for p in clause.patterns for v in pattern_vars(p)]
+            if not clause_vars:
+                continue
+            names = sorted({*fi.signature.binders(), *clause_vars})
+            out.extend((fi.name, ci, dict(zip(names, rng.sample(names, len(names)))))
+                       for _ in range(rounds))
+    return out
+
+
+def changed_verdicts(module: SourceModule, renamings: list[Renaming]) -> list[str]:
+    """A line per renaming that changes some obligation's status."""
+    expected = statuses(module)
+    out = []
+    for renaming in renamings:
+        got = statuses(renamed(module, renaming))
+        if got != expected:
+            diff = sorted(oid for oid in expected.keys() | got.keys()
+                          if expected.get(oid) != got.get(oid))
+            out.append(f"{renaming}: {diff}")
+    return out
+
+
+def test_swapping_a_refined_variable_with_a_binder_keeps_every_verdict():
+    changed: list[str] = []
+    n_swaps = 0
+    for path in FILES:
+        module = parse_module(path.read_text())
+        swaps = binder_swaps(module)
+        n_swaps += len(swaps)
+        changed.extend(f"{path.name}: {line}" for line in changed_verdicts(module, swaps))
+    assert n_swaps > 0
+    assert changed == []
+
+
+def main(rounds: int = 4, seed: int = 0) -> int:
+    rng = random.Random(seed)
+    total = 0
+    changed: list[str] = []
+    for path in FILES:
+        module = parse_module(path.read_text())
+        renamings = permuted_names(module, rounds, rng)
+        total += len(renamings)
+        changed.extend(f"{path.name}: {line}" for line in changed_verdicts(module, renamings))
+    for line in changed:
+        print(line)
+    print(f"{total} renamings of {len(FILES)} files, {len(changed)} changed a verdict")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*map(int, sys.argv[1:])))

@@ -1,5 +1,6 @@
 import itertools
 
+from eqcheck.checker import check_module
 from eqcheck.semantics import Fuel, MatchFailure, enumerate_values, evaluate, value_to_term
 from eqcheck.syntax import App, PCon
 from eqcheck.wf import (
@@ -193,3 +194,31 @@ g n = f n
 """
     env = env_of(src)
     assert call_graph_cycles(env) == [["f", "g"]]
+
+
+def test_call_cycles_and_their_callers():
+    src = """\
+f : n:Int -> Int
+f n = g n
+
+g : n:Int -> Int
+g n = h n
+
+h : n:Int -> Int
+h n = f n
+
+k : n:Int -> Int
+k n = f n
+
+a : n:Int -> Int
+a n = b n
+
+b : n:Int -> Int
+b n = a n
+"""
+    assert call_graph_cycles(env_of(src)) == [["a", "b"], ["f", "g", "h"]]
+    verdicts = {v.decl: (v.kind, v.status) for v in check_module(src).verdicts}
+    assert verdicts == {
+        **{name: ("termination", "failed") for name in "fghab"},
+        "k": ("blocked", "failed"),
+    }
