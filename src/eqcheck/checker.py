@@ -42,8 +42,12 @@ class Obligation:
     ple: bool
     step_index: int | None = None
     # the key of a run of chain steps that assume one (facts, scope) pair, and
-    # so may share one solver state; None for an obligation that builds its own
+    # so may share one solver state; None for an obligation that builds its own.
+    # A clause VC or precondition with a key continues the state of its leaf's
+    # last run: its `facts` are that run's facts followed by `extra`, the chain
+    # equalities (empty for a chain step)
     hypotheses: object | None = None
+    extra: tuple[Pred, ...] = ()
 
 
 @dataclass
@@ -92,7 +96,11 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     `hypotheses`: a step's goal equates two terms of its own scope (which
     holds the head and every step's rhs), so interning it adds no node and
     every step of the run would build the same state.  The clause VC and the
-    preconditions get no key."""
+    preconditions assume the full scope's hypotheses plus the chain
+    equalities; when the last run of steps assumed the full scope (always,
+    unless --strict-hints left hints out of it) they take that run's key and
+    carry the chain equalities as `extra`, to be asserted on its state after
+    every step of the run is decided.  Without steps they get no key."""
     fi = inst.fi
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
@@ -101,11 +109,11 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
 
     def make(oid: str, kind: str, span: Span, facts: list[Pred], goal: Pred,
              scope: list[Term], hypotheses: object | None = None,
-             step_index: int | None = None) -> Obligation:
+             step_index: int | None = None, extra: tuple[Pred, ...] = ()) -> Obligation:
         return Obligation(
             oid=oid, decl=fi.name, kind=kind, span=span, facts=tuple(facts),
             goal=goal, body_terms=tuple(scope), var_sorts=inst.var_sorts,
-            ple=ple, step_index=step_index, hypotheses=hypotheses,
+            ple=ple, step_index=step_index, hypotheses=hypotheses, extra=extra,
         )
 
     facts, scope = inst.facts_for(None)
@@ -123,12 +131,15 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                    step_scope, step_hypotheses, step_index=k + 1)
         lhs = step.rhs
 
-    # the clause VC and the preconditions also assume every chain step
-    vc_facts = list(facts)
+    # the clause VC and the preconditions also assume every chain step, and
+    # continue the last run's state when it assumed the full scope
+    chain: list[Pred] = []
     prev = inst.head
     for step in inst.steps:
-        vc_facts.append(PAtom("==", prev, step.rhs))
+        chain.append(PAtom("==", prev, step.rhs))
         prev = step.rhs
+    vc_facts, extra = facts + chain, tuple(chain)
+    vc_key = step_hypotheses if inst.steps and len(step_scope) == len(scope) else None
 
     # final clause VC: a proof's result is the unit value, any other result
     # is the value of the (renamed) body, which cannot end in QED
@@ -138,7 +149,8 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
         value = (UnitLit() if is_proof
                  else inst.steps[-1].rhs if inst.steps else inst.head)
         goal = substitute_pred(res.pred, {res.binder: value})
-        yield make(f"{base}/vc", "clause-vc", inst.clause.span, vc_facts, goal, scope)
+        yield make(f"{base}/vc", "clause-vc", inst.clause.span, vc_facts, goal, scope,
+                   vc_key, extra=extra)
 
     # preconditions of calls whose callees have refined arguments
     seen_calls: set[Term] = set()
@@ -154,7 +166,8 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                 continue
             pre_n += 1
             goal = substitute_pred(b.pred, {**mapping, b.binder: arg})
-            yield make(f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope)
+            yield make(f"{base}/pre{pre_n}", "hint-pre", sub.span, vc_facts, goal, scope,
+                       vc_key, extra=extra)
 
 
 def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
@@ -180,13 +193,16 @@ States = dict[object, SolverState]
 def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
               states: States | None = None) -> Verdict:
     """Decide one obligation.  `states` maps an obligation's `hypotheses` to
-    the state saturated for them: a keyed goal adds no node to it (see
-    `build_clause_obligations`), so it is decided there with `holds`.
-    Otherwise the goal builds its own state, kept for the key's later goals
-    when it has a key."""
+    the state saturated for them.  A chain step's goal adds no node to it
+    (see `build_clause_obligations`), so it is decided there with `holds`,
+    which only reads.  A goal with `extra` facts continues the state with
+    `entails`: it interns the goal, asserts the extra facts and saturates
+    again.  The key's steps all come first, so no step reads a state that
+    holds facts it does not assume.  Otherwise the goal builds its own
+    state, kept for the key's later goals when it has a key."""
     st = states.get(ob.hypotheses) if states is not None else None
     if st is not None:
-        ok = holds(st, ob.goal)
+        ok = entails(st, list(ob.extra), ob.goal) if ob.extra else holds(st, ob.goal)
     else:
         st = SolverState(env, var_sorts=ob.var_sorts, ple=ob.ple, ple_fuel=config.ple_fuel)
         for t in ob.body_terms:

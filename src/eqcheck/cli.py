@@ -124,7 +124,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chk.add_argument("--strict-hints", action="store_true",
                      help="chain steps see only hints attached at or before them")
     chk.add_argument("--ple-fuel", type=int, default=DEFAULT_PLE_FUEL, metavar="N",
-                     help="logical-evaluation rounds per obligation (default %(default)s)")
+                     help="logical-evaluation rounds per saturation of a solver state "
+                          "(default %(default)s)")
     chk.add_argument("--json", action="store_true", help="machine-readable output")
     chk.add_argument("--dump-facts", metavar="OBLIGATION-ID", default=None,
                      help="print one obligation's hypotheses and goal, then exit")

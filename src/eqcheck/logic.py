@@ -14,8 +14,15 @@ One SolverState serves one hypothesis set: the scope terms and facts that
 saturated state with `holds`, which only reads, provided each of the goal's
 terms was interned before the facts were asserted: such a goal would have
 built exactly that state on its own.  The checker meets this by
-construction, not by a test at run time: it shares a state only among chain
-steps, whose goals equate two terms of their scope.
+construction, not by a test at run time: it reads a state with `holds` only
+for chain steps, whose goals equate two terms of their scope.  A kept state
+may also be extended: `entails` on it with further facts interns the new
+goal, asserts only those facts and saturates again, so it decides the goal
+from the union of the old and the new facts.  Every fact only adds
+consequences, so this is sound; it can prove more than a fresh state, since
+PLE fuel counts the rounds of each saturation.  The checker continues the
+state of a leaf's chain steps this way for its clause VC and preconditions,
+after the last step that reads it.
 
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
@@ -734,7 +741,8 @@ def holds(st: SolverState, p: Pred) -> bool:
     asked any number of goals.  It may add entries to `term_memo`, a cache
     that changes no answer.  Outside `entails` the checker asks it only
     the goals of chain steps, whose terms their scope interned before the
-    facts (see the module docstring)."""
+    facts, and never after `entails` has extended the state with facts the
+    step does not assume (see the module docstring)."""
     if st.contradiction:
         return True
     if isinstance(p, PTrue):
@@ -770,7 +778,10 @@ def holds(st: SolverState, p: Pred) -> bool:
 
 def entails(st: SolverState, facts: list[Pred], goal: Pred) -> bool:
     """True only if the goal holds in every model of the facts (sound; the
-    arithmetic fragment is incomplete for integers)."""
+    arithmetic fragment is incomplete for integers).  On a state that an
+    earlier `entails` saturated, the facts are those of every call so far:
+    this asserts only the new ones and saturates again with a fresh PLE
+    budget, while `fuel_exhausted` stays set once any saturation ran out."""
     for t in pred_terms(goal):
         st.intern_term(t)
     for f in facts:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from eqcheck.checker import check_module
+from eqcheck.checker import check_module, discharge
 from eqcheck.parser import parse_module, parse_pred, parse_term
 from eqcheck.types import check_types
 
@@ -60,6 +60,12 @@ def env_of(source: str):
 
 term = parse_term
 pred = parse_pred
+
+
+def discharge_unshared(obligations, env, config):
+    """`checker._discharge_each` with no state shared: every obligation is
+    discharged on a state of its own."""
+    return (discharge(ob, env, config) for ob in obligations)
 
 
 @pytest.fixture(scope="session")

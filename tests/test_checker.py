@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from eqcheck import checker
+from eqcheck import checker, logic
 from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_function, check_module, discharge,
 )
@@ -13,7 +13,9 @@ from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
 
-from conftest import CORPUS, FILES, LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, env_of, term
+from conftest import (
+    CORPUS, FILES, LIST_BASICS, UNUSED_HINT_MODULE, corpus_text, discharge_unshared, env_of, term,
+)
 from oracles import check_chain_coherence
 
 
@@ -343,24 +345,30 @@ lateShadow true = 1
 
 # ------------------------------------------------------ shared solver states
 
-ALL_MODES = pytest.mark.parametrize("config", [
-    CheckConfig(), CheckConfig(strict_hints=True), CheckConfig(ple_default=True),
-    CheckConfig(strict_hints=True, ple_default=True),
-], ids=["default", "strict", "ple", "strict+ple"])
+MODES = {
+    "default": CheckConfig(), "strict": CheckConfig(strict_hints=True),
+    "ple": CheckConfig(ple_default=True),
+    "strict+ple": CheckConfig(strict_hints=True, ple_default=True),
+}
+ALL_MODES = pytest.mark.parametrize("config", list(MODES.values()), ids=list(MODES))
+# PLE fuel counts the rounds of one saturation, and a continued state
+# saturates again; `fuel_exhausted` stays set once a saturation ran out, so
+# a failed goal on such a state still reports fuel-exhausted
+STARVED = {f"ple+fuel{n}": CheckConfig(ple_default=True, ple_fuel=n) for n in (1, 2)}
 
 
-def _unshared(obligations, env, config):
-    return (discharge(ob, env, config) for ob in obligations)
-
-
-@ALL_MODES
+@pytest.mark.parametrize("config", [*MODES.values(), *STARVED.values()],
+                         ids=[*MODES, *STARVED])
 def test_shared_states_give_the_fresh_verdicts(config, monkeypatch):
     shared = [check_module(path.read_text(), config) for path in FILES]
-    monkeypatch.setattr(checker, "_discharge_each", _unshared)
+    monkeypatch.setattr(checker, "_discharge_each", discharge_unshared)
     for path, report in zip(FILES, shared):
         fresh = check_module(path.read_text(), config)
         assert report.verdicts == fresh.verdicts, path.name
         assert report.warnings == fresh.warnings, path.name
+    starved = [v for report in shared for v in report.verdicts
+               if v.status == "fuel-exhausted"]
+    assert bool(starved) == (config in STARVED.values()), len(starved)
 
 
 def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
@@ -400,32 +408,118 @@ def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
     assert len(built) == n_built + 1
 
 
+# a leaf with a chain step whose clause-VC goal names a constructor that its
+# scope (the head and the step, both `xs`) does not
+NEW_CONSTRUCTOR_IN_VC = LIST_BASICS + """\
+
+consLengthP : x:a -> xs:(List a) -> {v:Proof | length [x] == CLAIM}
+consLengthP x xs
+  =   xs
+  ==. xs
+  *** QED
+"""
+
+
+@pytest.mark.parametrize("claim, proved", [("1", True), ("2", False)])
+def test_continued_state_fires_measures_on_new_constructors(claim, proved):
+    config = CheckConfig()
+    env = env_of(NEW_CONSTRUCTOR_IN_VC.replace("CLAIM", claim))
+    obs = obligations(env, "consLengthP")
+    step, vc = obs["consLengthP/c0/step1"], obs["consLengthP/c0/vc"]
+    assert vc.hypotheses is step.hypotheses is not None
+    assert [pretty_pred(f) for f in vc.extra] == ["xs == xs"]
+    states = {}
+    assert discharge(step, env, config, states).proved
+    (st,) = states.values()
+    n_nodes, n_measures = len(st.nodes), st.stats["measure"]
+    verdict = discharge(vc, env, config, states)
+    assert states == {vc.hypotheses: st}
+    # `length [x]` and `length []` unfold only once the goal is interned
+    assert len(st.nodes) > n_nodes and st.stats["measure"] >= n_measures + 2
+    assert verdict.proved == proved
+    assert verdict == discharge(vc, env, config)
+
+
+# the step's saturation unfolds `length` on both constructors in its one
+# round of fuel, so it runs out; the VC's saturation finds nothing new
+LENGTH_OF_ONE = LIST_BASICS + """\
+
+lengthOneP : x:a -> {v:Proof | length [x] == CLAIM}
+lengthOneP x
+  =   length [x]
+  ==. length [x]
+  *** QED
+"""
+
+
+@pytest.mark.parametrize("claim, status", [("1", "proved"), ("2", "fuel-exhausted")])
+def test_fuel_exhausted_stays_set_on_a_continued_state(claim, status, monkeypatch):
+    config = CheckConfig(ple_default=True, ple_fuel=1)
+    env = env_of(LENGTH_OF_ONE.replace("CLAIM", claim))
+    obs = obligations(env, "lengthOneP", config)
+    step, vc = obs["lengthOneP/c0/step1"], obs["lengthOneP/c0/vc"]
+    assert vc.hypotheses is step.hypotheses is not None
+    ran_out = []
+    saturate = logic._saturate
+
+    def recording_saturate(st, **kwargs):
+        before, st.fuel_exhausted = st.fuel_exhausted, False
+        saturate(st, **kwargs)
+        ran_out.append(st.fuel_exhausted)
+        st.fuel_exhausted |= before
+        return st
+
+    monkeypatch.setattr(logic, "_saturate", recording_saturate)
+    states = {}
+    assert discharge(step, env, config, states).proved
+    verdict = discharge(vc, env, config, states)
+    assert ran_out == [True, False]
+    assert verdict.status == status
+    assert verdict == discharge(vc, env, config)
+
+
 @ALL_MODES
-def test_only_chain_steps_share_states(config, monkeypatch):
+def test_clause_vcs_continue_the_state_of_their_last_steps(config, monkeypatch):
     # a step's goal equates two terms of its scope, so interning it adds no
-    # node to the state its key shares; every other obligation has no key
-    built = []
+    # node to the state its key shares; a keyed clause VC or precondition
+    # continues the state of its leaf's last run of steps and brings exactly
+    # the chain equalities to it; every other obligation has no key
+    leaves = []
     build = checker.build_clause_obligations
 
     def recording_build(*args):
         out = list(build(*args))
-        built.extend(out)
+        leaves.append(out)
         return out
 
     monkeypatch.setattr(checker, "build_clause_obligations", recording_build)
     reports = [check_module(path.read_text(), config) for path in FILES]
     # the main pass's obligations all went through the wrapper
     in_reports = {id(ob) for report in reports for ob in report.obligations}
-    assert in_reports and in_reports <= {id(ob) for ob in built}
-    assert {ob.kind for ob in built} >= {"chain-step", "clause-vc", "hint-pre"}
-    for ob in built:
-        if ob.kind == "chain-step":
+    assert in_reports and in_reports <= {id(ob) for obs in leaves for ob in obs}
+    kinds = {"keyed": set(), "keyless": set()}
+    for obs in leaves:
+        steps = [ob for ob in obs if ob.kind == "chain-step"]
+        for ob in steps:
             scope = {s for t in ob.body_terms for s in subterms(t)}
             assert isinstance(ob.goal, PAtom) and ob.goal.rel == "==", ob.oid
             assert ob.goal.lhs in scope and ob.goal.rhs in scope, ob.oid
-            assert ob.hypotheses is not None, ob.oid
-        else:
-            assert ob.hypotheses is None, ob.oid
+            assert ob.hypotheses is not None and ob.extra == (), ob.oid
+        chain = [("==", s.goal.lhs, s.goal.rhs) for s in steps]
+        for ob in obs[len(steps):]:
+            if ob.hypotheses is None:
+                kinds["keyless"].add(ob.kind)
+                assert ob.extra == () and not steps, ob.oid
+                continue
+            kinds["keyed"].add(ob.kind)
+            assert ob.kind in ("clause-vc", "hint-pre") and steps, ob.oid
+            assert ob.hypotheses is steps[-1].hypotheses, ob.oid
+            assert ob.facts == steps[-1].facts + ob.extra, ob.oid
+            assert ob.body_terms == steps[-1].body_terms, ob.oid
+            assert [(f.rel, f.lhs, f.rhs) for f in ob.extra] == chain, ob.oid
+    # the corpus's preconditions all belong to leaves without steps
+    assert kinds["keyed"] == {"clause-vc"}, kinds
+    assert kinds["keyless"] == {"clause-vc", "hint-pre"}, kinds
 
 
 # -------------------------------------------------------------- module driver

@@ -364,6 +364,38 @@ def test_holds_only_reads_a_saturated_state(seed, ple):
     assert holds(state, first) == entailed
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_entails_continues_a_saturated_state(seed):
+    # a kept state may be extended by entails with further facts F' after
+    # deciding a goal from facts F: its answer stays sound, and it entails
+    # every goal that a fresh state of F and F' entails
+    env = env_of(SOUNDNESS_SRC)
+    rng = random.Random(seed)
+    ple = rng.random() < 0.25
+    valuation = random_valuation(rng)
+    facts = [a for a in (random_atom(rng) for _ in range(8))
+             if atom_truth(env, a, valuation)]
+    cut = rng.randrange(len(facts) + 1)
+    first, goal = random_atom(rng), random_atom(rng)
+    var_sorts = {"xs": SortData("List", (INT,)), "ys": SortData("List", (INT,)),
+                 "n": INT, "m": INT}
+
+    def scoped():
+        state = SolverState(env, var_sorts=var_sorts, ple=ple, ple_fuel=20)
+        for f in facts:
+            for t in pred_terms(f):
+                state.intern_term(t, active=True)
+        return state
+
+    continued = scoped()
+    entails(continued, facts[:cut], first)
+    entailed = entails(continued, facts[cut:], goal)
+    assert not entailed or atom_truth(env, goal, valuation)
+    if entails(scoped(), facts, goal):
+        assert entailed
+
+
 # ------------------------------------------------------- intern memo
 # `intern_term` memoises each term object's node; these check that the memo
 # changes nothing a walk would have built.

@@ -5,7 +5,10 @@ function, so every obligation of the module must keep its status.  The test
 swaps each variable that an earlier clause refines (one a leaf binds, see
 `Leaf.var_bindings`) with the binder name of every other position.  Run as a
 script, it sweeps every clause with seeded permutations of its binder and
-clause-variable names and exits 1 if any verdict changes:
+clause-variable names, checks each renamed module once with shared solver
+states and once with every obligation discharged on a state of its own, and
+exits 1 if any verdict changes or the two checks differ in a verdict or a
+warning:
 
     PYTHONPATH=src python tests/test_renaming.py [rounds] [seed]
 """
@@ -16,7 +19,8 @@ import dataclasses
 import random
 import sys
 
-from eqcheck.checker import CheckConfig, check_module
+from eqcheck import checker
+from eqcheck.checker import CheckConfig, Report, check_module
 from eqcheck.parser import parse_module
 from eqcheck.syntax import (
     Clause, FunDecl, PCon, PVar, Pattern, SourceModule, Var, pattern_vars, substitute,
@@ -24,7 +28,7 @@ from eqcheck.syntax import (
 from eqcheck.types import check_types
 from eqcheck.wf import clause_leaves
 
-from conftest import FILES
+from conftest import FILES, discharge_unshared
 
 CONFIG = CheckConfig(warn_unused_hints=False)
 
@@ -63,8 +67,17 @@ def renamed(module: SourceModule, renaming: Renaming) -> SourceModule:
     return dataclasses.replace(module, decls=decls)
 
 
-def statuses(module: SourceModule) -> dict[str, str]:
-    return {v.oid: v.status for v in check_module(module, CONFIG).verdicts}
+def statuses(report: Report) -> dict[str, str]:
+    return {v.oid: v.status for v in report.verdicts}
+
+
+def unshared_report(module: SourceModule) -> Report:
+    """The report with every obligation discharged on a state of its own."""
+    shared, checker._discharge_each = checker._discharge_each, discharge_unshared
+    try:
+        return check_module(module, CONFIG)
+    finally:
+        checker._discharge_each = shared
 
 
 def binder_swaps(module: SourceModule) -> list[Renaming]:
@@ -100,16 +113,25 @@ def permuted_names(module: SourceModule, rounds: int, rng: random.Random) -> lis
     return out
 
 
-def changed_verdicts(module: SourceModule, renamings: list[Renaming]) -> list[str]:
-    """A line per renaming that changes some obligation's status."""
-    expected = statuses(module)
+def changed_verdicts(module: SourceModule, renamings: list[Renaming],
+                     unshared: bool = False) -> list[str]:
+    """A line per renaming that changes some obligation's status and, with
+    `unshared`, per renamed module whose verdicts or warnings differ when no
+    solver state is shared."""
+    expected = statuses(check_module(module, CONFIG))
     out = []
     for renaming in renamings:
-        got = statuses(renamed(module, renaming))
+        module2 = renamed(module, renaming)
+        report = check_module(module2, CONFIG)
+        got = statuses(report)
         if got != expected:
             diff = sorted(oid for oid in expected.keys() | got.keys()
                           if expected.get(oid) != got.get(oid))
             out.append(f"{renaming}: {diff}")
+        if unshared:
+            fresh = unshared_report(module2)
+            if (fresh.verdicts, fresh.warnings) != (report.verdicts, report.warnings):
+                out.append(f"{renaming}: shared and unshared solver states differ")
     return out
 
 
@@ -133,10 +155,12 @@ def main(rounds: int = 4, seed: int = 0) -> int:
         module = parse_module(path.read_text())
         renamings = permuted_names(module, rounds, rng)
         total += len(renamings)
-        changed.extend(f"{path.name}: {line}" for line in changed_verdicts(module, renamings))
+        changed.extend(f"{path.name}: {line}"
+                       for line in changed_verdicts(module, renamings, unshared=True))
     for line in changed:
         print(line)
-    print(f"{total} renamings of {len(FILES)} files, {len(changed)} changed a verdict")
+    print(f"{total} renamings of {len(FILES)} files, each checked with and without "
+          f"shared solver states: {len(changed)} differences")
     return 1 if changed else 0
 
 
