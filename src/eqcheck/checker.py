@@ -121,23 +121,20 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
 
     # chain steps; under --strict-hints a step sees the hints up to its own,
     # so only a step that brings hints narrows less than the step before it
+    chain: list[Pred] = []
     lhs = inst.head
     for k, step in enumerate(inst.steps):
         if config.strict_hints and (k == 0 or step.hints):
             step_facts, step_scope = inst.facts_for(k)
             step_hypotheses = object()
         goal = PAtom("==", lhs, step.rhs, span=step.span)
+        chain.append(goal)
         yield make(f"{base}/step{k + 1}", "chain-step", step.span, step_facts, goal,
                    step_scope, step_hypotheses, step_index=k + 1)
         lhs = step.rhs
 
     # the clause VC and the preconditions also assume every chain step, and
     # continue the last run's state when it assumed the full scope
-    chain: list[Pred] = []
-    prev = inst.head
-    for step in inst.steps:
-        chain.append(PAtom("==", prev, step.rhs))
-        prev = step.rhs
     vc_facts, extra = facts + chain, tuple(chain)
     vc_key = step_hypotheses if inst.steps and len(step_scope) == len(scope) else None
 
@@ -239,14 +236,6 @@ def _failure_message(ob: Obligation) -> str:
     if ob.kind == "hint-pre":
         return f"argument precondition not met: {pretty_pred(ob.goal)}"
     return pretty_pred(ob.goal)
-
-
-def check_function(fi: FunInfo, env: TypeEnv, config: CheckConfig | None = None
-                   ) -> list[Verdict]:
-    """Per-clause verification conditions for a refined (non-proof) function."""
-    config = config or CheckConfig()
-    obligations, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
-    return list(_discharge_each(obligations, env, config))
 
 
 # ------------------------------------------------------------- module driver

@@ -140,7 +140,8 @@ class _Lia:
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
 
     def __init__(self) -> None:
-        self.atoms: list[tuple[dict[int, int], int, str]] = []
+        self.n_atoms = 0  # atoms stored, those true on their own left out
+        self.has_bound = False  # some stored atom is a `<=`
         self.diseqs: list[Lin] = []  # each meaning expr != 0
         self.pivots: list[Pivot] = []
         self.ineqs: list[Lin] = []
@@ -169,7 +170,8 @@ class _Lia:
         atom = self.normalise(coeffs, const, rel)
         if not atom[0] and self._ground_holds(atom[1], atom[2]):
             return
-        self.atoms.append(atom)
+        self.n_atoms += 1
+        self.has_bound = self.has_bound or atom[2] == "<="
         self._feasible_cache = None
         self.consistent = self.consistent and self._solve(self.pivots, self.ineqs, atom)
 
@@ -491,7 +493,7 @@ class SolverState:
             if self.find(a) == self.find(b):
                 self.contradiction = True
                 return
-        if (self.lia.atoms or self.lia.diseqs) and not self.lia.feasible():
+        if (self.lia.n_atoms or self.lia.diseqs) and not self.lia.feasible():
             self.contradiction = True
 
     def _pinch(self) -> bool:
@@ -507,11 +509,11 @@ class SolverState:
         if self.contradiction:
             return False
         lia = self.lia
-        key = (len(lia.atoms), len(lia.diseqs), len(self.nodes), self.stats["merges"])
+        key = (lia.n_atoms, len(lia.diseqs), len(self.nodes), self.stats["merges"])
         if key == self._pinch_key:
             return False
         self._pinch_key = key
-        if not any(rel == "<=" for _, _, rel in lia.atoms):
+        if not lia.has_bound:
             # Equality-only stores are skipped, though their pivots alone
             # can force two classes equal (x + 1 == y + 1 forces x == y).
             # The exit is not free to remove: without it every
@@ -724,14 +726,12 @@ def instantiate_axioms(st: SolverState) -> SolverState:
     return _saturate(st, allow_derived=False, max_rounds=None)
 
 
-def ple_saturate(st: SolverState, fuel: Optional[int] = None) -> SolverState:
+def ple_saturate(st: SolverState) -> SolverState:
     """Iterate unfolding, reflected applications created by previous
-    unfoldings included, for at most `fuel` rounds."""
-    if fuel is None:
-        fuel = st.ple_fuel
-    if fuel <= 0:
+    unfoldings included, for at most `st.ple_fuel` rounds."""
+    if st.ple_fuel <= 0:
         return st
-    return _saturate(st, allow_derived=True, max_rounds=fuel)
+    return _saturate(st, allow_derived=True, max_rounds=st.ple_fuel)
 
 
 def holds(st: SolverState, p: Pred) -> bool:

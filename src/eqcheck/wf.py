@@ -236,12 +236,9 @@ class LeafContext:
     sorts, is the only source of variable sorts, and every obligation of the
     leaf shares it.
 
-    Facts that do not depend on hints are built once and shared with every
-    copy `without_hint` makes: `base_facts`, the pattern and refinement
-    facts, and `_call_facts`, which maps `id(t)` of a scope term `t` to `t`
-    itself (so the id is not reused) and the result refinements of the calls
-    in it.  A copy keeps the head, step and hint objects of the context it
-    came from, so its lookups hit.  Neither may be mutated by a caller."""
+    The pattern and refinement facts, `base_facts`, do not depend on hints:
+    they are built once and shared with every copy `without_hint` makes, and
+    may not be mutated by a caller."""
 
     def __init__(self, fi: FunInfo, env: TypeEnv, clause_index: int, leaf: Leaf):
         self.fi = fi
@@ -271,7 +268,6 @@ class LeafContext:
             for s in body.steps
         )
         self.base_facts = self.pattern_facts() + self.refinement_facts()
-        self._call_facts: dict[int, tuple[Term, list[Pred]]] = {}
 
     def without_hint(self, hint: Term) -> LeafContext:
         """A copy in which every occurrence of `hint`, as written in the
@@ -321,15 +317,9 @@ class LeafContext:
         """Instantiated result refinements for every saturated call in scope,
         including recursive ones (the inductive hypothesis), each once, in
         the order `apps` meets the calls."""
-        facts: dict[Pred, None] = {}
-        for t in scope_terms:
-            hit = self._call_facts.get(id(t))
-            if hit is None:
-                hit = self._call_facts[id(t)] = (t, [
-                    lemma_facts(gi, sub.args) for sub in apps((t,))
-                    if (gi := self.env.funs[sub.name]).signature.result.refined])
-            facts.update(dict.fromkeys(hit[1]))
-        return list(facts)
+        return list(dict.fromkeys(
+            lemma_facts(gi, sub.args) for sub in apps(scope_terms)
+            if (gi := self.env.funs[sub.name]).signature.result.refined))
 
     def facts_for(self, upto_step: int | None) -> tuple[list[Pred], list[Term]]:
         scope = self.terms_in_scope(upto_step)

@@ -5,7 +5,7 @@ import pytest
 
 from eqcheck import checker, logic
 from eqcheck.checker import (
-    CheckConfig, build_decl_obligations, check_function, check_module, discharge,
+    CheckConfig, build_decl_obligations, check_module, discharge,
 )
 from eqcheck.semantics import evaluate
 from eqcheck.syntax import PAtom, pretty_pred, subterms
@@ -28,6 +28,11 @@ def obligations(env, decl, config=CheckConfig()):
     fi = env.funs[decl]
     obs, _ = build_decl_obligations(fi, clause_contexts(fi, env), config)
     return {ob.oid: ob for ob in obs}
+
+
+def decl_verdicts(source, decl):
+    """The verdicts `check_module` gives one declaration of `source`."""
+    return [v for v in check_module(source).verdicts if v.decl == decl]
 
 
 # ------------------------------------------------------------ clause context
@@ -74,15 +79,15 @@ def test_lemma_facts_sequence_instance():
         "exec (append c d) (n : s) == bindExec (exec c (n : s)) d")
 
 
-# --------------------------------------------------------------- check_function
+# ------------------------------------------------------- function verdicts
 
-def test_length_both_clauses_proved(list_env):
-    verdicts = check_function(list_env.funs["length"], list_env)
+def test_length_both_clauses_proved():
+    verdicts = decl_verdicts(LIST_BASICS, "length")
     assert [v.status for v in verdicts] == ["proved", "proved"]
 
 
-def test_append_refinement_proved(list_env):
-    verdicts = check_function(list_env.funs["append"], list_env)
+def test_append_refinement_proved():
+    verdicts = decl_verdicts(LIST_BASICS, "append")
     assert all(v.proved for v in verdicts)
 
 
@@ -90,7 +95,7 @@ def test_append_wrong_refinement_fails():
     src = LIST_BASICS.replace("length zs == length xs + length ys",
                               "length zs == length xs")
     env = env_of(src)
-    verdicts = check_function(env.funs["append"], env)
+    verdicts = decl_verdicts(src, "append")
     failing = [v for v in verdicts if not v.proved]
     # countermodel xs=[], ys=[0] falsifies the statement, landing in the
     # clause that handles xs=[] (the 'cons' step is inductively consistent)
@@ -127,8 +132,7 @@ def test_negated_refinements_are_read_soundly():
 # ------------------------------------------------------- proof declarations
 
 def test_singletonp_obligations():
-    env = env_of(corpus_text("section2.eq"))
-    verdicts = check_function(env.funs["singletonP"], env)
+    verdicts = decl_verdicts(corpus_text("section2.eq"), "singletonP")
     kinds = [(v.kind, v.status) for v in verdicts]
     assert kinds == [("chain-step", "proved")] * 3 + [("clause-vc", "proved")]
 
@@ -137,7 +141,7 @@ def test_mutated_singletonp_step_fails():
     src = corpus_text("section2.eq").replace(
         "  ==. [x]\n  *** QED", "  ==. x : (x : [])\n  *** QED", 1)
     env = env_of(src)
-    verdicts = check_function(env.funs["singletonP"], env)
+    verdicts = decl_verdicts(src, "singletonP")
     failing = [v for v in verdicts if not v.proved]
     assert [v.oid for v in failing] == ["singletonP/c0/step3"]
     # evaluator countermodel x = 0
@@ -147,8 +151,8 @@ def test_mutated_singletonp_step_fails():
 
 
 def test_involution_proof_accepted():
-    env = env_of(corpus_text("section2.eq"))
-    assert all(v.proved for v in check_function(env.funs["involutionP"], env))
+    verdicts = decl_verdicts(corpus_text("section2.eq"), "involutionP")
+    assert verdicts and all(v.proved for v in verdicts)
 
 
 def test_derivation_goal_uses_last_rhs():

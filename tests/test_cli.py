@@ -1,7 +1,11 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 from eqcheck import checker, logic, types
 from eqcheck.cli import _span_json, run
@@ -198,6 +202,21 @@ def test_dump_facts(capsys):
     assert "reverse (x : []) == append (reverse []) (x : [])" in out
 
 
+def test_dump_facts_of_a_clause_vc_ends_with_the_chain(capsys):
+    code, out, _ = run_cli(
+        ["check", corpus_file("section2.eq"), "--dump-facts", "singletonP/c0/vc"],
+        capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "obligation singletonP/c0/vc [clause-vc]"
+    assert lines[-1] == "goal: reverse (x : []) == x : []"
+    assert lines[-4:-1] == [
+        "  reverse (x : []) == append (reverse []) (x : [])",
+        "  append (reverse []) (x : []) == append [] (x : [])",
+        "  append [] (x : []) == x : []",
+    ]
+
+
 def test_dump_facts_unknown_id_is_usage_error(capsys):
     code, out, err = run_cli(
         ["check", corpus_file("section2.eq"), "--dump-facts", "noSuch/c0"], capsys)
@@ -217,12 +236,18 @@ def test_color_env_var_always(capsys, monkeypatch):
     assert "\x1b[32m" in out
 
 
-def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "eqcheck.cli"],
-        input="", capture_output=True, text=True)
+def test_console_script_installed(monkeypatch, capsys):
+    # read as text: tomllib is not in Python 3.10
+    entry = re.search(r'^eqcheck = "([\w.]+):(\w+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert entry, "no eqcheck console script in pyproject.toml"
+    main = getattr(importlib.import_module(entry[1]), entry[2])
+    monkeypatch.setattr(sys, "argv", ["eqcheck"])
     # argparse usage error: missing subcommand
-    assert proc.returncode == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert "usage: eqcheck" in capsys.readouterr().err
 
 
 def test_span_json_has_the_four_keys():

@@ -8,13 +8,15 @@ script, it sweeps every clause with seeded permutations of its binder and
 clause-variable names, checks each renamed module once with shared solver
 states and once with every obligation discharged on a state of its own, and
 exits 1 if any verdict changes or the two checks differ in a verdict or a
-warning:
+warning.  `--strict-hints` runs the sweep with each chain step assuming only
+the hints up to its own:
 
-    PYTHONPATH=src python tests/test_renaming.py [rounds] [seed]
+    PYTHONPATH=src python tests/test_renaming.py [rounds] [seed] [--strict-hints]
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import random
 import sys
@@ -71,11 +73,11 @@ def statuses(report: Report) -> dict[str, str]:
     return {v.oid: v.status for v in report.verdicts}
 
 
-def unshared_report(module: SourceModule) -> Report:
+def unshared_report(module: SourceModule, config: CheckConfig = CONFIG) -> Report:
     """The report with every obligation discharged on a state of its own."""
     shared, checker._discharge_each = checker._discharge_each, discharge_unshared
     try:
-        return check_module(module, CONFIG)
+        return check_module(module, config)
     finally:
         checker._discharge_each = shared
 
@@ -114,22 +116,22 @@ def permuted_names(module: SourceModule, rounds: int, rng: random.Random) -> lis
 
 
 def changed_verdicts(module: SourceModule, renamings: list[Renaming],
-                     unshared: bool = False) -> list[str]:
+                     unshared: bool = False, config: CheckConfig = CONFIG) -> list[str]:
     """A line per renaming that changes some obligation's status and, with
     `unshared`, per renamed module whose verdicts or warnings differ when no
     solver state is shared."""
-    expected = statuses(check_module(module, CONFIG))
+    expected = statuses(check_module(module, config))
     out = []
     for renaming in renamings:
         module2 = renamed(module, renaming)
-        report = check_module(module2, CONFIG)
+        report = check_module(module2, config)
         got = statuses(report)
         if got != expected:
             diff = sorted(oid for oid in expected.keys() | got.keys()
                           if expected.get(oid) != got.get(oid))
             out.append(f"{renaming}: {diff}")
         if unshared:
-            fresh = unshared_report(module2)
+            fresh = unshared_report(module2, config)
             if (fresh.verdicts, fresh.warnings) != (report.verdicts, report.warnings):
                 out.append(f"{renaming}: shared and unshared solver states differ")
     return out
@@ -147,7 +149,8 @@ def test_swapping_a_refined_variable_with_a_binder_keeps_every_verdict():
     assert changed == []
 
 
-def main(rounds: int = 4, seed: int = 0) -> int:
+def main(rounds: int = 4, seed: int = 0, strict_hints: bool = False) -> int:
+    config = dataclasses.replace(CONFIG, strict_hints=strict_hints)
     rng = random.Random(seed)
     total = 0
     changed: list[str] = []
@@ -156,13 +159,20 @@ def main(rounds: int = 4, seed: int = 0) -> int:
         renamings = permuted_names(module, rounds, rng)
         total += len(renamings)
         changed.extend(f"{path.name}: {line}"
-                       for line in changed_verdicts(module, renamings, unshared=True))
+                       for line in changed_verdicts(module, renamings, unshared=True,
+                                                    config=config))
     for line in changed:
         print(line)
-    print(f"{total} renamings of {len(FILES)} files, each checked with and without "
-          f"shared solver states: {len(changed)} differences")
+    mode = ", --strict-hints" if strict_hints else ""
+    print(f"{total} renamings of {len(FILES)} files{mode}, each checked with and "
+          f"without shared solver states: {len(changed)} differences")
     return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(*map(int, sys.argv[1:])))
+    ap = argparse.ArgumentParser(description="Sweep seeded clause-variable renamings.")
+    ap.add_argument("rounds", type=int, nargs="?", default=4)
+    ap.add_argument("seed", type=int, nargs="?", default=0)
+    ap.add_argument("--strict-hints", action="store_true")
+    args = ap.parse_args()
+    sys.exit(main(args.rounds, args.seed, args.strict_hints))
