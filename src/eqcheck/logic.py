@@ -325,7 +325,6 @@ class SolverState:
         self.intern_table: dict[tuple, int] = {}
         self.term_memo: dict[int, tuple[Term, int, bool]] = {}  # see intern_term
         self.parent: list[int] = []
-        self.rank: list[int] = []
         self.use: dict[int, list[int]] = {}
         self.sig_table: dict[tuple, int] = {}
         self.tag: dict[int, int] = {}
@@ -358,7 +357,6 @@ class SolverState:
         self.nodes.append(node)
         self.intern_table[key] = nid
         self.parent.append(nid)
-        self.rank.append(0)
         if kind in _TAGGED:
             self.tag[nid] = nid
         if args:
@@ -467,11 +465,10 @@ class SolverState:
                     return
                 if nx.kind == "con":
                     pending.extend(zip(nx.args, ny.args))
-            if self.rank[rx] < self.rank[ry]:
+            # the class with the shorter use list, whose nodes are re-filed,
+            # is absorbed (Downey, Sethi & Tarjan)
+            if len(self.use.get(rx, ())) < len(self.use.get(ry, ())):
                 rx, ry = ry, rx
-            elif self.rank[rx] == self.rank[ry]:
-                self.rank[rx] += 1
-            # ry is absorbed into rx
             absorbed_tag = self.tag.get(ry)
             self.parent[ry] = rx
             self.stats["merges"] += 1
@@ -653,7 +650,7 @@ def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     return None
 
 
-def _fire_measures(st: SolverState, nid: int, allow_derived: bool) -> bool:
+def _fire_measures(st: SolverState, nid: int) -> bool:
     """Apply every measure of the constructor's data type to it: a measure
     application on a constructor always has its match decided."""
     fired = False
@@ -661,7 +658,7 @@ def _fire_measures(st: SolverState, nid: int, allow_derived: bool) -> bool:
         if (m, (st.find(nid),)) in st.reflect_done_keys:
             continue
         app = st._mk("app", m, (nid,), isinstance(st.env.funs[m].result_sort, SortInt))
-        fired |= _unfold(st, app, allow_derived)
+        fired |= _unfold(st, app, False)
     return fired
 
 
@@ -710,7 +707,7 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
                 break
             node = st.nodes[nid]
             if node.kind == "con":
-                changed |= _fire_measures(st, nid, allow_derived)
+                changed |= _fire_measures(st, nid)
             elif node.kind == "app":
                 changed |= _unfold(st, nid, allow_derived)
         changed |= st._pinch()

@@ -408,18 +408,16 @@ def pattern_vars(p: Pattern) -> Iterator[str]:
             yield from pattern_vars(q)
 
 
-def pattern_term(p: Pattern, fresh: "FreshNames") -> Term:
-    """Turn a pattern into a term, inventing names for wildcards."""
+def pattern_term(p: Pattern) -> Term:
+    """The term a wildcard-free pattern denotes."""
     if isinstance(p, PVar):
         return Var(p.name, span=p.span)
-    if isinstance(p, PWild):
-        return Var(fresh.take("_w"), span=p.span)
     if isinstance(p, PInt):
         return IntLit(p.value, span=p.span)
     if isinstance(p, PBool):
         return BoolLit(p.value, span=p.span)
     assert isinstance(p, PCon)
-    return Con(p.name, tuple(pattern_term(q, fresh) for q in p.args), span=p.span)
+    return Con(p.name, tuple(pattern_term(q) for q in p.args), span=p.span)
 
 
 class FreshNames:

@@ -116,46 +116,47 @@ def check_totality(fi: FunInfo, env: TypeEnv) -> list[Row]:
 @dataclass
 class Leaf:
     """One reachable specialisation of a clause under first-match semantics:
-    the refined pattern row (every position named), extra bindings for clause
-    variables the refinement constrained, and literal exclusions."""
+    the refined pattern row (every position named: only variables,
+    constructors and literals), extra bindings for clause variables the
+    refinement constrained, and literal exclusions, each under the name of
+    the position it constrains."""
     index: int
     row: Row
     var_bindings: tuple[tuple[str, Term], ...]
     excluded_ints: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _name_wilds(p: Pattern, fresh: FreshNames) -> Pattern:
-    if isinstance(p, PWild):
-        return PVar(fresh.take("_w"))
-    if isinstance(p, _PIntExcept):
-        return p
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(_name_wilds(a, fresh) for a in p.args), span=p.span)
-    return p
+def _name(pat: Pattern, fresh: FreshNames, excludes: list[tuple[str, tuple[int, ...]]],
+          var: Optional[PVar] = None) -> Pattern:
+    """pat with every wildcard and exclusion marker made a variable: `var` at
+    the top when given, a fresh `_w…` one anywhere else.  Each exclusion is
+    recorded under its variable's name."""
+    if isinstance(pat, PCon):
+        return PCon(pat.name, tuple(_name(a, fresh, excludes) for a in pat.args),
+                    span=pat.span)
+    if not isinstance(pat, (PWild, _PIntExcept)):
+        return pat
+    v = var or PVar(fresh.take("_w"))
+    if isinstance(pat, _PIntExcept) and pat.excluded:
+        excludes.append((v.name, pat.excluded))
+    return v
 
 
 def _intersect(p: Pattern, q: Pattern, fresh: FreshNames,
                bindings: list[tuple[str, Pattern]],
                excludes: list[tuple[str, tuple[int, ...]]]) -> Optional[Pattern]:
-    """Intersection of a clause pattern p with an uncovered-space pattern q.
-    Variable names from p survive; refinements of p's variables are recorded."""
-    if isinstance(q, (PWild,)):
-        return _name_wilds(p, fresh)
-    if isinstance(q, _PIntExcept):
-        if isinstance(p, PInt):
-            return p if p.value not in q.excluded else None
-        named = _name_wilds(p, fresh)
-        assert isinstance(named, PVar)
-        if q.excluded:
-            excludes.append((named.name, q.excluded))
-        return named
+    """Intersection of a clause pattern p with an uncovered-space pattern q,
+    named by `_name`; refinements of p's variables are recorded."""
+    if isinstance(q, PWild):
+        return _name(p, fresh, excludes)
     if _is_wild(p):
-        merged = _name_wilds(q, fresh)
-        if isinstance(p, PVar):
-            if isinstance(merged, PVar):
-                return PVar(p.name)
-            bindings.append((p.name, merged))
+        var = p if isinstance(p, PVar) else None
+        merged = _name(q, fresh, excludes, var)
+        if var is not None and merged is not var:
+            bindings.append((var.name, merged))
         return merged
+    if isinstance(q, _PIntExcept):  # p is an integer literal
+        return None if p.value in q.excluded else p
     if isinstance(p, PCon) and isinstance(q, PCon):
         if p.name != q.name:
             return None
@@ -197,11 +198,10 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
             merged.append(m)
         if not ok:
             continue
-        fresh2 = FreshNames(set())  # names already fixed; pattern_term sees no wilds
         leaves.append(Leaf(
             index=len(leaves),
             row=tuple(merged),
-            var_bindings=tuple((x, pattern_term(b, fresh2)) for x, b in bindings),
+            var_bindings=tuple((x, pattern_term(b)) for x, b in bindings),
             excluded_ints=tuple(excludes),
         ))
     return leaves
@@ -294,12 +294,11 @@ class LeafContext:
         """An equality per argument its pattern constrains, then what the
         leaf adds: an equality per constrained clause variable and a
         disequality per excluded literal."""
-        fresh = FreshNames(set(self.var_sorts))
         r = self.rename_terms
         facts: list[Pred] = [
             PAtom("==", Var(binder), t)
             for binder, pat in zip(self.fi.signature.binders(), self.leaf.row)
-            if (t := substitute(pattern_term(pat, fresh), r)) != Var(binder)]
+            if (t := substitute(pattern_term(pat), r)) != Var(binder)]
         facts.extend(PAtom("==", substitute(Var(x), r), substitute(t, r))
                      for x, t in self.leaf.var_bindings)
         facts.extend(PAtom("/=", substitute(Var(x), r), IntLit(k))

@@ -328,6 +328,58 @@ def leaf_instantiations(env, fi, clause_index, size, ints):
             yield binding
 
 
+def _row_matches(patterns, args, binding) -> bool:
+    from eqcheck.semantics import match_pattern
+    return all(match_pattern(p, v, binding) for p, v in zip(patterns, args))
+
+
+def _named(p) -> bool:
+    from eqcheck.syntax import PBool, PCon, PInt, PVar
+    if isinstance(p, PCon):
+        return all(_named(a) for a in p.args)
+    return isinstance(p, (PVar, PInt, PBool))
+
+
+def check_leaves_partition(env, fi, *, size=3, ints=(0, 1, 2)) -> int:
+    """Every enumerated input of fi is covered by exactly one clause leaf (its
+    row matches and no excluded literal binds), a leaf of the clause that
+    first-match semantics selects, and each clause variable the leaf refines
+    evaluates to what the clause pattern binds it to.  Every leaf row holds
+    only variables, constructors and literals.  Type variables read as Int
+    and a proof argument is the unit value.  Returns the number of inputs."""
+    import itertools
+    from eqcheck.semantics import enumerate_values
+    from eqcheck.types import SortProof
+    from eqcheck.wf import clause_leaves
+    leaves = [(ci, leaf) for ci in range(len(fi.clauses))
+              for leaf in clause_leaves(fi, ci, env)]
+    assert all(_named(p) for _, leaf in leaves for p in leaf.row), fi.name
+    domains = [[None] if isinstance(s, SortProof)
+               else enumerate_values(env, _enumerable_sort(s, INT), size, ints=ints)
+               for s in fi.param_sorts]
+    n = 0
+    for args in itertools.product(*domains):
+        n += 1
+        selected = next((ci for ci, c in enumerate(fi.clauses)
+                         if _row_matches(c.patterns, args, {})), None)
+        covering = []
+        for ci, leaf in leaves:
+            binding: dict = {}
+            if (_row_matches(leaf.row, args, binding)
+                    and not any(binding[x] in ks for x, ks in leaf.excluded_ints)):
+                covering.append((ci, leaf, binding))
+        assert [ci for ci, _, _ in covering] == ([] if selected is None else [selected]), \
+            (fi.name, args)
+        if covering:
+            _, leaf, binding = covering[0]
+            clause_binding: dict = {}
+            _row_matches(fi.clauses[selected].patterns, args, clause_binding)
+            for x, t in leaf.var_bindings:
+                assert evaluate(env, t, binding=dict(binding)) == clause_binding[x], \
+                    (fi.name, args, x)
+    return n
+
+
 def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
     """Every step's two sides evaluate to the same value, and the whole chain
     evaluates to its last right-hand side, on all enumerated instantiations

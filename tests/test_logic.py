@@ -268,11 +268,12 @@ def test_pinch_skips_an_unchanged_state(list_env, monkeypatch):
     assert asked == []
 
 
-def test_tag_survives_union_by_rank_swap(list_env):
-    # the tagged class has lower rank and is absorbed; the witness must move
+def test_tag_survives_when_its_class_is_absorbed(list_env):
+    # the tagged class has the shorter use list and is absorbed; the witness
+    # must move
     st = fresh(list_env, u1=LA, u2=LA)
     st.intern_term(term("append u1 u2"), active=True)
-    assert_fact(st, pred("u1 == u2"))  # rank-1 untagged class
+    assert_fact(st, pred("u1 == u2"))  # an untagged class with two uses
     assert_fact(st, pred("[] == u1"))
     nil = st.intern_term(term("[]"))
     assert st.tag.get(st.find(nil)) is not None

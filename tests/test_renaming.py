@@ -9,9 +9,11 @@ clause-variable names, checks each renamed module once with shared solver
 states and once with every obligation discharged on a state of its own, and
 exits 1 if any verdict changes or the two checks differ in a verdict or a
 warning.  `--strict-hints` runs the sweep with each chain step assuming only
-the hints up to its own:
+the hints up to its own, and `--ple-default` with proof by logical
+evaluation applied to every obligation:
 
     PYTHONPATH=src python tests/test_renaming.py [rounds] [seed] [--strict-hints]
+        [--ple-default]
 """
 
 from __future__ import annotations
@@ -149,8 +151,9 @@ def test_swapping_a_refined_variable_with_a_binder_keeps_every_verdict():
     assert changed == []
 
 
-def main(rounds: int = 4, seed: int = 0, strict_hints: bool = False) -> int:
-    config = dataclasses.replace(CONFIG, strict_hints=strict_hints)
+def main(rounds: int = 4, seed: int = 0, strict_hints: bool = False,
+         ple_default: bool = False) -> int:
+    config = dataclasses.replace(CONFIG, strict_hints=strict_hints, ple_default=ple_default)
     rng = random.Random(seed)
     total = 0
     changed: list[str] = []
@@ -163,7 +166,8 @@ def main(rounds: int = 4, seed: int = 0, strict_hints: bool = False) -> int:
                                                     config=config))
     for line in changed:
         print(line)
-    mode = ", --strict-hints" if strict_hints else ""
+    mode = "".join(f", {flag}" for flag, on in (("--strict-hints", strict_hints),
+                                               ("--ple-default", ple_default)) if on)
     print(f"{total} renamings of {len(FILES)} files{mode}, each checked with and "
           f"without shared solver states: {len(changed)} differences")
     return 1 if changed else 0
@@ -174,5 +178,6 @@ if __name__ == "__main__":
     ap.add_argument("rounds", type=int, nargs="?", default=4)
     ap.add_argument("seed", type=int, nargs="?", default=0)
     ap.add_argument("--strict-hints", action="store_true")
+    ap.add_argument("--ple-default", action="store_true")
     args = ap.parse_args()
-    sys.exit(main(args.rounds, args.seed, args.strict_hints))
+    sys.exit(main(args.rounds, args.seed, args.strict_hints, args.ple_default))

@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
+
 from eqcheck.checker import check_module
 from eqcheck.semantics import Fuel, MatchFailure, enumerate_values, evaluate, value_to_term
-from eqcheck.syntax import App, PCon
+from eqcheck.syntax import App, PCon, pretty_pred
 from eqcheck.wf import (
     NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
     check_totality, clause_leaves, missing_pattern_text,
@@ -10,6 +12,9 @@ from eqcheck.wf import (
 from eqcheck.types import INT, SortData
 
 from conftest import LIST_BASICS, corpus_text, env_of
+from oracles import check_leaves_partition
+
+CORPUS_FILES = ("section2.eq", "section2_ple.eq", "section4.eq", "section5.eq")
 
 
 INVOLUTION_BASE_ONLY = LIST_BASICS + """\
@@ -99,6 +104,111 @@ def test_disjoint_clause_has_single_leaf(list_env):
     fi = list_env.funs["append"]
     assert len(clause_leaves(fi, 0, list_env)) == 1
     assert len(clause_leaves(fi, 1, list_env)) == 1
+
+
+# Clauses after a literal sub-pattern: the later clause's leaves name the
+# position the literal constrained and exclude the literal there.
+LITERAL_HEAD = """\
+f : xs:(List Int) -> Int
+f (0 : ys) = 1
+f zs = 2
+"""
+
+LITERAL_FIELD = """\
+data Expr = Val Int | Neg Expr
+
+isZero : e:Expr -> Int
+isZero (Val 0) = 1
+isZero _ = 2
+"""
+
+LITERAL_PAIR = """\
+data P = Pair Int Int
+
+measure fstP
+fstP : p:P -> Int
+fstP (Pair a b) = a
+
+h : p:P -> {v:Int | v == fstP p}
+h (Pair 0 b) = 0
+h q = fstP q
+"""
+
+LITERAL_HD = """\
+reflect hd
+hd : xs:(List Int) -> Int
+hd [] = 1
+hd (y : ys) = y
+
+k : xs:(List Int) -> {v:Int | v /= 0}
+k (0 : ys) = 1
+k [] = 1
+k zs = hd zs
+"""
+
+LITERAL_METRIC = """\
+measure length
+length : xs:(List a) -> {v:Int | 0 <= v}
+length [] = 0
+length (_:xs) = 1 + length xs
+
+reflect tl
+tl : xs:(List Int) -> List Int
+tl [] = []
+tl (y : ys) = ys
+
+h : xs:(List Int) -> Int / [length xs]
+h (0 : ys) = 0
+h [] = 0
+h zs = h (tl zs)
+"""
+
+LITERAL_NESTED = """\
+g : xs:(List Int) -> ys:(List Int) -> Int
+g (0 : 1 : zs) [] = 1
+g (x : zs) (2 : w) = 2
+g a b = 3
+"""
+
+# each module with its (proved, total) verdict counts
+LITERAL_MODULES = {
+    "head": (LITERAL_HEAD, (0, 0)),
+    "field": (LITERAL_FIELD, (0, 0)),
+    "pair": (LITERAL_PAIR, (2, 2)),
+    "hd": (LITERAL_HD, (3, 3)),
+    "metric": (LITERAL_METRIC, (2, 2)),
+    "nested": (LITERAL_NESTED, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL_MODULES)
+def test_clause_after_a_literal_sub_pattern_checks(name):
+    source, counts = LITERAL_MODULES[name]
+    verdicts = check_module(source).verdicts
+    assert (sum(v.proved for v in verdicts), len(verdicts)) == counts
+
+
+def test_clause_after_a_literal_sub_pattern_excludes_the_literal():
+    obs = {ob.oid: ob for ob in check_module(LITERAL_HD).obligations}
+    facts = [pretty_pred(f) for f in obs["k/c2/vc"].facts]
+    assert facts == ["xs == _w : _w1", "zs == _w : _w1", "_w /= 0"]
+
+
+def test_exclusion_names_the_position_the_literal_constrained():
+    # with 1 excluded in place of 0, hd zs may be 0: the clause VC must fail
+    source = LITERAL_HD.replace("k (0 : ys) = 1", "k (1 : ys) = 1")
+    verdicts = {v.oid: v.proved for v in check_module(source).verdicts}
+    assert verdicts["k/c2/vc"] is False
+    assert sum(verdicts.values()) == 2
+
+
+@pytest.mark.parametrize("source", [
+    *(corpus_text(name) for name in CORPUS_FILES),
+    *(source for source, _ in LITERAL_MODULES.values()),
+], ids=[*CORPUS_FILES, *LITERAL_MODULES])
+def test_clause_leaves_partition_the_inputs_by_first_match(source):
+    env = env_of(source)
+    assert sum(check_leaves_partition(env, fi) for fi in env.funs.values()) > 0
 
 
 # ---------------------------------------------------------------- termination
