@@ -132,9 +132,10 @@ class _Lia:
 
     The atoms are kept in solved form as they arrive (`_solve`): a pivot
     sequence of equalities, each free of the earlier pivots' variables, and
-    the inequalities with every pivot substituted in.  A query puts its own
-    rows through the same step on copies, passes each disequality-branch row
-    through the pivots, and runs Fourier-Motzkin on the inequalities."""
+    the inequalities with every pivot substituted in.  Every stored atom,
+    query row and disequality-branch row goes through that one step, a
+    query's and a branch's on copies; a query then runs Fourier-Motzkin on
+    the inequalities."""
 
     ATOM_CAP = 600
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
@@ -199,8 +200,8 @@ class _Lia:
         (coeffs, const), rest = diseqs[0], diseqs[1:]
         for row in (self.normalise(coeffs, const, "<"),
                     self.normalise({v: -c for v, c in coeffs.items()}, -const, "<")):
-            more = self._through(pivots, [row[:2]])
-            if more is not None and self._feasible_branches(pivots, ineqs + more, rest):
+            branch = list(ineqs)
+            if self._solve(pivots, branch, row) and self._feasible_branches(pivots, branch, rest):
                 return True
         return False
 
@@ -217,29 +218,13 @@ class _Lia:
         raise AssertionError(rel)
 
     @staticmethod
-    def _through(pivots: list[Pivot], rows: list[Lin]) -> Optional[list[Lin]]:
-        """Rows `expr <= 0` with the pivots substituted in order; None if one
-        becomes false, and rows that become true are dropped."""
-        out: list[Lin] = []
-        for coeffs, const in rows:
-            for var, a, ecoeffs, econst in pivots:
-                if var in coeffs:  # most pivots miss most rows
-                    coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, "<=")
-            if not coeffs:
-                if const > 0:
-                    return None
-                continue
-            out.append((coeffs, const))
-        return out
-
-    @staticmethod
     def _solve(pivots: list[Pivot], ineqs: list[Lin],
                atom: tuple[dict[int, int], int, str]) -> bool:
         """One Gaussian elimination step (integer-scaled), updating both lists
         in place: the atom has the pivots substituted in order; an equality
         that still has variables becomes the next pivot and is substituted
-        into `ineqs`, an inequality is appended.  False if a row becomes
-        false."""
+        into `ineqs` (rows that become true are dropped), an inequality is
+        appended.  False if a row becomes false."""
         coeffs, const, rel = atom
         for var, a, ecoeffs, econst in pivots:
             if var in coeffs:
@@ -250,10 +235,17 @@ class _Lia:
             ineqs.append((coeffs, const))
             return True
         var = min(coeffs, key=lambda v: abs(coeffs[v]))
-        pivots.append((var, coeffs[var], coeffs, const))
-        rest = _Lia._through(pivots[-1:], ineqs)
-        if rest is None:
-            return False
+        a = coeffs[var]
+        pivots.append((var, a, coeffs, const))
+        rest: list[Lin] = []
+        for icoeffs, iconst in ineqs:
+            if var in icoeffs:
+                icoeffs, iconst = _eliminate(icoeffs, iconst, var, a, coeffs, const, "<=")
+                if not icoeffs:
+                    if iconst > 0:
+                        return False
+                    continue
+            rest.append((icoeffs, iconst))
         ineqs[:] = rest
         return True
 
@@ -297,10 +289,9 @@ class _Lia:
 # ------------------------------------------------------------- term graph
 
 class _Node:
-    __slots__ = ("nid", "kind", "head", "args", "is_int")
+    __slots__ = ("kind", "head", "args", "is_int")
 
-    def __init__(self, nid: int, kind: str, head, args: tuple[int, ...], is_int: bool):
-        self.nid = nid
+    def __init__(self, kind: str, head, args: tuple[int, ...], is_int: bool):
         self.kind = kind  # var | int | bool | unit | con | app | prim
         self.head = head
         self.args = args
@@ -353,8 +344,7 @@ class SolverState:
         if nid is not None:
             return nid
         nid = len(self.nodes)
-        node = _Node(nid, kind, head, args, is_int)
-        self.nodes.append(node)
+        self.nodes.append(_Node(kind, head, args, is_int))
         self.intern_table[key] = nid
         self.parent.append(nid)
         if kind in _TAGGED:
@@ -443,9 +433,6 @@ class SolverState:
     def _lin_diff(self, a: int, b: int) -> Lin:
         return _combine(*self.lin(a), *self.lin(b), -1)
 
-    def _is_int(self, nid: int) -> bool:
-        return self.nodes[nid].is_int
-
     # -- merging ---------------------------------------------------------------
     def _merge(self, a: int, b: int) -> None:
         pending = [(a, b)]
@@ -454,7 +441,7 @@ class SolverState:
             rx, ry = self.find(x), self.find(y)
             if rx == ry:
                 continue
-            if self._is_int(x) or self._is_int(y):
+            if self.nodes[x].is_int or self.nodes[y].is_int:
                 coeffs, const = self._lin_diff(x, y)
                 self.lia.add(coeffs, const, "==")
             tx, ty = self.tag.get(rx), self.tag.get(ry)
@@ -520,10 +507,10 @@ class SolverState:
             return False
         reps: list[int] = []
         seen: set[int] = set()
-        for node in self.nodes:
+        for nid, node in enumerate(self.nodes):
             if node.kind in ("int", "prim") or not node.is_int:
                 continue
-            r = self.find(node.nid)
+            r = self.find(nid)
             if r in seen:
                 continue
             seen.add(r)
@@ -588,7 +575,7 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
         st._merge(a, b)
     elif rel == "/=":
         st.diseqs.append((a, b))
-        if st._is_int(a) and st._is_int(b):
+        if st.nodes[a].is_int and st.nodes[b].is_int:
             coeffs, const = st._lin_diff(a, b)
             st.lia.add_diseq(coeffs, const)
     else:
@@ -755,7 +742,7 @@ def holds(st: SolverState, p: Pred) -> bool:
     if rel == "==":
         if st.find(a) == st.find(b):
             return True
-        if st._is_int(a) and st._is_int(b):
+        if st.nodes[a].is_int and st.nodes[b].is_int:
             coeffs, const = st._lin_diff(a, b)
             return st.lia.entails(coeffs, const, "==")
         return False
@@ -765,7 +752,7 @@ def holds(st: SolverState, p: Pred) -> bool:
             na, nb = st.nodes[ta], st.nodes[tb]
             if na.kind != nb.kind or na.head != nb.head:
                 return True
-        if st._is_int(a) and st._is_int(b):
+        if st.nodes[a].is_int and st.nodes[b].is_int:
             coeffs, const = st._lin_diff(a, b)
             return not st.lia.feasible(((coeffs, const, "=="),))
         return False

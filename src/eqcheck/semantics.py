@@ -6,6 +6,7 @@ unit/Proof value, and tuples ("CtorName", v1, ..., vk) for constructor values.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Union
 
 from .syntax import (
@@ -168,9 +169,6 @@ def enumerate_values(env: TypeEnv, sort: Sort, size: int,
     ints = tuple(ints)
     memo: dict[tuple[str, int], list[Value]] = {}
 
-    def key(s: Sort) -> str:
-        return str(s)
-
     def exact(s: Sort, w: int) -> list[Value]:
         if isinstance(s, SortInt):
             return [i for i in ints] if w == 0 else []
@@ -179,7 +177,7 @@ def enumerate_values(env: TypeEnv, sort: Sort, size: int,
         if isinstance(s, (SortProof, SortVar)):
             raise UnsupportedSort(f"cannot enumerate values of sort {s}")
         assert isinstance(s, SortData)
-        k = (key(s), w)
+        k = (str(s), w)
         if k in memo:
             return memo[k]
         out: list[Value] = []
@@ -217,10 +215,5 @@ def _compositions(total: int, parts: int):
 
 
 def _products(cname: str, parts: list[list[Value]]):
-    if len(parts) == 1:
-        for v in parts[0]:
-            yield (cname, v)
-        return
-    import itertools
     for combo in itertools.product(*parts):
         yield (cname, *combo)

@@ -457,17 +457,12 @@ def _term_doc(t: Term, level: int) -> str:
         return "true" if t.value else "false"
     if isinstance(t, UnitLit):
         return "()"
-    if isinstance(t, Con):
-        if t.name == "Nil" and not t.args:
-            return "[]"
-        if t.name == "Cons" and len(t.args) == 2:
-            s = f"{_term_doc(t.args[0], 1)} : {_term_doc(t.args[1], 0)}"
-            return f"({s})" if level > 0 else s
-        if not t.args:
-            return t.name
-        s = t.name + " " + " ".join(_term_doc(a, 4) for a in t.args)
-        return f"({s})" if level > 3 else s
-    if isinstance(t, App):
+    if isinstance(t, Con) and t.name == "Nil" and not t.args:
+        return "[]"
+    if isinstance(t, Con) and t.name == "Cons" and len(t.args) == 2:
+        s = f"{_term_doc(t.args[0], 1)} : {_term_doc(t.args[1], 0)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(t, (Con, App)):
         if not t.args:
             return t.name
         s = t.name + " " + " ".join(_term_doc(a, 4) for a in t.args)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from .logic import SolverState, entails
@@ -460,13 +459,11 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
 
 
 def check_termination(fi: FunInfo, env: TypeEnv,
-                      contexts: Optional[Callable[[], list[list[LeafContext]]]] = None):
+                      contexts: Callable[[], list[list[LeafContext]]]):
     """Structural check first unless an explicit metric was declared; falls
     back to the guessed first-argument metric before giving up.  A metric
     check assumes the hypotheses of fi's `clause_contexts`, which `contexts`
-    returns, built only when a metric is checked (and built here if None)."""
-    if contexts is None:
-        contexts = cache(lambda: clause_contexts(fi, env))
+    returns, called only when a metric is checked."""
     calls = _self_calls(fi)
     if not calls:
         return TerminationEvidence("structural", ())

@@ -10,7 +10,7 @@ from eqcheck.cli import run
 from eqcheck.semantics import enumerate_values, evaluate, value_to_term
 from eqcheck.syntax import App, Con, FunDecl
 from eqcheck.types import INT, SortData
-from eqcheck.wf import TerminationEvidence, check_termination
+from eqcheck.wf import TerminationEvidence, check_termination, clause_contexts
 
 from conftest import CORPUS, corpus_text, env_of
 from oracles import (
@@ -93,11 +93,13 @@ def test_criterion_3_totality():
 def test_criterion_4_termination():
     env2 = env_of(corpus_text("section2.eq"))
     env5 = env_of(corpus_text("section5.eq"))
-    length_ev = check_termination(env2.funs["length"], env2)
-    exec_ev = check_termination(env5.funs["exec"], env5)
+    length, exec_ = env2.funs["length"], env5.funs["exec"]
+    length_ev = check_termination(length, env2, lambda: clause_contexts(length, env2))
+    exec_ev = check_termination(exec_, env5, lambda: clause_contexts(exec_, env5))
     assert isinstance(length_ev, TerminationEvidence) and length_ev.kind == "structural"
     assert isinstance(exec_ev, TerminationEvidence) and exec_ev.kind == "structural"
-    inv_ev = check_termination(env2.funs["involutionP"], env2)
+    inv = env2.funs["involutionP"]
+    inv_ev = check_termination(inv, env2, lambda: clause_contexts(inv, env2))
     assert isinstance(inv_ev, TerminationEvidence)
     assert inv_ev.kind == "semantic" and not inv_ev.guessed
     loop_report = check_module(

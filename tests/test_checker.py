@@ -3,12 +3,12 @@ import re
 
 import pytest
 
-from eqcheck import checker, logic
+from eqcheck import checker, logic, wf
 from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_module, discharge,
 )
 from eqcheck.semantics import evaluate
-from eqcheck.syntax import PAtom, pretty_pred, subterms
+from eqcheck.syntax import FunDecl, PAtom, pretty_pred, subterms
 from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
@@ -554,6 +554,37 @@ usesLoop xs = loop xs
     report = check_module(src)
     kinds = {v.decl: v.kind for v in report.failed()}
     assert kinds == {"loop": "termination", "usesLoop": "blocked"}
+
+
+def test_clause_contexts_are_built_once_and_only_when_read(monkeypatch):
+    # a declaration's leaves are computed once per clause, when its
+    # obligations are built or termination checks a metric, and never for a
+    # declaration that fails totality or that a failed callee blocks
+    leaves = wf.clause_leaves
+    calls: dict[str, int] = {}
+
+    def counting_leaves(fi, clause_index, env):
+        calls[fi.name] = calls.get(fi.name, 0) + 1
+        return leaves(fi, clause_index, env)
+
+    monkeypatch.setattr(wf, "clause_leaves", counting_leaves)
+    seen: dict[str, int] = {}
+    for path in FILES:
+        calls.clear()
+        report = check_module(path.read_text())
+        kinds = {v.decl: v.kind for v in report.verdicts
+                 if v.kind in ("totality", "termination", "blocked")}
+        for decl in report.module.decls:
+            if not isinstance(decl, FunDecl):
+                continue
+            fi, kind = report.env.funs[decl.name], kinds.get(decl.name, "checked")
+            read = kind == "checked" or (kind == "termination"
+                                         and fi.signature.metric is not None)
+            n = calls.get(decl.name, 0)
+            assert n == (len(fi.clauses) if read else 0), (path.name, decl.name, kind, n)
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen.keys() == {"checked", "totality", "termination", "blocked"}, seen
+    assert seen["blocked"] >= 6, seen
 
 
 def test_fuel_exhausted_verdict():

@@ -436,7 +436,7 @@ def test_entails_continues_a_saturated_state(seed):
 # changes nothing a walk would have built.
 
 def _graph(st):
-    return ([(n.nid, n.kind, n.head, n.args, n.is_int) for n in st.nodes],
+    return ([(n.kind, n.head, n.args, n.is_int) for n in st.nodes],
             st.intern_table, st.active, [st.find(i) for i in range(len(st.nodes))])
 
 

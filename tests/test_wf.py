@@ -7,7 +7,7 @@ from eqcheck.semantics import Fuel, MatchFailure, enumerate_values, evaluate, va
 from eqcheck.syntax import App, PCon, pretty_pred
 from eqcheck.wf import (
     NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
-    check_totality, clause_leaves, missing_pattern_text,
+    check_totality, clause_contexts, clause_leaves, missing_pattern_text,
 )
 from eqcheck.types import INT, SortData
 
@@ -214,20 +214,23 @@ def test_clause_leaves_partition_the_inputs_by_first_match(source):
 # ---------------------------------------------------------------- termination
 
 def test_length_structural(list_env):
-    ev = check_termination(list_env.funs["length"], list_env)
+    fi = list_env.funs["length"]
+    ev = check_termination(fi, list_env, lambda: clause_contexts(fi, list_env))
     assert ev == TerminationEvidence("structural", (0,))
 
 
 def test_exec_structural():
     env = env_of(corpus_text("section5.eq"))
-    ev = check_termination(env.funs["exec"], env)
+    fi = env.funs["exec"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0,)
 
 
 def test_involution_semantic_metric():
     env = env_of(corpus_text("section2.eq"))
-    ev = check_termination(env.funs["involutionP"], env)
+    fi = env.funs["involutionP"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, TerminationEvidence)
     assert ev.kind == "semantic" and not ev.guessed
     assert len(ev.metric) == 1
@@ -235,7 +238,9 @@ def test_involution_semantic_metric():
 
 def test_loop_rejected():
     env = env_of("loop : xs:(List a) -> List a\nloop xs = loop xs\n")
-    assert isinstance(check_termination(env.funs["loop"], env), NonTermination)
+    fi = env.funs["loop"]
+    assert isinstance(check_termination(fi, env, lambda: clause_contexts(fi, env)),
+                      NonTermination)
 
 
 def test_metric_guess_used_when_structure_fails():
@@ -247,7 +252,8 @@ churn [] = 0
 churn (_:xs) = churn (reverse xs)
 """
     env = env_of(src)
-    ev = check_termination(env.funs["churn"], env)
+    fi = env.funs["churn"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, NonTermination) or (ev.kind == "semantic" and ev.guessed)
 
 
@@ -258,12 +264,14 @@ count 0 m = m
 count n m = count (n - 1) (m + 1)
 """
     env = env_of(src)
-    ev = check_termination(env.funs["count"], env)
+    fi = env.funs["count"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, TerminationEvidence) and ev.kind == "semantic" and ev.guessed
 
 
 def test_nonrecursive_trivially_terminates(list_env):
-    ev = check_termination(list_env.funs["length"], list_env)
+    fi = list_env.funs["length"]
+    ev = check_termination(fi, list_env, lambda: clause_contexts(fi, list_env))
     assert isinstance(ev, TerminationEvidence)
 
 
@@ -277,7 +285,8 @@ ack (S m) Z = ack m (S Z)
 ack (S m) (S n) = ack m (ack (S m) n)
 """
     env = env_of(src)
-    ev = check_termination(env.funs["ack"], env)
+    fi = env.funs["ack"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0, 1)
 
@@ -286,7 +295,8 @@ def test_structural_terminates_under_fuel():
     # structural evidence implies bounded unfolding on small inputs
     env = env_of(corpus_text("section2.eq"))
     for fname in ["length", "append", "reverse"]:
-        ev = check_termination(env.funs[fname], env)
+        fi = env.funs[fname]
+        ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
         assert isinstance(ev, TerminationEvidence)
     lists = enumerate_values(env, SortData("List", (INT,)), 6, ints=(0, 1))
     for v in lists:
