@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails, holds
 from .parser import parse_module
@@ -97,10 +97,11 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     holds the head and every step's rhs), so interning it adds no node and
     every step of the run would build the same state.  The clause VC and the
     preconditions assume the full scope's hypotheses plus the chain
-    equalities; when the last run of steps assumed the full scope (always,
-    unless --strict-hints left hints out of it) they take that run's key and
-    carry the chain equalities as `extra`, to be asserted on its state after
-    every step of the run is decided.  Without steps they get no key."""
+    equalities.  The last run of steps starts at step 0 or at the last hinted
+    step, so it sees every hint and assumes the full scope too: they take that
+    run's key and carry the chain equalities as `extra`, to be asserted on its
+    state after every step of the run is decided.  Without steps they get no
+    key."""
     fi = inst.fi
     ple = fi.is_ple or config.ple_default
     base = f"{fi.name}/c{inst.clause_index}"
@@ -134,9 +135,9 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
         lhs = step.rhs
 
     # the clause VC and the preconditions also assume every chain step, and
-    # continue the last run's state when it assumed the full scope
+    # continue the last run's state, which assumed the full scope
     vc_facts, extra = facts + chain, tuple(chain)
-    vc_key = step_hypotheses if inst.steps and len(step_scope) == len(scope) else None
+    vc_key = step_hypotheses if inst.steps else None
 
     # final clause VC: a proof's result is the unit value, any other result
     # is the value of the (renamed) body, which cannot end in QED
@@ -269,69 +270,61 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
     cycles = call_graph_cycles(env)
     in_cycle = {name: comp for comp in cycles for name in comp}
 
-    tainted: dict[str, str] = {}
-    wf_verdicts: dict[str, Verdict] = {}
+    # a declaration that is not checked: its failed verdict, and why, for the
+    # blocked verdicts of its users
+    failed: dict[str, Verdict] = {}
+    why: dict[str, str] = {}
     # built when termination checks a metric or the VCs are built, so a
     # declaration blocked by a failed callee builds none
-    contexts: dict[str, list[list[LeafContext]]] = {}
-
-    def contexts_of(name: str) -> list[list[LeafContext]]:
-        if name not in contexts:
-            contexts[name] = clause_contexts(env.funs[name], env)
-        return contexts[name]
+    contexts_of = cache(lambda name: clause_contexts(env.funs[name], env))
 
     for name in fun_names:
         fi = env.funs[name]
         if name in in_cycle:
-            wf_verdicts[name] = Verdict(
+            verdict = Verdict(
                 f"{name}/term", name, "termination", fi.span, "failed",
                 message=("mutual recursion is not supported; call cycle: "
                          + " -> ".join(in_cycle[name])))
-            tainted[name] = "fails termination checking"
-            continue
-        missing = check_totality(fi, env)
-        if missing:
+        elif missing := check_totality(fi, env):
             texts = [missing_pattern_text(r) for r in missing]
-            wf_verdicts[name] = Verdict(
+            verdict = Verdict(
                 f"{name}/total", name, "totality", fi.span, "failed",
                 message="function is not total; missing patterns: " + "; ".join(texts))
-            tainted[name] = "fails totality checking"
-            continue
-        outcome = check_termination(fi, env, partial(contexts_of, name))
-        if isinstance(outcome, NonTermination):
-            wf_verdicts[name] = Verdict(
+        elif isinstance(outcome := check_termination(fi, env, partial(contexts_of, name)),
+                        NonTermination):
+            verdict = Verdict(
                 f"{name}/term", name, "termination", outcome.span, "failed",
                 message=outcome.reason)
-            tainted[name] = "fails termination checking"
+        else:
+            continue
+        failed[name] = verdict
+        why[name] = f"fails {verdict.kind} checking"
 
-    # taint propagates to every (transitive) user of a failed declaration
+    # taint propagates to every (transitive) user of a failed declaration; a
+    # user names the first of its references that has failed when its turn
+    # in the round comes
     references = {name: _decl_references(env.funs[name]) for name in fun_names}
     changed = True
-    blocked: dict[str, str] = {}
     while changed:
         changed = False
         for name in fun_names:
-            if name in tainted:
+            if name in failed:
                 continue
-            for ref in references[name]:
-                if ref in tainted:
-                    tainted[name] = f"uses {ref!r}, which {tainted[ref]}"
-                    blocked[name] = tainted[name]
-                    changed = True
-                    break
+            ref = next((ref for ref in references[name] if ref in failed), None)
+            if ref is not None:
+                why[name] = f"uses {ref!r}, which {why[ref]}"
+                failed[name] = Verdict(
+                    f"{name}/blocked", name, "blocked", env.funs[name].span, "failed",
+                    message=f"not checked: {why[name]}")
+                changed = True
 
     # every "unreachable" warning comes before every "unused" one
     unreachable: list[str] = []
     unused: list[str] = []
     for name in fun_names:
         fi = env.funs[name]
-        if name in wf_verdicts:
-            report.verdicts.append(wf_verdicts[name])
-            continue
-        if name in blocked:
-            report.verdicts.append(Verdict(
-                f"{name}/blocked", name, "blocked", fi.span, "failed",
-                message=f"not checked: {blocked[name]}"))
+        if name in failed:
+            report.verdicts.append(failed[name])
             continue
         leaf_contexts = contexts_of(name)
         obligations, warnings = build_decl_obligations(fi, leaf_contexts, config)

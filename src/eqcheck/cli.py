@@ -28,21 +28,10 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-class _Paint:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-    def _wrap(self, code: str, text: str) -> str:
-        return f"\x1b[{code}m{text}\x1b[0m" if self.enabled else text
-
-    def red(self, s: str) -> str:
-        return self._wrap("31", s)
-
-    def green(self, s: str) -> str:
-        return self._wrap("32", s)
-
-    def yellow(self, s: str) -> str:
-        return self._wrap("33", s)
+def _paint(text: str, code: str, color: bool) -> str:
+    """`text` in the ANSI color `code` (31 red, 32 green, 33 yellow) when
+    `color` is set."""
+    return f"\x1b[{code}m{text}\x1b[0m" if color else text
 
 
 def _span_json(span: Span) -> dict:
@@ -68,7 +57,7 @@ def report_to_json(reports: list[Report]) -> list[dict]:
     return out
 
 
-def render_human(reports: list[Report], paint: _Paint) -> str:
+def render_human(reports: list[Report], color: bool) -> str:
     lines: list[str] = []
     total = failed = 0
     for report in reports:
@@ -79,7 +68,7 @@ def render_human(reports: list[Report], paint: _Paint) -> str:
                 failed += 1
                 decls_failed[v.decl] = decls_failed.get(v.decl, 0) + 1
                 where = f"{report.file}:{v.span.line}:{v.span.col}"
-                lines.append(paint.red(f"FAILED  {where}  {v.decl} [{v.kind}]"))
+                lines.append(_paint(f"FAILED  {where}  {v.decl} [{v.kind}]", "31", color))
                 if v.message:
                     lines.append(f"    {v.message}")
                 if v.status == "fuel-exhausted":
@@ -90,13 +79,13 @@ def render_human(reports: list[Report], paint: _Paint) -> str:
                     for f in v.fact_texts:
                         lines.append(f"    fact:  {f}")
         for w in report.warnings:
-            lines.append(paint.yellow(f"warning: {report.file}: {w}"))
+            lines.append(_paint(f"warning: {report.file}: {w}", "33", color))
         ok_count = sum(1 for v in report.verdicts if v.proved)
         n = len(report.verdicts)
-        status = paint.green("OK") if ok_count == n else paint.red("FAILED")
+        status = _paint("OK", "32", color) if ok_count == n else _paint("FAILED", "31", color)
         lines.append(f"{report.file}: {status} ({ok_count}/{n} obligations proved)")
     if failed:
-        lines.append(paint.red(f"{failed} of {total} obligations failed"))
+        lines.append(_paint(f"{failed} of {total} obligations failed", "31", color))
     return "\n".join(lines)
 
 
@@ -186,7 +175,7 @@ def run(argv: list[str]) -> int:
     if args.json:
         print(json.dumps(report_to_json(reports), indent=2))
     else:
-        print(render_human(reports, _Paint(_use_color(sys.stdout))))
+        print(render_human(reports, _use_color(sys.stdout)))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAILED
 
 

@@ -645,11 +645,11 @@ def _fire_measures(st: SolverState, nid: int) -> bool:
         if (m, (st.find(nid),)) in st.reflect_done_keys:
             continue
         app = st._mk("app", m, (nid,), isinstance(st.env.funs[m].result_sort, SortInt))
-        fired |= _unfold(st, app, False)
+        fired |= _unfold(st, app)
     return fired
 
 
-def _unfold(st: SolverState, nid: int, allow_derived: bool) -> bool:
+def _unfold(st: SolverState, nid: int) -> bool:
     """The one instantiation rule: equate an application of a reflected
     function or a measure with the body of its first decided clause.  Outside
     PLE a reflected application unfolds only where it was written (active);
@@ -660,7 +660,7 @@ def _unfold(st: SolverState, nid: int, allow_derived: bool) -> bool:
     fi = st.env.funs[node.head]
     if not (fi.is_reflected or fi.is_measure):
         return False
-    if not (allow_derived or fi.is_measure or nid in st.active):
+    if not (st.ple or fi.is_measure or nid in st.active):
         return False
     sel = _select_clause(st, fi, node.args)
     if sel is None:
@@ -680,10 +680,11 @@ def _unfold(st: SolverState, nid: int, allow_derived: bool) -> bool:
     return True
 
 
-def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -> SolverState:
+def _saturate(st: SolverState) -> SolverState:
+    """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds."""
     rounds = 0
     while not st.contradiction:
-        if max_rounds is not None and rounds >= max_rounds:
+        if st.ple and rounds >= st.ple_fuel:
             st.fuel_exhausted = True
             break
         rounds += 1
@@ -696,7 +697,7 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
             if node.kind == "con":
                 changed |= _fire_measures(st, nid)
             elif node.kind == "app":
-                changed |= _unfold(st, nid, allow_derived)
+                changed |= _unfold(st, nid)
         changed |= st._pinch()
         st.checkpoint()
         if not changed and len(st.nodes) == snapshot:
@@ -705,17 +706,15 @@ def _saturate(st: SolverState, allow_derived: bool, max_rounds: Optional[int]) -
 
 
 def instantiate_axioms(st: SolverState) -> SolverState:
-    """Unfold to a fixpoint, with reflected applications limited to the
-    written (active) ones."""
-    return _saturate(st, allow_derived=False, max_rounds=None)
+    """Saturate in the state's mode: outside PLE, to a fixpoint with reflected
+    applications limited to the written (active) ones."""
+    return _saturate(st)
 
 
 def ple_saturate(st: SolverState) -> SolverState:
-    """Iterate unfolding, reflected applications created by previous
-    unfoldings included, for at most `st.ple_fuel` rounds."""
-    if st.ple_fuel <= 0:
-        return st
-    return _saturate(st, allow_derived=True, max_rounds=st.ple_fuel)
+    """Saturate in the state's mode: under PLE, reflected applications created
+    by earlier unfoldings unfold too, for at most `st.ple_fuel` rounds."""
+    return st if st.ple_fuel <= 0 else _saturate(st)
 
 
 def holds(st: SolverState, p: Pred) -> bool:

@@ -428,8 +428,6 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
     binders = fi.signature.binders()
     for ctx in (ctx for leaves in contexts for ctx in leaves):
         calls = [sub for sub in apps(ctx.terms_in_scope(None)) if sub.name == fi.name]
-        if not calls:
-            continue
         for call in calls:
             callee = [substitute(m, dict(zip(binders, call.args))) for m in metric]
             lemmas = (lemma_facts(ctx.env.funs[sub.name], sub.args)
@@ -438,14 +436,9 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
             nonneg = [PAtom("<=", IntLit(0), e) for e in callee]
             decreases: list[Pred] = []
             for k in range(len(metric)):
-                parts: list[Pred] = [
-                    PAtom("==", callee[j], metric[j]) for j in range(k)
-                ]
-                parts.append(PAtom("<", callee[k], metric[k]))
-                decreases.append(parts[0] if len(parts) == 1 else PAnd(tuple(parts)))
-            goal: Pred = PAnd((*nonneg,
-                               decreases[0] if len(decreases) == 1
-                               else POr(tuple(decreases))))
+                parts = [PAtom("==", callee[j], metric[j]) for j in range(k)]
+                decreases.append(PAnd((*parts, PAtom("<", callee[k], metric[k]))))
+            goal = PAnd((*nonneg, POr(tuple(decreases))))
             st = SolverState(ctx.env, var_sorts=ctx.var_sorts)
             for t in (*metric, *callee):
                 st.intern_term(t, active=True)

@@ -466,9 +466,9 @@ def test_fuel_exhausted_stays_set_on_a_continued_state(claim, status, monkeypatc
     ran_out = []
     saturate = logic._saturate
 
-    def recording_saturate(st, **kwargs):
+    def recording_saturate(st):
         before, st.fuel_exhausted = st.fuel_exhausted, False
-        saturate(st, **kwargs)
+        saturate(st)
         ran_out.append(st.fuel_exhausted)
         st.fuel_exhausted |= before
         return st
@@ -554,6 +554,30 @@ usesLoop xs = loop xs
     report = check_module(src)
     kinds = {v.decl: v.kind for v in report.failed()}
     assert kinds == {"loop": "termination", "usesLoop": "blocked"}
+
+
+def test_blocked_reasons_follow_the_taint_rounds():
+    # each round visits the declarations in source order, and a user names
+    # the first of its references that has failed by its turn: `a` names
+    # `c`, failed before the rounds begin, not `b`, which `d` blocks in the
+    # same round only after `a`'s turn
+    src = "".join(f"{name} : x:Int -> Int\n{clause}\n\n" for name, clause in [
+        ("a", "a x = b x + c x"), ("b", "b x = d x"), ("c", "c x = c x"),
+        ("d", "d 0 = 0"), ("e", "e x = a x"), ("p", "p x = q x"), ("q", "q x = p x"),
+        ("u", "u x = q x + 1")])
+    cycle = "mutual recursion is not supported; call cycle: p -> q"
+    assert [(v.oid, v.kind, v.message) for v in check_module(src).verdicts] == [
+        ("a/blocked", "blocked", "not checked: uses 'c', which fails termination checking"),
+        ("b/blocked", "blocked", "not checked: uses 'd', which fails totality checking"),
+        ("c/term", "termination", "no lexicographic argument ordering shrinks at every "
+                                  "recursive call of 'c', and no termination metric applies"),
+        ("d/total", "totality", "function is not total; missing patterns: 1"),
+        ("e/blocked", "blocked",
+         "not checked: uses 'a', which uses 'c', which fails termination checking"),
+        ("p/term", "termination", cycle),
+        ("q/term", "termination", cycle),
+        ("u/blocked", "blocked", "not checked: uses 'q', which fails termination checking"),
+    ]
 
 
 def test_clause_contexts_are_built_once_and_only_when_read(monkeypatch):

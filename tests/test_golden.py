@@ -25,7 +25,7 @@ import random
 import pytest
 
 from eqcheck.checker import CheckConfig, check_module
-from eqcheck.cli import _Paint, render_human, report_to_json
+from eqcheck.cli import render_human, report_to_json
 from eqcheck.parser import ParseError, parse_module, parse_pred, parse_term, tokenize
 from eqcheck.syntax import Span
 
@@ -46,7 +46,7 @@ def renderings(path: pathlib.Path, config: CheckConfig | None = None
                ) -> tuple[str, str]:
     """(human text, sha256 of the JSON text) for one checked file."""
     report = check_module(path.read_text(), config, file=path.name)
-    human = render_human([report], _Paint(False)) + "\n"
+    human = render_human([report], False) + "\n"
     text = json.dumps(report_to_json([report]), indent=2)
     return human, hashlib.sha256(text.encode()).hexdigest()
 
