@@ -26,15 +26,17 @@ after the last step that reads it.
 
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
-so the store is always in solved form, then Fourier-Motzkin elimination per
-query, with integer sharpening of strict bounds (sound, incomplete).  Both
-combine rows by the one elimination step, `_eliminate`: Fourier-Motzkin
-resolution of a lower and an upper bound on a variable is the same
-nonnegative combination as substituting an equality.  The two theories
-exchange equalities: congruence merges of integer classes feed the
-arithmetic store, and the classes the store forces equal (found from its
-implicit equalities, the inequality rows it also bounds the other way) are
-merged back into the term graph.
+so the store is always in solved form (its pivots indexed by variable, so a
+step substitutes only the pivots that its atom mentions, and n chained
+equalities cost O(n)), then Fourier-Motzkin elimination per query, with
+integer sharpening of strict bounds (sound, incomplete).  Both combine rows
+by the one elimination step, `_eliminate`: Fourier-Motzkin resolution of a
+lower and an upper bound on a variable is the same nonnegative combination
+as substituting an equality.  The two theories exchange equalities:
+congruence merges of integer classes feed the arithmetic store, and the
+classes the store forces equal (found from its implicit equalities, the
+inequality rows it also bounds the other way) are merged back into the term
+graph.
 """
 
 from __future__ import annotations
@@ -106,20 +108,34 @@ def _eliminate(coeffs: dict[int, int], const: int, var: int, a: int,
     return (c2, k2)
 
 
-Pivot = tuple[int, int, dict[int, int], int]  # var, its coefficient a, the equality
+# position in pivot order, var, its coefficient a, the equality
+Pivot = tuple[int, int, int, dict[int, int], int]
 
 
-def _reduced(pivots: list[Pivot], coeffs: dict[int, int], const: int) -> tuple:
+def _first_pivot(pivots: dict[int, Pivot], coeffs: dict[int, int]) -> Optional[Pivot]:
+    """The earliest pivot whose variable the row mentions, if any."""
+    first = None
+    for v in coeffs:
+        p = pivots.get(v)
+        if p is not None and (first is None or p[0] < first[0]):
+            first = p
+    return first
+
+
+def _reduced(pivots: dict[int, Pivot], coeffs: dict[int, int], const: int) -> tuple:
     """A linear form with the pivots substituted in order, exactly: the
     result is free of every pivot variable, since each pivot is free of the
-    earlier ones.  Returned as (coefficients, constant, scale) over their
-    gcd, so two forms get the same key iff they agree on every point of the
-    pivots' equalities."""
+    earlier ones.  Only the pivots whose variable the form mentions are
+    looked up, earliest first; a substitution brings in only variables of
+    later pivots, so this substitutes what a scan of every pivot in order
+    would.  Returned as (coefficients, constant, scale) over their gcd, so
+    two forms get the same key iff they agree on every point of the pivots'
+    equalities."""
     scale = 1
-    for var, a, ecoeffs, econst in pivots:
-        if var in coeffs:
-            coeffs, const = _substitute(coeffs, const, var, a, ecoeffs, econst)
-            scale *= abs(a)
+    while pivots and (p := _first_pivot(pivots, coeffs)):
+        _, var, a, ecoeffs, econst = p
+        coeffs, const = _substitute(coeffs, const, var, a, ecoeffs, econst)
+        scale *= abs(a)
     g = gcd(scale, const, *coeffs.values())
     return (frozenset((v, c // g) for v, c in coeffs.items()), const // g, scale // g)
 
@@ -131,11 +147,12 @@ class _Lia:
     with gcd/floor tightening on every derived row (sound, incomplete).
 
     The atoms are kept in solved form as they arrive (`_solve`): a pivot
-    sequence of equalities, each free of the earlier pivots' variables, and
-    the inequalities with every pivot substituted in.  Every stored atom,
-    query row and disequality-branch row goes through that one step, a
-    query's and a branch's on copies; a query then runs Fourier-Motzkin on
-    the inequalities."""
+    sequence of equalities, each free of the earlier pivots' variables, kept
+    by pivot variable in pivot order with its position, and the inequalities
+    with every pivot substituted in.  Every stored atom, query row and
+    disequality-branch row goes through that one step, a query's and a
+    branch's on copies; a query then runs Fourier-Motzkin on the
+    inequalities."""
 
     ATOM_CAP = 600
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
@@ -144,7 +161,7 @@ class _Lia:
         self.n_atoms = 0  # atoms stored, those true on their own left out
         self.has_bound = False  # some stored atom is a `<=`
         self.diseqs: list[Lin] = []  # each meaning expr != 0
-        self.pivots: list[Pivot] = []
+        self.pivots: dict[int, Pivot] = {}  # by variable, in pivot order
         self.ineqs: list[Lin] = []
         self.consistent = True  # False once an atom made the solved form false
         self._feasible_cache: Optional[bool] = None
@@ -183,7 +200,7 @@ class _Lia:
     def feasible(self, extra: tuple = ()) -> bool:
         if not extra and self._feasible_cache is not None:
             return self._feasible_cache
-        pivots, ineqs = list(self.pivots), list(self.ineqs)
+        pivots, ineqs = dict(self.pivots), list(self.ineqs)
         result = (self.consistent
                   and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
                           for coeffs, const, rel in extra)
@@ -192,7 +209,7 @@ class _Lia:
             self._feasible_cache = result
         return result
 
-    def _feasible_branches(self, pivots: list[Pivot], ineqs: list[Lin], diseqs) -> bool:
+    def _feasible_branches(self, pivots: dict[int, Pivot], ineqs: list[Lin], diseqs) -> bool:
         """Integer disequalities: expr != 0 splits into expr <= -1 or
         expr >= 1; the atoms are feasible if some branch assignment is."""
         if not diseqs:
@@ -218,17 +235,18 @@ class _Lia:
         raise AssertionError(rel)
 
     @staticmethod
-    def _solve(pivots: list[Pivot], ineqs: list[Lin],
+    def _solve(pivots: dict[int, Pivot], ineqs: list[Lin],
                atom: tuple[dict[int, int], int, str]) -> bool:
-        """One Gaussian elimination step (integer-scaled), updating both lists
-        in place: the atom has the pivots substituted in order; an equality
-        that still has variables becomes the next pivot and is substituted
-        into `ineqs` (rows that become true are dropped), an inequality is
-        appended.  False if a row becomes false."""
+        """One Gaussian elimination step (integer-scaled), updating `pivots`
+        and `ineqs` in place: the atom has the pivots it mentions substituted
+        in order, as in `_reduced`; an equality that still has variables
+        becomes the next pivot and is substituted into `ineqs` (rows that
+        become true are dropped), an inequality is appended.  False if a row
+        becomes false."""
         coeffs, const, rel = atom
-        for var, a, ecoeffs, econst in pivots:
-            if var in coeffs:
-                coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, rel)
+        while pivots and (p := _first_pivot(pivots, coeffs)):
+            _, var, a, ecoeffs, econst = p
+            coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, rel)
         if not coeffs:
             return _Lia._ground_holds(const, rel)
         if rel == "<=":
@@ -236,7 +254,7 @@ class _Lia:
             return True
         var = min(coeffs, key=lambda v: abs(coeffs[v]))
         a = coeffs[var]
-        pivots.append((var, a, coeffs, const))
+        pivots[var] = (len(pivots), var, a, coeffs, const)
         rest: list[Lin] = []
         for icoeffs, iconst in ineqs:
             if var in icoeffs:
@@ -502,8 +520,9 @@ class SolverState:
             # can force two classes equal (x + 1 == y + 1 forces x == y).
             # The exit is not free to remove: without it every
             # representative of the length and PLE scale files is reduced
-            # through hundreds of pivots each round, and the scale workload
-            # ran at about 41 inputs/s instead of 50 (CHANGES.md).
+            # each round, and even with the pivots indexed by variable the
+            # scale workload ran about 10% slower (58.7 / 56.6 / 58.2 against
+            # 62.7 / 64.9 / 65.9 inputs/s, seed 62, 8 s runs).
             return False
         reps: list[int] = []
         seen: set[int] = set()
@@ -522,7 +541,7 @@ class SolverState:
         sides: set[tuple[int, bool]] = set()
         for coeffs, _ in lia.ineqs:
             sides.update((v, c > 0) for v, c in coeffs.items())
-        pivots = list(lia.pivots)
+        pivots = dict(lia.pivots)
         for coeffs, const in lia.ineqs:
             if (all((v, c < 0) in sides for v, c in coeffs.items())
                     and not lia.feasible(((coeffs, const, "<"),))):  # store |= r >= 0

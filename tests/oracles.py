@@ -1,12 +1,14 @@
 """Independent oracles for the logic engine: a brute-force congruence
-closure over explicit term sets, and a random-model soundness harness that
-cross-checks entailment verdicts against evaluation."""
+closure over explicit term sets, the LIA solved form built by scanning every
+pivot, and a random-model soundness harness that cross-checks entailment
+verdicts against evaluation."""
 
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from eqcheck.logic import SolverState, assert_fact, entails
+from eqcheck.logic import SolverState, _eliminate, _Lia, _substitute, assert_fact, entails
 from eqcheck.parser import parse_pred
 from eqcheck.semantics import evaluate, value_to_term
 from eqcheck.syntax import (
@@ -41,6 +43,51 @@ def interned_node(st: SolverState, t: Term) -> int | None:
     if None in args:
         return None
     return st.intern_table.get((kind, head, args))
+
+
+# ------------------------------------------- solved form by full scan
+
+def scan_reduced(pivots, coeffs, const):
+    """`logic._reduced` by a scan of every pivot in pivot order (the dict's
+    insertion order), substituting each one whose variable the form still
+    mentions."""
+    scale = 1
+    for _, var, a, ecoeffs, econst in pivots.values():
+        if var in coeffs:
+            coeffs, const = _substitute(coeffs, const, var, a, ecoeffs, econst)
+            scale *= abs(a)
+    g = gcd(scale, const, *coeffs.values())
+    return (frozenset((v, c // g) for v, c in coeffs.items()), const // g, scale // g)
+
+
+class ScanLia(_Lia):
+    """`_Lia` whose elimination step scans every pivot in order instead of
+    looking up the pivots of the row's variables."""
+
+    @staticmethod
+    def _solve(pivots, ineqs, atom):
+        coeffs, const, rel = atom
+        for _, var, a, ecoeffs, econst in pivots.values():
+            if var in coeffs:
+                coeffs, const = _eliminate(coeffs, const, var, a, ecoeffs, econst, rel)
+        if not coeffs:
+            return _Lia._ground_holds(const, rel)
+        if rel == "<=":
+            ineqs.append((coeffs, const))
+            return True
+        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        pivots[var] = (len(pivots), var, coeffs[var], coeffs, const)
+        rest = []
+        for icoeffs, iconst in ineqs:
+            if var in icoeffs:
+                icoeffs, iconst = _eliminate(icoeffs, iconst, var, coeffs[var], coeffs, const, "<=")
+                if not icoeffs:
+                    if iconst > 0:
+                        return False
+                    continue
+            rest.append((icoeffs, iconst))
+        ineqs[:] = rest
+        return True
 
 
 # ------------------------------------------------- brute-force closure

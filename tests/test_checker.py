@@ -86,6 +86,29 @@ def test_length_both_clauses_proved():
     assert [v.status for v in verdicts] == ["proved", "proved"]
 
 
+@pytest.mark.parametrize("claim", [3000, 3001])
+def test_long_length_literal_verdict(claim):
+    # sizes past the benchmark's scale family (length n <= 500, PLE n <= 16)
+    src = (LIST_BASICS + "\n"
+           f"lenLit : u:Int -> {{v:Proof | length {[i % 10 for i in range(3000)]} == {claim}}}\n"
+           "lenLit u = ()\n")
+    failed = [v.oid for v in decl_verdicts(src, "lenLit") if not v.proved]
+    assert failed == ([] if claim == 3000 else ["lenLit/c0/vc"])
+
+
+@pytest.mark.parametrize("true", [True, False])
+def test_long_ple_reverse_literal_verdict(true):
+    xs = list(range(30))
+    ys = xs[::-1]
+    if not true:
+        ys[7] += 30
+    src = (LIST_BASICS + "\nple revLit\n"
+           f"revLit : u:Int -> {{v:Proof | reverse {xs} == {ys}}}\n"
+           "revLit u = ()\n")
+    failed = [v.oid for v in decl_verdicts(src, "revLit") if not v.proved]
+    assert failed == ([] if true else ["revLit/c0/vc"])
+
+
 def test_append_refinement_proved():
     verdicts = decl_verdicts(LIST_BASICS, "append")
     assert all(v.proved for v in verdicts)

@@ -2,22 +2,25 @@ import copy
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eqcheck import logic
 from eqcheck.logic import (
-    SolverState, _Lia, assert_fact, entails, holds, instantiate_axioms, ple_saturate,
+    SolverState, _Lia, _reduced, assert_fact, entails, holds, instantiate_axioms,
+    ple_saturate,
 )
 from eqcheck.syntax import PAtom, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
 
 from conftest import env_of, pred, term
 from oracles import (
-    SOUNDNESS_SRC, UNINTERPRETED_SRC, atom_truth, check_graph_against_oracle,
+    SOUNDNESS_SRC, UNINTERPRETED_SRC, ScanLia, atom_truth, check_graph_against_oracle,
     compound_soundness_trial, interned_node, random_atom, random_valuation,
-    soundness_trial,
+    scan_reduced, soundness_trial,
 )
 
 A = SortVar("a")
@@ -638,6 +641,60 @@ def test_lia_caches_agree_with_fresh_store(calls):
         for update in updates:
             _update(fresh, update)
         assert _ask(lia, call) == _ask(fresh, call), (updates, call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LIA_CALLS, st.lists(_LIN3, max_size=3))
+# x0 == x1 + x2 then x1 == 2: substituting pivot x0 into a row brings in x1,
+# whose pivot comes later
+@example([("add", "==", ({0: 1, 1: -1, 2: -1}, 0)), ("add", "==", ({1: 1}, -2)),
+          ("entails", "==", ({0: 1, 2: -1}, -2))], [({0: 1, 1: 1}, 0)])
+def test_pivot_lookup_substitutes_as_the_full_scan(calls, forms):
+    # looking a row's pivots up by variable performs exactly the substitutions
+    # of a scan over every pivot in order: same solved form, same answers
+    lia, ref = _Lia(), ScanLia()
+    for call in calls:
+        if call[0] in ("add", "diseq"):
+            _update(lia, call)
+            _update(ref, call)
+        else:
+            assert _ask(lia, call) == _ask(ref, call), call
+        assert list(lia.pivots.values()) == list(ref.pivots.values())
+        assert (lia.ineqs, lia.consistent) == (ref.ineqs, ref.consistent)
+        for coeffs, const in forms:
+            assert (_reduced(lia.pivots, dict(coeffs), const)
+                    == scan_reduced(ref.pivots, dict(coeffs), const))
+
+
+def _chain_lines(n):
+    """Lines of logic.py run while a store takes n chained equalities
+    x_i - x_(i+1) - 1 == 0 and is asked x_0 - x_n == n."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == logic.__file__ else None
+
+    lia = _Lia()
+    outer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for i in range(n):
+            lia.add({i: 1, i + 1: -1}, -1, "==")
+        entailed = lia.entails({0: 1, n: -1}, -n, "==")
+    finally:
+        sys.settrace(outer)
+    assert entailed
+    return count
+
+
+def test_chained_equalities_cost_linear_work():
+    # counted, not timed: a scan of every pivot per row made this 3.7x
+    assert _chain_lines(1000) <= 2.5 * _chain_lines(500)
 
 
 def test_diseq_cap_reports_true_entailment_as_not_entailed(monkeypatch):
