@@ -387,6 +387,16 @@ def _named(p) -> bool:
     return isinstance(p, (PVar, PInt, PBool))
 
 
+def _input_domains(env, fi, size, ints) -> list[list]:
+    """The enumerated values of each of fi's parameters: type variables read
+    as Int and a proof argument is the unit value."""
+    from eqcheck.semantics import enumerate_values
+    from eqcheck.types import SortProof
+    return [[None] if isinstance(s, SortProof)
+            else enumerate_values(env, _enumerable_sort(s, INT), size, ints=ints)
+            for s in fi.param_sorts]
+
+
 def check_leaves_partition(env, fi, *, size=3, ints=(0, 1, 2)) -> int:
     """Every enumerated input of fi is covered by exactly one clause leaf (its
     row matches and no excluded literal binds), a leaf of the clause that
@@ -395,17 +405,12 @@ def check_leaves_partition(env, fi, *, size=3, ints=(0, 1, 2)) -> int:
     only variables, constructors and literals.  Type variables read as Int
     and a proof argument is the unit value.  Returns the number of inputs."""
     import itertools
-    from eqcheck.semantics import enumerate_values
-    from eqcheck.types import SortProof
     from eqcheck.wf import clause_leaves
     leaves = [(ci, leaf) for ci in range(len(fi.clauses))
               for leaf in clause_leaves(fi, ci, env)]
     assert all(_named(p) for _, leaf in leaves for p in leaf.row), fi.name
-    domains = [[None] if isinstance(s, SortProof)
-               else enumerate_values(env, _enumerable_sort(s, INT), size, ints=ints)
-               for s in fi.param_sorts]
     n = 0
-    for args in itertools.product(*domains):
+    for args in itertools.product(*_input_domains(env, fi, size, ints)):
         n += 1
         selected = next((ci for ci, c in enumerate(fi.clauses)
                          if _row_matches(c.patterns, args, {})), None)
@@ -424,6 +429,40 @@ def check_leaves_partition(env, fi, *, size=3, ints=(0, 1, 2)) -> int:
             for x, t in leaf.var_bindings:
                 assert evaluate(env, t, binding=dict(binding)) == clause_binding[x], \
                     (fi.name, args, x)
+    return n
+
+
+def _witness_matches(p, value) -> bool:
+    """Whether a value lies in a totality witness pattern, which may hold
+    integer exclusion markers."""
+    from eqcheck.semantics import match_pattern
+    from eqcheck.syntax import PCon
+    from eqcheck.wf import _PIntExcept
+    if isinstance(p, PCon):
+        return value[0] == p.name and all(map(_witness_matches, p.args, value[1:]))
+    if isinstance(p, _PIntExcept):
+        return value not in p.excluded
+    return match_pattern(p, value, {})
+
+
+def check_totality_witnesses(env, fi, *, size=3, ints=(0, 1, 2)) -> int:
+    """An enumerated input of fi raises MatchFailure exactly when some
+    `check_totality` witness row matches it.  Returns the number of
+    inputs."""
+    import itertools
+    from eqcheck.semantics import MatchFailure
+    from eqcheck.wf import check_totality
+    witnesses = check_totality(fi, env)
+    n = 0
+    for args in itertools.product(*_input_domains(env, fi, size, ints)):
+        n += 1
+        try:
+            evaluate(env, App(fi.name, tuple(map(value_to_term, args))))
+            failed = False
+        except MatchFailure:
+            failed = True
+        assert failed == any(all(map(_witness_matches, row, args)) for row in witnesses), \
+            (fi.name, args)
     return n
 
 
@@ -517,3 +556,53 @@ def check_statement_spot(env, fi, rng, trials=1000, size=3, ints=(0, 1, 2)) -> N
         call = App(fi.name, tuple(value_to_term(binding[b]) for b, _ in pools))
         binding[res.binder] = evaluate(env, call)
         assert eval_pred(env, res.pred, binding), (fi.name, binding)
+
+
+# ------------------------------------------------- random pattern matrices
+
+PATTERN_SORTS = ("T", "List Int", "List a", "Bool", "Int")
+_PATTERN_VARS = ["x", "y", "z", "xs", "ys", "x1", "x2"]
+
+
+def _random_pattern(rng, sort: str, depth: int, names: list[str]):
+    """A pattern of `sort` (one of PATTERN_SORTS, or "a"): a variable while
+    `names` lasts, a wildcard, a literal, or a constructor whose fields
+    recurse while `depth` lasts (nullary constructors only at depth 0)."""
+    from eqcheck.syntax import PBool, PCon, PInt, PVar, PWild
+    if sort == "a" or rng.random() < 0.35:
+        return PVar(names.pop()) if names and rng.random() < 0.6 else PWild()
+    if sort == "Bool":
+        return PBool(rng.random() < 0.5)
+    if sort == "Int":
+        return PInt(rng.choice((-1, 0, 1, 2)))
+    if sort == "T":
+        pick = rng.randrange(3) if depth else 0
+        if pick == 0:
+            return PCon("A")
+        if pick == 1:
+            return PCon("C", (_random_pattern(rng, "Int", depth - 1, names),))
+        return PCon("B", tuple(_random_pattern(rng, "T", depth - 1, names) for _ in "ab"))
+    if not depth or rng.random() < 0.4:
+        return PCon("Nil")
+    elem = sort.split()[1]
+    return PCon("Cons", (_random_pattern(rng, elem, depth - 1, names),
+                         _random_pattern(rng, sort, depth - 1, names)))
+
+
+def random_pattern_module(rng, max_arity: int = 3) -> str:
+    """Source of a module declaring `data T = A | B T T | C Int` and one
+    function `f` of 1 to `max_arity` arguments, each of a sort drawn from
+    PATTERN_SORTS, with 1 to 5 clauses of random patterns: variables,
+    wildcards, nested constructors and literals, negative ones included.
+    Clause k returns k."""
+    from eqcheck.syntax import pretty_pattern
+    sorts = [rng.choice(PATTERN_SORTS) for _ in range(rng.randint(1, max_arity))]
+    params = [f"x{i + 1}:({s})" if " " in s else f"x{i + 1}:{s}"
+              for i, s in enumerate(sorts)]
+    lines = ["data T = A | B T T | C Int", "", f"f : {' -> '.join(params)} -> Int"]
+    for k in range(rng.randint(1, 5)):
+        names = list(_PATTERN_VARS)
+        rng.shuffle(names)
+        pats = [_random_pattern(rng, s, 2, names) for s in sorts]
+        lines.append(f"f {' '.join(pretty_pattern(p, True) for p in pats)} = {k}")
+    return "\n".join(lines) + "\n"

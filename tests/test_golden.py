@@ -8,6 +8,11 @@ The solver's own answers are pinned as well: one digest over the entailment
 bits of 3000 seeded random queries (`tests/oracles`), with the count of
 entailed answers beside it, so a moved answer shows as a number.
 
+So are the pattern-matrix answers: one digest over every clause leaf (its
+row, bindings and exclusions, in order) and every totality witness of 2000
+seeded random modules (`tests/oracles`), with the module, leaf and witness
+counts beside it.
+
 So are the parser's outcomes: one digest over the AST, printed with every
 span, or the exact `ParseError` of each corpus and mutation file, of 25
 seeded token-level mutations of each, and of a few term and predicate
@@ -27,10 +32,13 @@ import pytest
 from eqcheck.checker import CheckConfig, check_module
 from eqcheck.cli import render_human, report_to_json
 from eqcheck.parser import ParseError, parse_module, parse_pred, parse_term, tokenize
-from eqcheck.syntax import Span
+from eqcheck.syntax import Span, pretty
+from eqcheck.wf import check_totality, clause_leaves, missing_pattern_text
 
 from conftest import FILES, env_of
-from oracles import SOUNDNESS_SRC, compound_soundness_trial, soundness_trial
+from oracles import (
+    SOUNDNESS_SRC, compound_soundness_trial, random_pattern_module, soundness_trial,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "json.sha256"
@@ -38,6 +46,7 @@ STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
 PLE_DIGESTS = GOLDEN / "json_ple.sha256"
 SOLVER_ANSWERS = GOLDEN / "solver_answers.sha256"
 PARSE_OUTCOMES = GOLDEN / "parse_outcomes.sha256"
+CLAUSE_LEAVES = GOLDEN / "clause_leaves.sha256"
 STRICT = CheckConfig(strict_hints=True)
 PLE = CheckConfig(ple_default=True)
 
@@ -62,6 +71,28 @@ def solver_answers() -> tuple[str, int]:
             entailed, _ = trial(env, rng, ple=(i % 4 == 0))
             bits.append("1" if entailed else "0")
     return hashlib.sha256("".join(bits).encode()).hexdigest(), bits.count("1")
+
+
+def clause_leaves_record(modules: int = 2000) -> tuple[str, int, int, int]:
+    """(sha256, modules, leaves, witnesses) over `modules` seeded random
+    modules: one line per clause leaf, with its row, bindings and
+    exclusions, in `clause_leaves` order, then one per totality witness."""
+    rng = random.Random(2007)
+    lines = []
+    for m in range(modules):
+        env = env_of(random_pattern_module(rng))
+        fi = env.funs["f"]
+        for ci in range(len(fi.clauses)):
+            for leaf in clause_leaves(fi, ci, env):
+                bindings = ", ".join(f"{x} = {pretty(t)}" for x, t in leaf.var_bindings)
+                excluded = ", ".join(f"{x} /= {ks}" for x, ks in leaf.excluded_ints)
+                lines.append(f"{m}/c{ci}/{leaf.index}: {missing_pattern_text(leaf.row)}"
+                             f" | {bindings} | {excluded}")
+        lines.extend(f"{m}/missing: {missing_pattern_text(row)}"
+                     for row in check_totality(fi, env))
+    leaves = sum("/missing" not in line for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return digest, modules, leaves, len(lines) - leaves
 
 
 def dump(x) -> str:
@@ -170,6 +201,11 @@ def test_solver_answers_match_golden():
     assert solver_answers() == (digest, int(entailed))
 
 
+def test_clause_leaves_match_golden():
+    digest, modules, leaves, witnesses = CLAUSE_LEAVES.read_text().split()
+    assert clause_leaves_record() == (digest, int(modules), int(leaves), int(witnesses))
+
+
 def test_parse_outcomes_match_golden():
     digest, inputs, errors = PARSE_OUTCOMES.read_text().split()
     assert parse_outcomes() == (digest, int(inputs), int(errors))
@@ -189,5 +225,7 @@ if __name__ == "__main__":
     PLE_DIGESTS.write_text("".join(ple_lines))
     digest, entailed = solver_answers()
     SOLVER_ANSWERS.write_text(f"{digest}  {entailed}\n")
+    digest, modules, leaves, witnesses = clause_leaves_record()
+    CLAUSE_LEAVES.write_text(f"{digest}  {modules} {leaves} {witnesses}\n")
     digest, inputs, errors = parse_outcomes()
     PARSE_OUTCOMES.write_text(f"{digest}  {inputs} {errors}\n")

@@ -1,10 +1,23 @@
-import itertools
+"""Totality, clause leaves and termination.
+
+Run as a script, the file sweeps N seeded random pattern matrices
+(`oracles.random_pattern_module`, at most two arguments): on every
+enumerated input, the clause leaves partition the inputs by first match,
+and MatchFailure is raised exactly where a totality witness matches.  It
+exits 1 at the first module that breaks either:
+
+    PYTHONPATH=src python tests/test_wf.py [--modules N] [--seed S]
+"""
+
+import argparse
+import random
+from collections import Counter
 
 import pytest
 
 from eqcheck.checker import check_module
-from eqcheck.semantics import Fuel, MatchFailure, enumerate_values, evaluate, value_to_term
-from eqcheck.syntax import App, PCon, pretty_pred
+from eqcheck.semantics import Fuel, enumerate_values, evaluate, value_to_term
+from eqcheck.syntax import App, pretty_pred
 from eqcheck.wf import (
     NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
     check_totality, clause_contexts, clause_leaves, missing_pattern_text,
@@ -12,7 +25,7 @@ from eqcheck.wf import (
 from eqcheck.types import INT, SortData
 
 from conftest import LIST_BASICS, corpus_text, env_of
-from oracles import check_leaves_partition
+from oracles import check_leaves_partition, check_totality_witnesses, random_pattern_module
 
 CORPUS_FILES = ("section2.eq", "section2_ple.eq", "section4.eq", "section5.eq")
 
@@ -71,25 +84,7 @@ weird Dot _ = 0
 weird (Box Dot x) Dot = 1
 """
     env = env_of(src)
-    fi = env.funs["weird"]
-    missing = check_totality(fi, env)
-    shape = SortData("Shape", ())
-    values = enumerate_values(env, shape, 5)
-
-    def matches_row(row, args):
-        def m(pat, v):
-            if isinstance(pat, PCon):
-                return v[0] == pat.name and all(m(p, a) for p, a in zip(pat.args, v[1:]))
-            return True
-        return all(m(p, v) for p, v in zip(row, args))
-
-    for a, b in itertools.product(values, values):
-        try:
-            evaluate(env, App("weird", (value_to_term(a), value_to_term(b))))
-            failed = False
-        except MatchFailure:
-            failed = True
-        assert failed == any(matches_row(row, (a, b)) for row in missing)
+    assert check_totality_witnesses(env, env.funs["weird"], size=5) > 0
 
 
 def test_leaves_of_overlapping_clause():
@@ -209,6 +204,34 @@ def test_exclusion_names_the_position_the_literal_constrained():
 def test_clause_leaves_partition_the_inputs_by_first_match(source):
     env = env_of(source)
     assert sum(check_leaves_partition(env, fi) for fi in env.funs.values()) > 0
+
+
+def random_matrix_sweep(modules: int, seed: int = 0) -> Counter:
+    """Check the leaves and the totality witnesses of `modules` seeded random
+    modules on every input of size at most 2 with ints {0, 1, 2}; count the
+    inputs and the leaves, and those leaves with bindings or exclusions."""
+    rng = random.Random(seed)
+    counts: Counter = Counter()
+    for m in range(modules):
+        source = random_pattern_module(rng, max_arity=2)
+        env = env_of(source)
+        fi = env.funs["f"]
+        try:
+            counts["inputs"] += check_leaves_partition(env, fi, size=2)
+            check_totality_witnesses(env, fi, size=2)
+        except AssertionError as e:
+            raise AssertionError(f"module {m} of seed {seed}:\n{source}") from e
+        leaves = [leaf for ci in range(len(fi.clauses)) for leaf in clause_leaves(fi, ci, env)]
+        counts["leaves"] += len(leaves)
+        counts["with bindings"] += sum(bool(leaf.var_bindings) for leaf in leaves)
+        counts["with exclusions"] += sum(bool(leaf.excluded_ints) for leaf in leaves)
+    return counts
+
+
+def test_random_pattern_matrices_partition_and_witness_inputs():
+    counts = random_matrix_sweep(280)
+    assert counts["leaves"] >= 600, counts
+    assert counts["with bindings"] >= 150 and counts["with exclusions"] >= 75, counts
 
 
 # ---------------------------------------------------------------- termination
@@ -342,3 +365,11 @@ b n = a n
         **{name: ("termination", "failed") for name in "fghab"},
         "k": ("blocked", "failed"),
     }
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Sweep seeded random pattern matrices.")
+    ap.add_argument("--modules", type=int, default=2000)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    print(dict(random_matrix_sweep(args.modules, args.seed)))
