@@ -1,5 +1,8 @@
 """Soundness preconditions: exhaustive patterns (totality) and structural or
-metric-based termination for every function."""
+metric-based termination for every function.  Also each clause's leaves,
+the specialisations first-match semantics lets reach it, and the leaf
+contexts: the hypotheses a leaf's obligations and termination checks
+assume."""
 
 from __future__ import annotations
 
@@ -34,55 +37,54 @@ def _is_wild(p: Pattern) -> bool:
     return isinstance(p, (PVar, PWild))
 
 
-def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv) -> list[Row]:
-    """A disjoint set of pattern rows covering exactly the inputs no row of
-    the matrix matches."""
+def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv,
+              space: Row) -> list[Row]:
+    """The inputs of `space` that no row of the matrix matches, as disjoint
+    rows each refining `space`.  `space` is a pattern row over `sorts`: all
+    wildcards for the whole input space, or a clause's own row.  A column
+    where `space` has a constructor or literal is explored along that
+    branch alone; one where every row has a wildcard, or where no row is
+    left, keeps `space`'s own pattern."""
     if not sorts:
         return [] if rows else [()]
     if not rows:
-        return [tuple(PWild() for _ in sorts)]
+        return [space]
     col = [r[0] for r in rows]
-    rest_sorts = sorts[1:]
+    s0, top, rest_sorts, rest = sorts[0], space[0], sorts[1:], space[1:]
     if all(_is_wild(p) for p in col):
-        return [(PWild(), *u) for u in uncovered([r[1:] for r in rows], rest_sorts, env)]
+        return [(top, *u) for u in uncovered([r[1:] for r in rows], rest_sorts, env, rest)]
 
-    s0 = sorts[0]
-    out: list[Row] = []
     if isinstance(s0, SortData):
+        out: list[Row] = []
         for ci in env.datas[s0.name].ctors:
+            if isinstance(top, PCon) and top.name != ci.name:
+                continue
             fsorts = ctor_field_sorts(ci, s0, env)
+            k = len(fsorts)
+            wilds = tuple(PWild() for _ in fsorts)
             sub_rows: list[Row] = []
             for r in rows:
                 p = r[0]
                 if _is_wild(p):
-                    sub_rows.append((*(PWild() for _ in fsorts), *r[1:]))
+                    sub_rows.append((*wilds, *r[1:]))
                 elif isinstance(p, PCon) and p.name == ci.name:
                     sub_rows.append((*p.args, *r[1:]))
-            for u in uncovered(sub_rows, (*fsorts, *rest_sorts), env):
-                k = len(fsorts)
+            fields = top.args if isinstance(top, PCon) else wilds
+            for u in uncovered(sub_rows, (*fsorts, *rest_sorts), env, (*fields, *rest)):
                 out.append((PCon(ci.name, u[:k]), *u[k:]))
         return out
-    if isinstance(s0, SortBool):
-        for b in (False, True):
-            sub_rows = [r[1:] for r in rows
-                        if _is_wild(r[0]) or (isinstance(r[0], PBool) and r[0].value == b)]
-            for u in uncovered(sub_rows, rest_sorts, env):
-                out.append((PBool(b), *u))
-        return out
-    if isinstance(s0, SortInt):
+    if isinstance(top, (PBool, PInt)):
+        heads: list[Pattern] = [top]
+    elif isinstance(s0, SortBool):
+        heads = [PBool(False), PBool(True)]
+    elif isinstance(s0, SortInt):
         lits = sorted({p.value for p in col if isinstance(p, PInt)})
-        for k in lits:
-            sub_rows = [r[1:] for r in rows
-                        if _is_wild(r[0]) or (isinstance(r[0], PInt) and r[0].value == k)]
-            for u in uncovered(sub_rows, rest_sorts, env):
-                out.append((PInt(k), *u))
-        sub_rows = [r[1:] for r in rows if _is_wild(r[0])]
-        for u in uncovered(sub_rows, rest_sorts, env):
-            out.append((_PIntExcept(tuple(lits)), *u))
-        return out
-    # abstract sorts (type variables, Proof): only wildcards can match
-    sub_rows = [r[1:] for r in rows if _is_wild(r[0])]
-    return [(PWild(), *u) for u in uncovered(sub_rows, rest_sorts, env)]
+        heads = [*map(PInt, lits), _PIntExcept(tuple(lits))]
+    else:  # abstract sorts (type variables, Proof): only wildcards can match
+        heads = [top]
+    return [(head, *u) for head in heads
+            for u in uncovered([r[1:] for r in rows if _is_wild(r[0]) or r[0] == head],
+                               rest_sorts, env, rest)]
 
 
 def missing_pattern_text(row: Row) -> str:
@@ -107,7 +109,7 @@ def check_totality(fi: FunInfo, env: TypeEnv) -> list[Row]:
     """Empty list iff the clause patterns are exhaustive; otherwise a minimal
     set of uncovered witness rows."""
     rows = [c.patterns for c in fi.clauses]
-    return uncovered(rows, fi.param_sorts, env)
+    return uncovered(rows, fi.param_sorts, env, tuple(PWild() for _ in fi.param_sorts))
 
 
 # ------------------------------------------------------------ clause leaves
@@ -125,81 +127,44 @@ class Leaf:
     excluded_ints: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _name(pat: Pattern, fresh: FreshNames, excludes: list[tuple[str, tuple[int, ...]]],
-          var: Optional[PVar] = None) -> Pattern:
-    """pat with every wildcard and exclusion marker made a variable: `var` at
-    the top when given, a fresh `_w…` one anywhere else.  Each exclusion is
-    recorded under its variable's name."""
-    if isinstance(pat, PCon):
-        return PCon(pat.name, tuple(_name(a, fresh, excludes) for a in pat.args),
-                    span=pat.span)
-    if not isinstance(pat, (PWild, _PIntExcept)):
-        return pat
-    v = var or PVar(fresh.take("_w"))
-    if isinstance(pat, _PIntExcept) and pat.excluded:
-        excludes.append((v.name, pat.excluded))
-    return v
-
-
-def _intersect(p: Pattern, q: Pattern, fresh: FreshNames,
-               bindings: list[tuple[str, Pattern]],
-               excludes: list[tuple[str, tuple[int, ...]]]) -> Optional[Pattern]:
-    """Intersection of a clause pattern p with an uncovered-space pattern q,
-    named by `_name`; refinements of p's variables are recorded."""
-    if isinstance(q, PWild):
-        return _name(p, fresh, excludes)
-    if _is_wild(p):
-        var = p if isinstance(p, PVar) else None
-        merged = _name(q, fresh, excludes, var)
-        if var is not None and merged is not var:
-            bindings.append((var.name, merged))
-        return merged
-    if isinstance(q, _PIntExcept):  # p is an integer literal
-        return None if p.value in q.excluded else p
-    if isinstance(p, PCon) and isinstance(q, PCon):
-        if p.name != q.name:
-            return None
-        args = []
-        for a, b in zip(p.args, q.args):
-            m = _intersect(a, b, fresh, bindings, excludes)
-            if m is None:
-                return None
-            args.append(m)
-        return PCon(p.name, tuple(args), span=p.span)
-    if isinstance(p, PInt) and isinstance(q, PInt):
-        return p if p.value == q.value else None
-    if isinstance(p, PBool) and isinstance(q, PBool):
-        return p if p.value == q.value else None
-    return None
+def _name(p: Pattern, q: Pattern, fresh: FreshNames,
+          bindings: list[tuple[str, Pattern]],
+          excludes: list[tuple[str, tuple[int, ...]]]) -> Pattern:
+    """q, a refinement of clause pattern p, with every wildcard and exclusion
+    marker made a variable: p's own where p is one, a fresh `_w…` one
+    anywhere else.  A variable of p that q refines is bound to its named
+    refinement, and each exclusion is recorded under its variable's name."""
+    if isinstance(q, (PVar, PWild, _PIntExcept)):
+        v = p if isinstance(p, PVar) else PVar(fresh.take("_w"))
+        if isinstance(q, _PIntExcept) and q.excluded:
+            excludes.append((v.name, q.excluded))
+        return v
+    if isinstance(q, PCon):
+        src = p if isinstance(p, PCon) else q
+        named: Pattern = PCon(q.name, tuple(_name(a, b, fresh, bindings, excludes)
+                                            for a, b in zip(src.args, q.args)), span=src.span)
+    else:  # a literal
+        named = q
+    if isinstance(p, PVar):
+        bindings.append((p.name, named))
+    return named
 
 
 def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
     """The reachable specialisations of clause `clause_index`: its own pattern
     row minus everything earlier clauses already match."""
     rows = [c.patterns for c in fi.clauses]
-    space = uncovered(rows[:clause_index], fi.param_sorts, env)
     clause_row = rows[clause_index]
-    taken = set()
-    for pat in clause_row:
-        taken.update(pattern_vars(pat))
+    taken = {v for pat in clause_row for v in pattern_vars(pat)}
     leaves: list[Leaf] = []
-    for u in space:
-        fresh = FreshNames(set(taken))
+    for u in uncovered(rows[:clause_index], fi.param_sorts, env, clause_row):
+        fresh = FreshNames(taken)
         bindings: list[tuple[str, Pattern]] = []
         excludes: list[tuple[str, tuple[int, ...]]] = []
-        merged: list[Pattern] = []
-        ok = True
-        for p, q in zip(clause_row, u):
-            m = _intersect(p, q, fresh, bindings, excludes)
-            if m is None:
-                ok = False
-                break
-            merged.append(m)
-        if not ok:
-            continue
+        row = tuple(_name(p, q, fresh, bindings, excludes) for p, q in zip(clause_row, u))
         leaves.append(Leaf(
             index=len(leaves),
-            row=tuple(merged),
+            row=row,
             var_bindings=tuple((x, pattern_term(b)) for x, b in bindings),
             excluded_ints=tuple(excludes),
         ))
@@ -353,24 +318,12 @@ def _self_calls(fi: FunInfo) -> list[tuple[int, App]]:
             for sub in apps(body_terms(clause.body)) if sub.name == fi.name]
 
 
-def _strict_subvars(pat: Pattern) -> set[str]:
-    if isinstance(pat, PCon):
-        out: set[str] = set()
-        for sub in pat.args:
-            out.update(pattern_vars(sub))
-        return out
-    return set()
-
-
 def _pattern_equals_term(pat: Pattern, t: Term) -> bool:
-    if isinstance(pat, PVar):
-        return isinstance(t, Var) and t.name == pat.name
-    if isinstance(pat, PInt):
-        return isinstance(t, IntLit) and t.value == pat.value
     if isinstance(pat, PCon):
         return (isinstance(t, Con) and t.name == pat.name
                 and all(_pattern_equals_term(p, a) for p, a in zip(pat.args, t.args)))
-    return False
+    # a variable or literal; term equality compares the literal's kind too
+    return not isinstance(pat, PWild) and pattern_term(pat) == t
 
 
 def _structural(fi: FunInfo, calls: list[tuple[int, App]]) -> Optional[tuple[int, ...]]:
@@ -382,7 +335,7 @@ def _structural(fi: FunInfo, calls: list[tuple[int, App]]) -> Optional[tuple[int
     def status(ci: int, call: App, pos: int) -> int:
         pat = fi.clauses[ci].patterns[pos]
         arg = call.args[pos]
-        if isinstance(arg, Var) and arg.name in _strict_subvars(pat):
+        if isinstance(pat, PCon) and isinstance(arg, Var) and arg.name in pattern_vars(pat):
             return STRICT
         if _pattern_equals_term(pat, arg):
             return EQUAL

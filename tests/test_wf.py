@@ -17,10 +17,10 @@ import pytest
 
 from eqcheck.checker import check_module
 from eqcheck.semantics import Fuel, enumerate_values, evaluate, value_to_term
-from eqcheck.syntax import App, pretty_pred
+from eqcheck.syntax import App, BoolLit, IntLit, PBool, PInt, pretty_pred
 from eqcheck.wf import (
-    NonTermination, TerminationEvidence, call_graph_cycles, check_termination,
-    check_totality, clause_contexts, clause_leaves, missing_pattern_text,
+    NonTermination, TerminationEvidence, _pattern_equals_term, call_graph_cycles,
+    check_termination, check_totality, clause_contexts, clause_leaves, missing_pattern_text,
 )
 from eqcheck.types import INT, SortData
 
@@ -312,6 +312,42 @@ ack (S m) (S n) = ack m (ack (S m) n)
     ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
     assert isinstance(ev, TerminationEvidence) and ev.kind == "structural"
     assert ev.positions == (0, 1)
+
+
+# the first argument is passed through unchanged at one call and shrinks at
+# the other; the second shrinks where the first is passed through
+LITERAL_PASS_THROUGH = """\
+h : xs:(List Int) -> ys:(List Int) -> Int
+h [] ys = 0
+h (1 : xs) [] = 0
+h (1 : xs) (y : ys) = h (1 : xs) ys
+h (x : xs) ys = h xs (0 : ys)
+"""
+
+BOOL_PASS_THROUGH = """\
+h : xs:(List Bool) -> ys:(List Int) -> Int
+h [] ys = 0
+h (true : xs) [] = 0
+h (true : xs) (y : ys) = h (true : xs) ys
+h (false : xs) ys = h xs (0 : ys)
+"""
+
+
+@pytest.mark.parametrize("source", [LITERAL_PASS_THROUGH, BOOL_PASS_THROUGH],
+                         ids=["int", "bool"])
+def test_literal_passed_through_unchanged_is_structural(source):
+    env = env_of(source)
+    fi = env.funs["h"]
+    ev = check_termination(fi, env, lambda: clause_contexts(fi, env))
+    assert ev == TerminationEvidence("structural", (0, 1))
+
+
+def test_literal_pattern_equals_only_its_own_kind_of_literal():
+    # Python's True == 1 must not make a Bool pattern equal an Int argument
+    assert _pattern_equals_term(PBool(True), BoolLit(True))
+    assert not _pattern_equals_term(PBool(True), IntLit(1))
+    assert not _pattern_equals_term(PInt(1), BoolLit(True))
+    assert not _pattern_equals_term(PInt(0), BoolLit(False))
 
 
 def test_structural_terminates_under_fuel():
