@@ -12,7 +12,7 @@ from .logic import DEFAULT_PLE_FUEL, SolverState, entails, holds
 from .parser import parse_module
 from .syntax import (
     FunDecl, PAtom, Pred, SourceModule, Span, Term, UnitLit, allow_deep_recursion,
-    apps, body_terms, pred_terms, pretty, pretty_pred, substitute_pred,
+    apps, pred_terms, pretty, pretty_pred, substitute_pred,
 )
 from .types import FunInfo, Sort, SortProof, TypeEnv, check_refinement_wf, check_types
 from .wf import (
@@ -89,15 +89,16 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
                              ) -> Iterator[Obligation]:
     """The obligations of one leaf, yielded lazily in a fixed order: the chain
     steps, the clause VC, then the preconditions.  A consumer that stops at
-    the first failed obligation builds none of the later ones.  All of them
-    assume the hypotheses of the full scope; only --strict-hints narrows a
-    chain step's, and then the steps between two hinted steps assume the
-    same ones.  Chain steps that assume the same hypotheses get one key,
-    `hypotheses`: a step's goal equates two terms of its own scope (which
-    holds the head and every step's rhs), so interning it adds no node and
-    every step of the run would build the same state.  The clause VC and the
+    the first failed obligation builds none of the later ones.  Step k
+    equates the terms of links k-1 and k.  All the obligations assume the
+    hypotheses of the full scope; only --strict-hints narrows step k's to
+    the hints of links 0..k, and then the steps between two hinted steps
+    assume the same ones.  Chain steps that assume the same hypotheses get
+    one key, `hypotheses`: a step's goal equates two terms of its own scope
+    (which holds every link's term), so interning it adds no node and every
+    step of the run would build the same state.  The clause VC and the
     preconditions assume the full scope's hypotheses plus the chain
-    equalities.  The last run of steps starts at step 0 or at the last hinted
+    equalities.  The last run of steps starts at step 1 or at the last hinted
     step, so it sees every hint and assumes the full scope too: they take that
     run's key and carry the chain equalities as `extra`, to be asserted on its
     state after every step of the run is decided.  Without steps they get no
@@ -123,29 +124,27 @@ def build_clause_obligations(inst: LeafContext, n_leaves: int, config: CheckConf
     # chain steps; under --strict-hints a step sees the hints up to its own,
     # so only a step that brings hints narrows less than the step before it
     chain: list[Pred] = []
-    lhs = inst.head
-    for k, step in enumerate(inst.steps):
-        if config.strict_hints and (k == 0 or step.hints):
+    links = inst.body.links
+    for k, (prev, step) in enumerate(zip(links, links[1:]), 1):
+        if config.strict_hints and (k == 1 or step.hints):
             step_facts, step_scope = inst.facts_for(k)
             step_hypotheses = object()
-        goal = PAtom("==", lhs, step.rhs, span=step.span)
+        goal = PAtom("==", prev.rhs, step.rhs, span=step.span)
         chain.append(goal)
-        yield make(f"{base}/step{k + 1}", "chain-step", step.span, step_facts, goal,
-                   step_scope, step_hypotheses, step_index=k + 1)
-        lhs = step.rhs
+        yield make(f"{base}/step{k}", "chain-step", step.span, step_facts, goal,
+                   step_scope, step_hypotheses, step_index=k)
 
     # the clause VC and the preconditions also assume every chain step, and
     # continue the last run's state, which assumed the full scope
     vc_facts, extra = facts + chain, tuple(chain)
-    vc_key = step_hypotheses if inst.steps else None
+    vc_key = step_hypotheses if chain else None
 
     # final clause VC: a proof's result is the unit value, any other result
     # is the value of the (renamed) body, which cannot end in QED
     res = fi.signature.result
     is_proof = isinstance(fi.result_sort, SortProof)
     if is_proof or res.refined:
-        value = (UnitLit() if is_proof
-                 else inst.steps[-1].rhs if inst.steps else inst.head)
+        value = UnitLit() if is_proof else inst.body.value_term()
         goal = substitute_pred(res.pred, {res.binder: value})
         yield make(f"{base}/vc", "clause-vc", inst.clause.span, vc_facts, goal, scope,
                    vc_key, extra=extra)
@@ -246,7 +245,7 @@ def _decl_references(fi: FunInfo) -> dict[str, None]:
     first-occurrence order: the order picks the reason a blocked verdict
     gives, so it must not depend on string hashing."""
     sig = fi.signature
-    terms = [t for clause in fi.clauses for t in body_terms(clause.body)]
+    terms = [t for clause in fi.clauses for t in clause.body.terms()]
     for p in [b.pred for _, b in sig.params] + [sig.result.pred]:
         terms.extend(pred_terms(p))
     terms.extend(sig.metric or ())
@@ -346,7 +345,9 @@ def _unused_hint_warnings(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafCon
     obligation and nothing after it is built."""
     warnings: list[str] = []
     for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
-        for hint in dict.fromkeys(clause.body.all_hints()):
+        if not leaves:  # an unreachable clause, warned about as such
+            continue
+        for hint in dict.fromkeys(h for link in clause.body.links for h in link.hints):
             obligations = (ob for ctx in leaves for ob in build_clause_obligations(
                 ctx.without_hint(hint), len(leaves), config))
             if all(v.proved for v in _discharge_each(obligations, env, config)):

@@ -690,7 +690,7 @@ def _unfold(st: SolverState, nid: int) -> bool:
         return False
     st.reflect_done_keys.add(key)
     clause, binding = sel
-    value = fi.value_term(clause)
+    value = clause.body.value_term()
     rhs = st.intern_term(value, subst=binding)
     if st.find(nid) == st.find(rhs):
         return False

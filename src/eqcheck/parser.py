@@ -403,16 +403,14 @@ class _ItemParser:
     def body(self) -> Chain:
         start = self.peek()
         head = self.term()
-        head_hints = self.hints()
-        steps: list[Step] = []
+        links = [Step(head, self.hints(), span=head.span)]
         while stok := self.accept("sym", "==."):
-            steps.append(Step(self.term(), self.hints(), span=self.span_from(stok)))
+            links.append(Step(self.term(), self.hints(), span=self.span_from(stok)))
         qed = bool(self.accept("sym", "***"))
         if qed:
             self.expect("kw", "QED")
         self.finish("unexpected trailing tokens in clause body")
-        return Chain(head=head, head_hints=head_hints, steps=tuple(steps), qed=qed,
-                     span=self.span_from(start))
+        return Chain(tuple(links), qed, span=self.span_from(start))
 
     def constructor(self) -> CtorDef:
         start = self.peek()

@@ -136,12 +136,9 @@ def apply_function(env: TypeEnv, fname: str, args: tuple[Value, ...], fuel: Fuel
         if not matched:
             continue
         body = clause.body
-        value = _eval(env, body.head, fuel, local)
-        for h in body.head_hints:
-            _eval(env, h, fuel, local)
-        for step in body.steps:
-            value = _eval(env, step.rhs, fuel, local)
-            for h in step.hints:
+        for link in body.links:
+            value = _eval(env, link.rhs, fuel, local)
+            for h in link.hints:
                 _eval(env, h, fuel, local)
         return None if body.qed else value
     raise MatchFailure(fname, args)

@@ -204,7 +204,8 @@ class Signature:
 
 @dataclass(frozen=True)
 class Step:
-    """One `==. rhs ? hint ...` link of a chain."""
+    """One link of a chain: a term and the `? hint`s attached to it.  The
+    first link is the head; each later one is a `==. rhs` step."""
     rhs: Term
     hints: tuple[Term, ...] = ()
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
@@ -212,27 +213,31 @@ class Step:
 
 @dataclass(frozen=True)
 class Chain:
-    """A clause body: head (? hint)* (==. rhs (? hint)*)* [*** QED].  A plain
-    term is a chain with no hints, no steps and no QED."""
-    head: Term
-    head_hints: tuple[Term, ...] = ()
-    steps: tuple[Step, ...] = ()
+    """A clause body: head (? hint)* (==. rhs (? hint)*)* [*** QED], stored as
+    its links, the head with its hints first.  A plain term is a chain of
+    one link with no hints and no QED."""
+    links: tuple[Step, ...]
     qed: bool = False
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
     @property
     def plain(self) -> bool:
-        return not (self.head_hints or self.steps or self.qed)
+        return len(self.links) == 1 and not (self.links[0].hints or self.qed)
 
     def value_term(self) -> Term:
-        """The term a chain evaluates to (==. returns its right argument)."""
-        return self.steps[-1].rhs if self.steps else self.head
+        """The term a chain evaluates to: the unit value after QED, else its
+        last link's (==. returns its right argument)."""
+        return UnitLit() if self.qed else self.links[-1].rhs
 
-    def all_hints(self) -> tuple[Term, ...]:
-        out = list(self.head_hints)
-        for s in self.steps:
-            out.extend(s.hints)
-        return tuple(out)
+    def terms(self, upto: int | None = None) -> list[Term]:
+        """Every link's term, plus the hints of links 0..`upto` (of every
+        link when `upto` is None), in source order."""
+        out: list[Term] = []
+        for k, link in enumerate(self.links):
+            out.append(link.rhs)
+            if upto is None or k <= upto:
+                out.extend(link.hints)
+        return out
 
 
 # ----------------------------------------------------------- declarations
@@ -349,15 +354,6 @@ def pred_terms(p: Pred) -> Iterator[Term]:
             yield from pred_terms(q)
 
 
-def body_terms(b: Chain) -> tuple[Term, ...]:
-    """Every term of a clause body: head, step rhss and hints."""
-    out = [b.head, *b.head_hints]
-    for s in b.steps:
-        out.append(s.rhs)
-        out.extend(s.hints)
-    return tuple(out)
-
-
 def substitute(t: Term, subst: dict[str, Term]) -> Term:
     """`t` with every variable named in `subst` replaced by its image.
 
@@ -398,6 +394,16 @@ def substitute_pred(p: Pred, subst: dict[str, Term]) -> Pred:
             return p
         return type(p)(items, span=p.span)
     return p
+
+
+def substitute_chain(b: Chain, subst: dict[str, Term]) -> Chain:
+    """`substitute` on every term and hint of `b`, sharing structure the same
+    way; an empty map returns `b` itself."""
+    if not subst:
+        return b
+    return Chain(tuple(Step(substitute(s.rhs, subst),
+                            tuple(substitute(h, subst) for h in s.hints), span=s.span)
+                       for s in b.links), b.qed, span=b.span)
 
 
 def pattern_vars(p: Pattern) -> Iterator[str]:
@@ -564,16 +570,12 @@ def pretty_module(m: SourceModule) -> str:
             pats = "".join(" " + pretty_pattern(p, True) for p in c.patterns)
             ch = c.body
             if ch.plain:
-                lines.append(f"{c.name}{pats} = {pretty(ch.head)}")
+                lines.append(f"{c.name}{pats} = {pretty(ch.links[0].rhs)}")
                 continue
             lines.append(f"{c.name}{pats}")
-            lines.append(f"  =   {pretty(ch.head)}")
-            for h in ch.head_hints:
-                lines.append(f"      ? {pretty(h)}")
-            for s in ch.steps:
-                lines.append(f"  ==. {pretty(s.rhs)}")
-                for h in s.hints:
-                    lines.append(f"      ? {pretty(h)}")
+            for k, s in enumerate(ch.links):
+                lines.append(f"  {'==.' if k else '=  '} {pretty(s.rhs)}")
+                lines.extend(f"      ? {pretty(h)}" for h in s.hints)
             if ch.qed:
                 lines.append("  *** QED")
     return "\n".join(lines) + "\n"

@@ -136,10 +136,6 @@ class FunInfo:
     def arity(self) -> int:
         return len(self.param_sorts)
 
-    def value_term(self, clause: Clause) -> Term:
-        body = clause.body
-        return UnitLit() if body.qed else body.value_term()
-
 
 @dataclass
 class TypeEnv:
@@ -492,15 +488,15 @@ class _ModuleChecker:
             self.check_pattern(pat, sort, venv)
         body = clause.body
         if body.plain:
-            got = self.infer_term(body.head, venv)
-            self.uni.unify(fi.result_sort, got, body.head.span,
-                           f"body of {fi.name}")
+            head = body.links[0].rhs
+            got = self.infer_term(head, venv)
+            self.uni.unify(fi.result_sort, got, head.span, f"body of {fi.name}")
         else:
             chain_sort: Sort = self.uni.fresh()
-            for t in (body.head, *(s.rhs for s in body.steps)):
-                got = self.infer_term(t, venv)
-                self.uni.unify(chain_sort, got, t.span, "equational step")
-            for h in (*body.head_hints, *(h for s in body.steps for h in s.hints)):
+            for link in body.links:
+                got = self.infer_term(link.rhs, venv)
+                self.uni.unify(chain_sort, got, link.rhs.span, "equational step")
+            for h in (h for link in body.links for h in link.hints):
                 got = self.infer_term(h, venv)
                 self.uni.unify(PROOF, got, h.span, "proof hint")
             if body.qed:
@@ -535,7 +531,7 @@ class _ModuleChecker:
             covered[pat.name] = c
             if not c.body.plain:
                 bad("measure bodies must be plain terms", c.span)
-            for sub in subterms(c.body.head):
+            for sub in subterms(c.body.value_term()):
                 if isinstance(sub, App) and not self.env.funs[sub.name].is_measure:
                     bad(f"body may call only primitives and measures, not {sub.name!r}",
                         sub.span)

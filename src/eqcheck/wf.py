@@ -13,9 +13,9 @@ from typing import Optional
 
 from .logic import SolverState, entails
 from .syntax import (
-    App, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
-    PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, body_terms,
-    pattern_term, pattern_vars, pretty, pretty_pattern, substitute, substitute_pred,
+    App, Chain, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
+    PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, pattern_term,
+    pattern_vars, pretty, pretty_pattern, substitute, substitute_chain, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts, lemma_facts,
@@ -195,7 +195,8 @@ class LeafContext:
 
     A clause variable named like a binder keeps its name only when it is the
     whole clause pattern at that binder's own position, where it denotes the
-    argument itself; any other gets a fresh primed name.  `var_sorts`, read
+    argument itself; any other gets a fresh primed name, in the facts and in
+    `body`, the renamed clause body.  `var_sorts`, read
     from the clause's and the leaf's pattern rows plus the binders' parameter
     sorts, is the only source of variable sorts, and every obligation of the
     leaf shares it.
@@ -222,15 +223,7 @@ class LeafContext:
             renames.get(v, v): s for v, s in pattern_sorts.items()}
         self.var_sorts.update(zip(binders, fi.param_sorts))
         self.rename_terms = rename_terms = {old: Var(new) for old, new in renames.items()}
-        body = self.clause.body
-        self.head = substitute(body.head, rename_terms)
-        self.head_hints = tuple(substitute(h, rename_terms) for h in body.head_hints)
-        self.steps = tuple(
-            Step(substitute(s.rhs, rename_terms),
-                 tuple(substitute(h, rename_terms) for h in s.hints),
-                 span=s.span)
-            for s in body.steps
-        )
+        self.body = substitute_chain(self.clause.body, rename_terms)
         self.base_facts = self.pattern_facts() + self.refinement_facts()
 
     def without_hint(self, hint: Term) -> LeafContext:
@@ -238,20 +231,8 @@ class LeafContext:
         source, is taken out of the chain."""
         dropped = substitute(hint, self.rename_terms)
         out = copy.copy(self)
-        out.head_hints = tuple(h for h in self.head_hints if h != dropped)
-        out.steps = tuple(Step(s.rhs, tuple(h for h in s.hints if h != dropped), span=s.span)
-                          for s in self.steps)
-        return out
-
-    def terms_in_scope(self, upto_step: int | None) -> list[Term]:
-        """Body terms visible to an obligation: the head, every step, and the
-        hints attached at or before step `upto_step` (head hints always;
-        every hint when `upto_step` is None)."""
-        out = [self.head, *self.head_hints]
-        for k, s in enumerate(self.steps):
-            out.append(s.rhs)
-            if upto_step is None or k <= upto_step:
-                out.extend(s.hints)
+        out.body = Chain(tuple(Step(s.rhs, tuple(h for h in s.hints if h != dropped), span=s.span)
+                               for s in self.body.links), self.body.qed, span=self.body.span)
         return out
 
     def pattern_facts(self) -> list[Pred]:
@@ -284,8 +265,11 @@ class LeafContext:
             lemma_facts(gi, sub.args) for sub in apps(scope_terms)
             if (gi := self.env.funs[sub.name]).signature.result.refined))
 
-    def facts_for(self, upto_step: int | None) -> tuple[list[Pred], list[Term]]:
-        scope = self.terms_in_scope(upto_step)
+    def facts_for(self, upto: int | None) -> tuple[list[Pred], list[Term]]:
+        """The hypotheses of an obligation that sees the hints of links
+        0..`upto` (every hint when `upto` is None), and its scope: those
+        hints and every link's term."""
+        scope = self.body.terms(upto)
         return self.base_facts + self.call_facts(scope), scope
 
 
@@ -315,7 +299,7 @@ class NonTermination:
 def _self_calls(fi: FunInfo) -> list[tuple[int, App]]:
     """(clause index, application) for every recursive call, hints included."""
     return [(ci, sub) for ci, clause in enumerate(fi.clauses)
-            for sub in apps(body_terms(clause.body)) if sub.name == fi.name]
+            for sub in apps(clause.body.terms()) if sub.name == fi.name]
 
 
 def _pattern_equals_term(pat: Pattern, t: Term) -> bool:
@@ -380,7 +364,7 @@ def _check_metric(fi: FunInfo, metric: tuple[Term, ...],
     refinements (but no inductive hypothesis)."""
     binders = fi.signature.binders()
     for ctx in (ctx for leaves in contexts for ctx in leaves):
-        calls = [sub for sub in apps(ctx.terms_in_scope(None)) if sub.name == fi.name]
+        calls = [sub for sub in apps(ctx.body.terms()) if sub.name == fi.name]
         for call in calls:
             callee = [substitute(m, dict(zip(binders, call.args))) for m in metric]
             lemmas = (lemma_facts(ctx.env.funs[sub.name], sub.args)
@@ -438,7 +422,7 @@ def call_graph_cycles(env: TypeEnv) -> list[list[str]]:
     non-termination).  A function is on a cycle when it reaches itself; its
     cycle is every function it reaches that reaches it back."""
     calls = {name: {sub.name for clause in fi.clauses
-                    for sub in apps(body_terms(clause.body))} - {name}
+                    for sub in apps(clause.body.terms())} - {name}
              for name, fi in env.funs.items()}
     reach: dict[str, set[str]] = {}
     for name in calls:

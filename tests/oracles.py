@@ -479,7 +479,7 @@ def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
             continue
         n_vars = len([v for p in clause.patterns for v in pattern_vars(p)])
         use_size = size if n_vars <= 2 else small_size
-        terms = [body.head] + [s.rhs for s in body.steps]
+        terms = [s.rhs for s in body.links]
         for binding in leaf_instantiations(env, fi, ci, use_size, ints):
             vals = [evaluate(env, t, binding=dict(binding)) for t in terms]
             assert all(v == vals[0] for v in vals), (fi.name, ci, binding)
@@ -490,7 +490,7 @@ def check_chain_coherence(env, fi, *, size=4, small_size=2, ints=(0, 1)) -> int:
 def cleaned_env(module, names):
     """Re-typecheck the module with the named functions' chain bodies replaced
     by their final terms (the classic cleaned definitions)."""
-    from eqcheck.syntax import Chain, Clause, FunDecl, SourceModule
+    from eqcheck.syntax import Chain, Clause, FunDecl, SourceModule, Step
     from eqcheck.types import check_types
     decls = []
     for d in module.decls:
@@ -499,7 +499,7 @@ def cleaned_env(module, names):
             for c in d.clauses:
                 body = c.body
                 if not body.qed:
-                    body = Chain(body.value_term())
+                    body = Chain((Step(body.value_term()),))
                 clauses.append(Clause(c.name, c.patterns, body, span=c.span))
             decls.append(FunDecl(d.name, d.signature, tuple(clauses), span=d.span))
         else:

@@ -359,12 +359,17 @@ trivP2 x
 lateShadow : b:Bool -> Int
 lateShadow b = 0
 lateShadow true = 1
+
+lenP : xs:(List a) -> {v:Proof | 0 <= length xs}
+lenP xs = length xs *** QED
+lenP ys = () ? lenP ys *** QED
 """
     report = check_module(src)
     assert report.ok
     assert report.warnings == [
         "shadow: clause 2 is unreachable (shadowed by earlier clauses)",
         "lateShadow: clause 2 is unreachable (shadowed by earlier clauses)",
+        "lenP: clause 2 is unreachable (shadowed by earlier clauses)",
         "trivP: clause 1: hint '? singleLemma x' is unused",
         "trivP2: clause 1: hint '? singleLemma x' is unused",
     ]

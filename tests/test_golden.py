@@ -18,14 +18,17 @@ span, or the exact `ParseError` of each corpus and mutation file, of 25
 seeded token-level mutations of each, and of a few term and predicate
 fragments, with the input and error counts beside it.
 
-After a deliberate, explained verdict change, rewrite the goldens with
-`PYTHONPATH=src python tests/test_golden.py`.
+After a deliberate, explained change, rewrite the goldens it touches with
+`PYTHONPATH=src python tests/test_golden.py [name ...]`, naming any of
+`outputs` (human text and the three JSON digests), `solver_answers`,
+`clause_leaves` and `parse_outcomes`; with no name it rewrites them all.
 """
 
 import hashlib
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -213,7 +216,7 @@ def test_parse_outcomes_match_golden():
     assert parse_outcomes() == (digest, int(inputs), int(errors))
 
 
-if __name__ == "__main__":
+def repin_outputs() -> None:
     GOLDEN.mkdir(exist_ok=True)
     lines, strict_lines, ple_lines = [], [], []
     for path in FILES:
@@ -225,9 +228,30 @@ if __name__ == "__main__":
     DIGESTS.write_text("".join(lines))
     STRICT_DIGESTS.write_text("".join(strict_lines))
     PLE_DIGESTS.write_text("".join(ple_lines))
+
+
+def repin_solver_answers() -> None:
     digest, entailed = solver_answers()
     SOLVER_ANSWERS.write_text(f"{digest}  {entailed}\n")
+
+
+def repin_clause_leaves() -> None:
     digest, modules, leaves, witnesses = clause_leaves_record()
     CLAUSE_LEAVES.write_text(f"{digest}  {modules} {leaves} {witnesses}\n")
+
+
+def repin_parse_outcomes() -> None:
     digest, inputs, errors = parse_outcomes()
     PARSE_OUTCOMES.write_text(f"{digest}  {inputs} {errors}\n")
+
+
+REPIN = {"outputs": repin_outputs, "solver_answers": repin_solver_answers,
+         "clause_leaves": repin_clause_leaves, "parse_outcomes": repin_parse_outcomes}
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or list(REPIN)
+    if unknown := [n for n in names if n not in REPIN]:
+        sys.exit(f"unknown golden {', '.join(unknown)}; choose from {', '.join(REPIN)}")
+    for name in names:
+        REPIN[name]()

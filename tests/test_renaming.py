@@ -27,7 +27,7 @@ from eqcheck import checker
 from eqcheck.checker import CheckConfig, Report, check_module
 from eqcheck.parser import parse_module
 from eqcheck.syntax import (
-    Clause, FunDecl, PCon, PVar, Pattern, SourceModule, Var, pattern_vars, substitute,
+    Clause, FunDecl, PCon, PVar, Pattern, SourceModule, Var, pattern_vars, substitute_chain,
 )
 from eqcheck.types import check_types
 from eqcheck.wf import clause_leaves
@@ -49,14 +49,7 @@ def _rename_pattern(p: Pattern, names: dict[str, str]) -> Pattern:
 
 def _rename_clause(clause: Clause, names: dict[str, str]) -> Clause:
     """The clause with its patterns, body and hints renamed."""
-    terms = {old: Var(new) for old, new in names.items()}
-    body = clause.body
-    steps = tuple(dataclasses.replace(
-        s, rhs=substitute(s.rhs, terms), hints=tuple(substitute(h, terms) for h in s.hints))
-        for s in body.steps)
-    body = dataclasses.replace(
-        body, head=substitute(body.head, terms), steps=steps,
-        head_hints=tuple(substitute(h, terms) for h in body.head_hints))
+    body = substitute_chain(clause.body, {old: Var(new) for old, new in names.items()})
     return dataclasses.replace(
         clause, patterns=tuple(_rename_pattern(p, names) for p in clause.patterns), body=body)
 

@@ -9,13 +9,13 @@ from eqcheck.parser import (
     ParseError, Token, parse_module, parse_pred, parse_term, tokenize,
 )
 from eqcheck.syntax import (
-    App, Annotation, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse,
-    PInt, POr, PTrue, PVar, PWild, PrimOp, REL_OPS, Span, Var, apps, cons, nil,
+    App, Annotation, BoolLit, Chain, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse,
+    PInt, POr, PTrue, PVar, PWild, PrimOp, REL_OPS, Span, Step, Var, apps, cons, nil,
     pred_terms, pretty, pretty_module, pretty_pattern, pretty_pred, substitute,
-    substitute_pred, subterms,
+    substitute_chain, substitute_pred, subterms,
 )
 
-from conftest import corpus_text
+from conftest import FILES, corpus_text
 
 
 def test_reflect_annotation_recorded():
@@ -114,10 +114,9 @@ def test_precedence_app_over_plus_over_cons():
     assert isinstance(t.args[0].lhs, App)
 
 
-@pytest.mark.parametrize("name", ["section2.eq", "section2_ple.eq",
-                                  "section4.eq", "section5.eq"])
-def test_corpus_roundtrip(name):
-    m1 = parse_module(corpus_text(name))
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_corpus_roundtrip(path):
+    m1 = parse_module(path.read_text())
     text = pretty_module(m1)
     m2 = parse_module(text)
     assert m2 == m1
@@ -126,7 +125,7 @@ def test_corpus_roundtrip(name):
 
 @pytest.mark.parametrize("name", ["section2.eq", "section5.eq"])
 def test_spans_inside_file(name):
-    from eqcheck.syntax import FunDecl, body_terms
+    from eqcheck.syntax import FunDecl
     src = corpus_text(name)
     n_lines = src.count("\n") + 1
     m = parse_module(src)
@@ -134,7 +133,7 @@ def test_spans_inside_file(name):
         assert 1 <= d.span.line <= d.span.end_line <= n_lines
         if isinstance(d, FunDecl):
             for clause in d.clauses:
-                for t in body_terms(clause.body):
+                for t in clause.body.terms():
                     for sub in subterms(t):
                         assert 1 <= sub.span.line <= sub.span.end_line <= n_lines
 
@@ -336,6 +335,26 @@ def test_substitute_pred_shares_what_it_leaves_unchanged(p, subst):
     assert out == _copying_substitute_pred(p, subst)
     _assert_shared(p, out, subst)
     assert substitute_pred(p, {}) is p
+
+
+_spans = st.builds(Span, *[st.integers(min_value=1, max_value=9)] * 4)
+_links = st.builds(lambda t, hints, span: Step(t, tuple(hints), span=span),
+                   _terms(), st.lists(_terms(), max_size=2), _spans)
+_chains = st.builds(lambda links, qed, span: Chain(tuple(links), qed, span=span),
+                    st.lists(_links, min_size=1, max_size=3), st.booleans(), _spans)
+
+
+@given(_chains, _maps)
+def test_substitute_chain_shares_what_it_leaves_unchanged(b, subst):
+    out = substitute_chain(b, subst)
+    assert out.qed == b.qed and out.span == b.span
+    for link, new in zip(b.links, out.links, strict=True):
+        assert new.span == link.span
+        assert new.rhs == substitute(link.rhs, subst)
+        assert new.hints == tuple(substitute(h, subst) for h in link.hints)
+        for t, u in zip((link.rhs, *link.hints), (new.rhs, *new.hints), strict=True):
+            _assert_shared(t, u, subst)
+    assert substitute_chain(b, {}) is b
 
 
 # ------------------------------------------------ tokens and spans
