@@ -33,7 +33,7 @@ class CheckConfig:
 class Obligation:
     oid: str
     decl: str
-    kind: str  # clause-vc | chain-step | hint-pre | totality | termination | blocked
+    kind: str  # clause-vc | chain-step | hint-pre
     span: Span
     facts: tuple[Pred, ...]
     goal: Pred

@@ -74,7 +74,7 @@ def render_human(reports: list[Report], color: bool) -> str:
                 if v.status == "fuel-exhausted":
                     lines.append("    (logical-evaluation fuel exhausted; "
                                  "try a larger --ple-fuel)")
-                if v.goal_text and v.kind not in ("totality", "termination", "blocked"):
+                if v.goal_text:
                     lines.append(f"    goal:  {v.goal_text}")
                     for f in v.fact_texts:
                         lines.append(f"    fact:  {f}")

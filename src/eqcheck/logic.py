@@ -46,8 +46,8 @@ from math import gcd
 from typing import Optional
 
 from .syntax import (
-    App, BoolLit, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse, PInt, POr,
-    PTrue, PVar, PWild, Pred, PrimOp, Term, UnitLit, Var, pred_terms,
+    App, BoolLit, Con, IntLit, PAnd, PAtom, PFalse, POr, PTrue, Pred, PrimOp,
+    Term, UnitLit, Var, Wild, pred_terms,
 )
 from .types import Sort, SortInt, TypeEnv
 
@@ -607,21 +607,21 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
 def _match(st: SolverState, pat, nid: int, binding: dict[str, int]) -> str:
     """'yes' (filling `binding`), 'no', or 'unknown' when a constructor the
     pattern needs is not yet known for the class of `nid`."""
-    if isinstance(pat, PVar):
+    if isinstance(pat, Var):
         binding[pat.name] = nid
         return "yes"
-    if isinstance(pat, PWild):
+    if isinstance(pat, Wild):
         return "yes"
     rep = st.find(nid)
     t = st.tag.get(rep)
     if t is None:
         return "unknown"
     node = st.nodes[t]
-    if isinstance(pat, (PInt, PBool)):
-        if node.kind != ("int" if isinstance(pat, PInt) else "bool"):
+    if isinstance(pat, (IntLit, BoolLit)):
+        if node.kind != ("int" if isinstance(pat, IntLit) else "bool"):
             return "unknown"
         return "yes" if node.head == pat.value else "no"
-    assert isinstance(pat, PCon)
+    assert isinstance(pat, Con)
     if node.kind != "con":
         return "unknown"
     if node.head != pat.name:

@@ -11,9 +11,9 @@ from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from .syntax import (
     Annotation, BaseRef, Chain, Clause, CtorDef, DataDecl, Decl, FunDecl, IntLit,
-    App, BoolLit, Con, PAnd, PAtom, PBool, PCon, PFalse, PInt, POr, PTrue,
-    PVar, PWild, Pattern, Pred, PrimOp, REL_OPS, Signature, SourceModule, Span,
-    Step, Term, TypeExpr, UnitLit, Var, cons, negate_pred, nil, pattern_vars,
+    App, BoolLit, Con, PAnd, PAtom, PFalse, POr, PTrue, Pattern, Pred, PrimOp,
+    REL_OPS, Signature, SourceModule, Span, Step, Term, TypeExpr, UnitLit, Var,
+    Wild, cons, negate_pred, nil, pattern_vars,
 )
 
 
@@ -252,22 +252,22 @@ class _ItemParser:
     def pattern_atom(self) -> Pattern:
         t = self.peek()
         if self.accept("lower"):
-            return PVar(t.text, span=self.span_of(t))
+            return Var(t.text, span=self.span_of(t))
         if self.accept("sym", "_"):
-            return PWild(span=self.span_of(t))
+            return Wild(span=self.span_of(t))
         if self.accept("int"):
-            return PInt(t.value, span=self.span_of(t))
+            return IntLit(t.value, span=self.span_of(t))
         if self.accept("kw", "true") or self.accept("kw", "false"):
-            return PBool(t.text == "true", span=self.span_of(t))
+            return BoolLit(t.text == "true", span=self.span_of(t))
         if self.accept("upper"):
-            return PCon(t.text, (), span=self.span_of(t))
+            return Con(t.text, (), span=self.span_of(t))
         if self.accept("sym", "["):
             self.expect("sym", "]")
-            return PCon("Nil", (), span=self.span_of(t))
+            return Con("Nil", (), span=self.span_of(t))
         if self.accept("sym", "("):
             lit = self.negative_int()
             if lit:
-                return PInt(-lit.value, span=self.span_of(lit))
+                return IntLit(-lit.value, span=self.span_of(lit))
             p = self.pattern_cons()
             self.expect("sym", ")")
             return p
@@ -280,13 +280,13 @@ class _ItemParser:
         args: list[Pattern] = []
         while self.at_atom(also=("_",)):
             args.append(self.pattern_atom())
-        return PCon(start.text, tuple(args), span=self.span_from(start))
+        return Con(start.text, tuple(args), span=self.span_from(start))
 
     def pattern_cons(self) -> Pattern:
         start = self.peek()
         head = self.pattern_app()
         if self.accept("sym", ":"):
-            return PCon("Cons", (head, self.pattern_cons()), span=self.span_from(start))
+            return Con("Cons", (head, self.pattern_cons()), span=self.span_from(start))
         return head
 
     # -- terms ---------------------------------------------------------------

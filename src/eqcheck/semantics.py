@@ -10,8 +10,8 @@ import itertools
 from typing import Iterable, Union
 
 from .syntax import (
-    App, BoolLit, Con, IntLit, PCon, PInt, PVar, PWild, Pattern, PrimOp, Term,
-    UnitLit, Var, allow_deep_recursion,
+    App, BoolLit, Con, IntLit, Pattern, PrimOp, Term, UnitLit, Var, Wild,
+    allow_deep_recursion,
 )
 from .types import (
     Sort, SortBool, SortData, SortInt, SortProof, SortVar, TypeEnv, ctor_field_sorts,
@@ -53,10 +53,10 @@ class Fuel:
 
 def match_pattern(pat: Pattern, value: Value, binding: dict[str, Value]) -> bool:
     kind = type(pat)
-    if kind is PVar:
+    if kind is Var:
         binding[pat.name] = value
         return True
-    if kind is PCon:
+    if kind is Con:
         if type(value) is not tuple or value[0] != pat.name:
             return False
         i = 1
@@ -65,9 +65,9 @@ def match_pattern(pat: Pattern, value: Value, binding: dict[str, Value]) -> bool
                 return False
             i += 1
         return True
-    if kind is PWild:
+    if kind is Wild:
         return True
-    if kind is PInt:
+    if kind is IntLit:
         return value == pat.value and not isinstance(value, bool)
     return isinstance(value, bool) and value == pat.value
 

@@ -72,37 +72,14 @@ class PrimOp(Term):
     rhs: Term = field(default=None)  # type: ignore[assignment]
 
 
-# ------------------------------------------------------------- patterns
-
 @dataclass(frozen=True)
-class Pattern:
-    span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
+class Wild(Term):
+    """The wildcard `_`; only clause patterns hold one."""
 
 
-@dataclass(frozen=True)
-class PVar(Pattern):
-    name: str
-
-
-@dataclass(frozen=True)
-class PWild(Pattern):
-    pass
-
-
-@dataclass(frozen=True)
-class PInt(Pattern):
-    value: int
-
-
-@dataclass(frozen=True)
-class PBool(Pattern):
-    value: bool
-
-
-@dataclass(frozen=True)
-class PCon(Pattern):
-    name: str
-    args: tuple[Pattern, ...] = ()
+# A clause pattern is the term it matches: a Var, IntLit, BoolLit, Con of
+# patterns, or a Wild.
+Pattern = Term
 
 
 # ----------------------------------------------------------- predicates
@@ -407,23 +384,7 @@ def substitute_chain(b: Chain, subst: dict[str, Term]) -> Chain:
 
 
 def pattern_vars(p: Pattern) -> Iterator[str]:
-    if isinstance(p, PVar):
-        yield p.name
-    elif isinstance(p, PCon):
-        for q in p.args:
-            yield from pattern_vars(q)
-
-
-def pattern_term(p: Pattern) -> Term:
-    """The term a wildcard-free pattern denotes."""
-    if isinstance(p, PVar):
-        return Var(p.name, span=p.span)
-    if isinstance(p, PInt):
-        return IntLit(p.value, span=p.span)
-    if isinstance(p, PBool):
-        return BoolLit(p.value, span=p.span)
-    assert isinstance(p, PCon)
-    return Con(p.name, tuple(pattern_term(q) for q in p.args), span=p.span)
+    return (s.name for s in subterms(p) if isinstance(s, Var))
 
 
 class FreshNames:
@@ -479,6 +440,8 @@ def _term_doc(t: Term, level: int) -> str:
             return f"({s})" if level > 2 else s
         s = f"{_term_doc(t.lhs, 1)} {t.op} {_term_doc(t.rhs, 2)}"
         return f"({s})" if level > 1 else s
+    if isinstance(t, Wild):
+        return "_"
     raise AssertionError(f"unknown term {t!r}")
 
 
@@ -502,26 +465,6 @@ def pretty_pred(p: Pred, level: int = 0) -> str:
         s = " || ".join(pretty_pred(q, 1) for q in p.items)
         return f"({s})" if level > 0 else s
     raise AssertionError(f"unknown pred {p!r}")
-
-
-def pretty_pattern(p: Pattern, atom: bool = False) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PWild):
-        return "_"
-    if isinstance(p, PInt):
-        return str(p.value) if p.value >= 0 else f"({p.value})"
-    if isinstance(p, PBool):
-        return "true" if p.value else "false"
-    assert isinstance(p, PCon)
-    if p.name == "Nil" and not p.args:
-        return "[]"
-    if p.name == "Cons" and len(p.args) == 2:
-        return f"({pretty_pattern(p.args[0], True)} : {pretty_pattern(p.args[1])})"
-    if not p.args:
-        return p.name
-    s = p.name + " " + " ".join(pretty_pattern(a, True) for a in p.args)
-    return f"({s})" if atom else s
 
 
 def pretty_type(te: TypeExpr, atom: bool = False) -> str:
@@ -567,7 +510,7 @@ def pretty_module(m: SourceModule) -> str:
             lines.append(f"{kind} {d.name}")
         lines.append(pretty_signature(d.name, d.signature))
         for c in d.clauses:
-            pats = "".join(" " + pretty_pattern(p, True) for p in c.patterns)
+            pats = "".join(" " + _term_doc(p, 4) for p in c.patterns)
             ch = c.body
             if ch.plain:
                 lines.append(f"{c.name}{pats} = {pretty(ch.links[0].rhs)}")

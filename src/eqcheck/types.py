@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from operator import is_
 
 from .syntax import (
-    App, BoolLit, Clause, Con, DataDecl, FunDecl, IntLit, PAtom, PAnd, PBool,
-    PCon, PFalse, PInt, POr, PTrue, PVar, PWild, Pattern, Pred, PrimOp,
-    PRELUDE_LIST, Signature, SourceModule, Span, Term, TypeExpr, UnitLit, Var,
-    NO_SPAN, apps, pred_terms, substitute_pred, subterms,
+    App, BoolLit, Clause, Con, DataDecl, FunDecl, IntLit, PAtom, PAnd, PFalse,
+    POr, PTrue, Pattern, Pred, PrimOp, PRELUDE_LIST, Signature, SourceModule,
+    Span, Term, TypeExpr, UnitLit, Var, Wild, NO_SPAN, apps, pred_terms,
+    substitute_pred, subterms,
 )
 
 
@@ -436,18 +436,18 @@ class _ModuleChecker:
 
     # -- patterns ------------------------------------------------------------
     def check_pattern(self, pat: Pattern, sort: Sort, venv: dict[str, Sort]) -> None:
-        if isinstance(pat, PVar):
+        if isinstance(pat, Var):
             venv[pat.name] = sort
             return
-        if isinstance(pat, PWild):
+        if isinstance(pat, Wild):
             return
-        if isinstance(pat, PInt):
+        if isinstance(pat, IntLit):
             self.uni.unify(INT, sort, pat.span, "integer pattern")
             return
-        if isinstance(pat, PBool):
+        if isinstance(pat, BoolLit):
             self.uni.unify(BOOL, sort, pat.span, "boolean pattern")
             return
-        assert isinstance(pat, PCon)
+        assert isinstance(pat, Con)
         ci = self.env.ctors.get(pat.name)
         if ci is None:
             raise TypeCheckError(f"unknown constructor {pat.name!r} in pattern", pat.span)
@@ -521,10 +521,10 @@ class _ModuleChecker:
         covered: dict[str, Clause] = {}
         for c in fi.clauses:
             pat = c.patterns[0]
-            if not isinstance(pat, PCon):
+            if not isinstance(pat, Con):
                 bad("each clause must match a single constructor", c.span)
-            assert isinstance(pat, PCon)
-            if any(not isinstance(sub, (PVar, PWild)) for sub in pat.args):
+            assert isinstance(pat, Con)
+            if any(not isinstance(sub, (Var, Wild)) for sub in pat.args):
                 bad("constructor patterns must be shallow", c.span)
             if pat.name in covered:
                 bad(f"duplicate clause for constructor {pat.name!r}", c.span)

@@ -13,9 +13,9 @@ from typing import Optional
 
 from .logic import SolverState, entails
 from .syntax import (
-    App, Chain, Con, FreshNames, IntLit, PAnd, PAtom, PBool, PCon, PInt, POr, PTrue,
-    PVar, PWild, Pattern, Pred, Span, Step, Term, Var, apps, pattern_term,
-    pattern_vars, pretty, pretty_pattern, substitute, substitute_chain, substitute_pred,
+    App, BoolLit, Chain, Con, FreshNames, IntLit, PAnd, PAtom, POr, PTrue, Pattern,
+    Pred, Span, Step, Term, Var, Wild, apps, pattern_vars, pretty, substitute,
+    substitute_chain, substitute_pred,
 )
 from .types import (
     FunInfo, Sort, SortBool, SortData, SortInt, TypeEnv, ctor_field_sorts, lemma_facts,
@@ -25,7 +25,7 @@ from .types import (
 # ------------------------------------------------------- pattern matrices
 
 @dataclass(frozen=True)
-class _PIntExcept(Pattern):
+class _PIntExcept(Term):
     """Internal: an integer position known to avoid a finite literal set."""
     excluded: tuple[int, ...] = ()
 
@@ -34,7 +34,7 @@ Row = tuple[Pattern, ...]
 
 
 def _is_wild(p: Pattern) -> bool:
-    return isinstance(p, (PVar, PWild))
+    return isinstance(p, (Var, Wild))
 
 
 def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv,
@@ -44,11 +44,12 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv,
     wildcards for the whole input space, or a clause's own row.  A column
     where `space` has a constructor or literal is explored along that
     branch alone; one where every row has a wildcard, or where no row is
-    left, keeps `space`'s own pattern."""
-    if not sorts:
-        return [] if rows else [()]
+    left, keeps `space`'s own pattern.  A row of wildcards alone matches
+    every input, so none is left once one appears."""
     if not rows:
         return [space]
+    if any(all(map(_is_wild, r)) for r in rows):
+        return []
     col = [r[0] for r in rows]
     s0, top, rest_sorts, rest = sorts[0], space[0], sorts[1:], space[1:]
     if all(_is_wild(p) for p in col):
@@ -57,29 +58,29 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv,
     if isinstance(s0, SortData):
         out: list[Row] = []
         for ci in env.datas[s0.name].ctors:
-            if isinstance(top, PCon) and top.name != ci.name:
+            if isinstance(top, Con) and top.name != ci.name:
                 continue
             fsorts = ctor_field_sorts(ci, s0, env)
             k = len(fsorts)
-            wilds = tuple(PWild() for _ in fsorts)
+            wilds = tuple(Wild() for _ in fsorts)
             sub_rows: list[Row] = []
             for r in rows:
                 p = r[0]
                 if _is_wild(p):
                     sub_rows.append((*wilds, *r[1:]))
-                elif isinstance(p, PCon) and p.name == ci.name:
+                elif isinstance(p, Con) and p.name == ci.name:
                     sub_rows.append((*p.args, *r[1:]))
-            fields = top.args if isinstance(top, PCon) else wilds
+            fields = top.args if isinstance(top, Con) else wilds
             for u in uncovered(sub_rows, (*fsorts, *rest_sorts), env, (*fields, *rest)):
-                out.append((PCon(ci.name, u[:k]), *u[k:]))
+                out.append((Con(ci.name, u[:k]), *u[k:]))
         return out
-    if isinstance(top, (PBool, PInt)):
+    if isinstance(top, (BoolLit, IntLit)):
         heads: list[Pattern] = [top]
     elif isinstance(s0, SortBool):
-        heads = [PBool(False), PBool(True)]
+        heads = [BoolLit(False), BoolLit(True)]
     elif isinstance(s0, SortInt):
-        lits = sorted({p.value for p in col if isinstance(p, PInt)})
-        heads = [*map(PInt, lits), _PIntExcept(tuple(lits))]
+        lits = sorted({p.value for p in col if isinstance(p, IntLit)})
+        heads = [*map(IntLit, lits), _PIntExcept(tuple(lits))]
     else:  # abstract sorts (type variables, Proof): only wildcards can match
         heads = [top]
     return [(head, *u) for head in heads
@@ -95,8 +96,8 @@ def missing_pattern_text(row: Row) -> str:
             while k in p.excluded:
                 k += 1
             return str(k)
-        if not isinstance(p, PCon):
-            return pretty_pattern(p)
+        if not isinstance(p, Con):
+            return pretty(p)
         if not p.args:
             return p.name
         s = p.name + " " + " ".join(render(a, True) for a in p.args)
@@ -109,7 +110,7 @@ def check_totality(fi: FunInfo, env: TypeEnv) -> list[Row]:
     """Empty list iff the clause patterns are exhaustive; otherwise a minimal
     set of uncovered witness rows."""
     rows = [c.patterns for c in fi.clauses]
-    return uncovered(rows, fi.param_sorts, env, tuple(PWild() for _ in fi.param_sorts))
+    return uncovered(rows, fi.param_sorts, env, tuple(Wild() for _ in fi.param_sorts))
 
 
 # ------------------------------------------------------------ clause leaves
@@ -134,18 +135,18 @@ def _name(p: Pattern, q: Pattern, fresh: FreshNames,
     marker made a variable: p's own where p is one, a fresh `_w…` one
     anywhere else.  A variable of p that q refines is bound to its named
     refinement, and each exclusion is recorded under its variable's name."""
-    if isinstance(q, (PVar, PWild, _PIntExcept)):
-        v = p if isinstance(p, PVar) else PVar(fresh.take("_w"))
+    if isinstance(q, (Var, Wild, _PIntExcept)):
+        v = p if isinstance(p, Var) else Var(fresh.take("_w"))
         if isinstance(q, _PIntExcept) and q.excluded:
             excludes.append((v.name, q.excluded))
         return v
-    if isinstance(q, PCon):
-        src = p if isinstance(p, PCon) else q
-        named: Pattern = PCon(q.name, tuple(_name(a, b, fresh, bindings, excludes)
-                                            for a, b in zip(src.args, q.args)), span=src.span)
+    if isinstance(q, Con):
+        src = p if isinstance(p, Con) else q
+        named: Pattern = Con(q.name, tuple(_name(a, b, fresh, bindings, excludes)
+                                           for a, b in zip(src.args, q.args)), span=src.span)
     else:  # a literal
         named = q
-    if isinstance(p, PVar):
+    if isinstance(p, Var):
         bindings.append((p.name, named))
     return named
 
@@ -165,7 +166,7 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
         leaves.append(Leaf(
             index=len(leaves),
             row=row,
-            var_bindings=tuple((x, pattern_term(b)) for x, b in bindings),
+            var_bindings=tuple(bindings),
             excluded_ints=tuple(excludes),
         ))
     return leaves
@@ -177,9 +178,9 @@ def row_var_sorts(fi: FunInfo, row: Row, env: TypeEnv) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
 
     def walk(p: Pattern, s: Sort) -> None:
-        if isinstance(p, PVar):
+        if isinstance(p, Var):
             out[p.name] = s
-        elif isinstance(p, PCon):
+        elif isinstance(p, Con):
             for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
                 walk(sub, fs)
 
@@ -215,7 +216,7 @@ class LeafContext:
         pattern_sorts = (row_var_sorts(fi, self.clause.patterns, env)
                          | row_var_sorts(fi, leaf.row, env))
         aligned = {binder for binder, pat in zip(binders, self.clause.patterns)
-                   if isinstance(pat, PVar) and pat.name == binder}
+                   if isinstance(pat, Var) and pat.name == binder}
         fresh = FreshNames(set(binders) | set(pattern_sorts))
         renames = {v: fresh.take(v + "'") for v in pattern_sorts
                    if v in binders and v not in aligned}
@@ -243,7 +244,7 @@ class LeafContext:
         facts: list[Pred] = [
             PAtom("==", Var(binder), t)
             for binder, pat in zip(self.fi.signature.binders(), self.leaf.row)
-            if (t := substitute(pattern_term(pat), r)) != Var(binder)]
+            if (t := substitute(pat, r)) != Var(binder)]
         facts.extend(PAtom("==", substitute(Var(x), r), substitute(t, r))
                      for x, t in self.leaf.var_bindings)
         facts.extend(PAtom("/=", substitute(Var(x), r), IntLit(k))
@@ -302,46 +303,35 @@ def _self_calls(fi: FunInfo) -> list[tuple[int, App]]:
             for sub in apps(clause.body.terms()) if sub.name == fi.name]
 
 
-def _pattern_equals_term(pat: Pattern, t: Term) -> bool:
-    if isinstance(pat, PCon):
-        return (isinstance(t, Con) and t.name == pat.name
-                and all(_pattern_equals_term(p, a) for p, a in zip(pat.args, t.args)))
-    # a variable or literal; term equality compares the literal's kind too
-    return not isinstance(pat, PWild) and pattern_term(pat) == t
-
-
 def _structural(fi: FunInfo, calls: list[tuple[int, App]]) -> Optional[tuple[int, ...]]:
-    """Search for a lexicographic argument ordering under the sub-pattern
-    order: at each call the chosen argument shrinks strictly while every
-    earlier chosen argument is passed through unchanged."""
+    """A lexicographic argument ordering under the sub-pattern order: at each
+    call the chosen argument shrinks strictly while every earlier chosen
+    argument is passed through unchanged.  Taking any position that shrinks
+    at some remaining call, and at every other one shrinks or is passed
+    through unchanged, leaves an ordering for the rest whenever one exists;
+    so the first such position is taken, and the search never backtracks."""
     STRICT, EQUAL, OTHER = 0, 1, 2
 
     def status(ci: int, call: App, pos: int) -> int:
         pat = fi.clauses[ci].patterns[pos]
         arg = call.args[pos]
-        if isinstance(pat, PCon) and isinstance(arg, Var) and arg.name in pattern_vars(pat):
+        if isinstance(pat, Con) and isinstance(arg, Var) and arg.name in pattern_vars(pat):
             return STRICT
-        if _pattern_equals_term(pat, arg):
-            return EQUAL
-        return OTHER
+        # no body term holds a Wild, and term equality keeps true apart from 1
+        return EQUAL if pat == arg else OTHER
 
-    def search(remaining: list[tuple[int, App]], positions: list[int],
-               used: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if not remaining:
-            return used
+    positions, used = list(range(fi.arity)), []
+    while calls:
         for p in positions:
-            stats = [status(ci, call, p) for ci, call in remaining]
-            if any(s == OTHER for s in stats):
-                continue
-            if all(s == EQUAL for s in stats):
-                continue  # p alone makes no progress; try it later in the order
-            still = [rc for rc, s in zip(remaining, stats) if s == EQUAL]
-            found = search(still, [q for q in positions if q != p], (*used, p))
-            if found is not None:
-                return found
-        return None
-
-    return search(calls, list(range(fi.arity)), ())
+            stats = [status(ci, call, p) for ci, call in calls]
+            if OTHER not in stats and STRICT in stats:
+                break
+        else:
+            return None
+        calls = [rc for rc, s in zip(calls, stats) if s == EQUAL]
+        positions.remove(p)
+        used.append(p)
+    return tuple(used)
 
 
 def _guess_metric(fi: FunInfo, env: TypeEnv) -> list[tuple[Term, ...]]:

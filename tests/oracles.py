@@ -381,10 +381,10 @@ def _row_matches(patterns, args, binding) -> bool:
 
 
 def _named(p) -> bool:
-    from eqcheck.syntax import PBool, PCon, PInt, PVar
-    if isinstance(p, PCon):
+    from eqcheck.syntax import BoolLit, Con, IntLit, Var
+    if isinstance(p, Con):
         return all(_named(a) for a in p.args)
-    return isinstance(p, (PVar, PInt, PBool))
+    return isinstance(p, (Var, IntLit, BoolLit))
 
 
 def _input_domains(env, fi, size, ints) -> list[list]:
@@ -436,9 +436,9 @@ def _witness_matches(p, value) -> bool:
     """Whether a value lies in a totality witness pattern, which may hold
     integer exclusion markers."""
     from eqcheck.semantics import match_pattern
-    from eqcheck.syntax import PCon
+    from eqcheck.syntax import Con
     from eqcheck.wf import _PIntExcept
-    if isinstance(p, PCon):
+    if isinstance(p, Con):
         return value[0] == p.name and all(map(_witness_matches, p.args, value[1:]))
     if isinstance(p, _PIntExcept):
         return value not in p.excluded
@@ -568,25 +568,25 @@ def _random_pattern(rng, sort: str, depth: int, names: list[str]):
     """A pattern of `sort` (one of PATTERN_SORTS, or "a"): a variable while
     `names` lasts, a wildcard, a literal, or a constructor whose fields
     recurse while `depth` lasts (nullary constructors only at depth 0)."""
-    from eqcheck.syntax import PBool, PCon, PInt, PVar, PWild
+    from eqcheck.syntax import BoolLit, Con, IntLit, Var, Wild
     if sort == "a" or rng.random() < 0.35:
-        return PVar(names.pop()) if names and rng.random() < 0.6 else PWild()
+        return Var(names.pop()) if names and rng.random() < 0.6 else Wild()
     if sort == "Bool":
-        return PBool(rng.random() < 0.5)
+        return BoolLit(rng.random() < 0.5)
     if sort == "Int":
-        return PInt(rng.choice((-1, 0, 1, 2)))
+        return IntLit(rng.choice((-1, 0, 1, 2)))
     if sort == "T":
         pick = rng.randrange(3) if depth else 0
         if pick == 0:
-            return PCon("A")
+            return Con("A")
         if pick == 1:
-            return PCon("C", (_random_pattern(rng, "Int", depth - 1, names),))
-        return PCon("B", tuple(_random_pattern(rng, "T", depth - 1, names) for _ in "ab"))
+            return Con("C", (_random_pattern(rng, "Int", depth - 1, names),))
+        return Con("B", tuple(_random_pattern(rng, "T", depth - 1, names) for _ in "ab"))
     if not depth or rng.random() < 0.4:
-        return PCon("Nil")
+        return Con("Nil")
     elem = sort.split()[1]
-    return PCon("Cons", (_random_pattern(rng, elem, depth - 1, names),
-                         _random_pattern(rng, sort, depth - 1, names)))
+    return Con("Cons", (_random_pattern(rng, elem, depth - 1, names),
+                        _random_pattern(rng, sort, depth - 1, names)))
 
 
 def random_pattern_module(rng, max_arity: int = 3) -> str:
@@ -595,7 +595,7 @@ def random_pattern_module(rng, max_arity: int = 3) -> str:
     PATTERN_SORTS, with 1 to 5 clauses of random patterns: variables,
     wildcards, nested constructors and literals, negative ones included.
     Clause k returns k."""
-    from eqcheck.syntax import pretty_pattern
+    from eqcheck.syntax import pretty
     sorts = [rng.choice(PATTERN_SORTS) for _ in range(rng.randint(1, max_arity))]
     params = [f"x{i + 1}:({s})" if " " in s else f"x{i + 1}:{s}"
               for i, s in enumerate(sorts)]
@@ -604,5 +604,5 @@ def random_pattern_module(rng, max_arity: int = 3) -> str:
         names = list(_PATTERN_VARS)
         rng.shuffle(names)
         pats = [_random_pattern(rng, s, 2, names) for s in sorts]
-        lines.append(f"f {' '.join(pretty_pattern(p, True) for p in pats)} = {k}")
+        lines.append(f"f {' '.join('(' + pretty(p) + ')' for p in pats)} = {k}")
     return "\n".join(lines) + "\n"

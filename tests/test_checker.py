@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from eqcheck.checker import (
     CheckConfig, build_decl_obligations, check_module, discharge,
 )
 from eqcheck.semantics import evaluate
-from eqcheck.syntax import FunDecl, PAtom, pretty_pred, subterms
+from eqcheck.syntax import FunDecl, PAtom, Var, Wild, pred_terms, pretty_pred, subterms
 from eqcheck.parser import parse_term
 from eqcheck.types import lemma_facts
 from eqcheck.wf import clause_contexts
@@ -552,6 +553,40 @@ def test_clause_vcs_continue_the_state_of_their_last_steps(config, monkeypatch):
     # the corpus's preconditions all belong to leaves without steps
     assert kinds["keyed"] == {"clause-vc"}, kinds
     assert kinds["keyless"] == {"clause-vc", "hint-pre"}, kinds
+
+
+@ALL_MODES
+def test_no_wildcard_or_exclusion_marker_reaches_the_solver(config, monkeypatch):
+    # `_` and the integer exclusion markers live only in pattern matrices:
+    # every leaf names them, so no leaf binding and no obligation holds one.
+    # Both are checked as they are built, before the solver could see them
+    build, leaves_of = checker.build_clause_obligations, wf.clause_leaves
+    named = Counter()
+
+    def unmarked(terms, where):
+        subs = [s for t in terms for s in subterms(t)]
+        assert not [s for s in subs if isinstance(s, (Wild, wf._PIntExcept))], where
+        named["wildcards"] += sum(isinstance(s, Var) and s.name.startswith("_w") for s in subs)
+
+    def checked_build(*args):
+        out = list(build(*args))
+        for ob in out:
+            preds = (*ob.facts, ob.goal)
+            unmarked([*ob.body_terms, *(t for p in preds for t in pred_terms(p))], ob.oid)
+        return out
+
+    def checked_leaves(*args):
+        out = leaves_of(*args)
+        for leaf in out:
+            unmarked([t for _, t in leaf.var_bindings], leaf)
+            named["bindings"] += len(leaf.var_bindings)
+        return out
+
+    monkeypatch.setattr(checker, "build_clause_obligations", checked_build)
+    monkeypatch.setattr(wf, "clause_leaves", checked_leaves)
+    for path in FILES:
+        check_module(path.read_text(), config)
+    assert named["wildcards"] and named["bindings"], named
 
 
 # -------------------------------------------------------------- module driver

@@ -27,7 +27,7 @@ from eqcheck import checker
 from eqcheck.checker import CheckConfig, Report, check_module
 from eqcheck.parser import parse_module
 from eqcheck.syntax import (
-    Clause, FunDecl, PCon, PVar, Pattern, SourceModule, Var, pattern_vars, substitute_chain,
+    Clause, FunDecl, SourceModule, Var, pattern_vars, substitute, substitute_chain,
 )
 from eqcheck.types import check_types
 from eqcheck.wf import clause_leaves
@@ -39,19 +39,12 @@ CONFIG = CheckConfig(warn_unused_hints=False)
 Renaming = tuple[str, int, dict[str, str]]  # declaration, clause index, names
 
 
-def _rename_pattern(p: Pattern, names: dict[str, str]) -> Pattern:
-    if isinstance(p, PVar):
-        return PVar(names.get(p.name, p.name), span=p.span)
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(_rename_pattern(a, names) for a in p.args), span=p.span)
-    return p
-
-
 def _rename_clause(clause: Clause, names: dict[str, str]) -> Clause:
     """The clause with its patterns, body and hints renamed."""
-    body = substitute_chain(clause.body, {old: Var(new) for old, new in names.items()})
+    subst = {old: Var(new) for old, new in names.items()}
     return dataclasses.replace(
-        clause, patterns=tuple(_rename_pattern(p, names) for p in clause.patterns), body=body)
+        clause, patterns=tuple(substitute(p, subst) for p in clause.patterns),
+        body=substitute_chain(clause.body, subst))
 
 
 def renamed(module: SourceModule, renaming: Renaming) -> SourceModule:

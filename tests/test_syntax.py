@@ -9,10 +9,9 @@ from eqcheck.parser import (
     ParseError, Token, parse_module, parse_pred, parse_term, tokenize,
 )
 from eqcheck.syntax import (
-    App, Annotation, BoolLit, Chain, Con, IntLit, PAnd, PAtom, PBool, PCon, PFalse,
-    PInt, POr, PTrue, PVar, PWild, PrimOp, REL_OPS, Span, Step, Var, apps, cons, nil,
-    pred_terms, pretty, pretty_module, pretty_pattern, pretty_pred, substitute,
-    substitute_chain, substitute_pred, subterms,
+    App, Annotation, BoolLit, Chain, Con, IntLit, PAnd, PAtom, PFalse, POr, PTrue,
+    PrimOp, REL_OPS, Span, Step, Var, Wild, apps, cons, nil, pred_terms, pretty,
+    pretty_module, pretty_pred, substitute, substitute_chain, substitute_pred, subterms,
 )
 
 from conftest import FILES, corpus_text
@@ -176,15 +175,15 @@ def test_pretty_parse_roundtrip(t):
 # random linear patterns: a clause's patterns print and read back
 def _patterns():
     base = st.one_of(
-        st.just(PVar("x")), st.just(PWild()), st.integers(min_value=-9, max_value=9).map(PInt),
-        st.booleans().map(PBool), st.just(PCon("Nil")), st.just(PCon("Leaf")),
+        st.just(Var("x")), st.just(Wild()), st.integers(min_value=-9, max_value=9).map(IntLit),
+        st.booleans().map(BoolLit), st.just(Con("Nil")), st.just(Con("Leaf")),
     )
     return st.recursive(
         base,
         lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda p: PCon("Cons", p)),
+            st.tuples(sub, sub).map(lambda p: Con("Cons", p)),
             st.tuples(st.sampled_from(["Just", "Node"]), st.lists(sub, min_size=1, max_size=3)).map(
-                lambda c: PCon(c[0], tuple(c[1]))),
+                lambda c: Con(c[0], tuple(c[1]))),
         ),
         max_leaves=8,
     )
@@ -192,10 +191,10 @@ def _patterns():
 
 def _numbered(p, counter):
     """`p` with its variables renamed x0, x1, ... so that a clause stays linear."""
-    if isinstance(p, PVar):
-        return PVar(f"x{next(counter)}")
-    if isinstance(p, PCon):
-        return PCon(p.name, tuple(_numbered(a, counter) for a in p.args))
+    if isinstance(p, Var):
+        return Var(f"x{next(counter)}")
+    if isinstance(p, Con):
+        return Con(p.name, tuple(_numbered(a, counter) for a in p.args))
     return p
 
 
@@ -203,7 +202,7 @@ def _numbered(p, counter):
 def test_pattern_print_parse_roundtrip(pats):
     counter = itertools.count()
     pats = tuple(_numbered(p, counter) for p in pats)
-    text = " ".join(pretty_pattern(p, True) for p in pats)
+    text = " ".join("(" + pretty(p) + ")" for p in pats)
     (decl,) = parse_module(f"f : a -> Int\nf {text} = 0\n").decls
     assert decl.clauses[0].patterns == pats
 

@@ -15,11 +15,12 @@ from collections import Counter
 
 import pytest
 
+from eqcheck import wf
 from eqcheck.checker import check_module
 from eqcheck.semantics import Fuel, enumerate_values, evaluate, value_to_term
-from eqcheck.syntax import App, BoolLit, IntLit, PBool, PInt, pretty_pred
+from eqcheck.syntax import App, BoolLit, IntLit, pretty_pred
 from eqcheck.wf import (
-    NonTermination, TerminationEvidence, _pattern_equals_term, call_graph_cycles,
+    NonTermination, TerminationEvidence, call_graph_cycles,
     check_termination, check_totality, clause_contexts, clause_leaves, missing_pattern_text,
 )
 from eqcheck.types import INT, SortData
@@ -234,6 +235,48 @@ def test_random_pattern_matrices_partition_and_witness_inputs():
     assert counts["with bindings"] >= 150 and counts["with exclusions"] >= 75, counts
 
 
+def matrix_probe(n: int) -> str:
+    """`f` of n arguments of `data T = A | B | C`: clause i names A at
+    position i and has wildcards elsewhere, and a last clause binds only
+    variables.  Clause i has 2^i leaves and the last one 2^n."""
+    lines = ["data T = A | B | C", "",
+             "f : " + " -> ".join(f"x{i}:T" for i in range(n)) + " -> {v:Int | 0 <= v}"]
+    lines += ["f " + " ".join("A" if j == i else "_" for j in range(n)) + " = 0"
+              for i in range(n)]
+    lines.append("f " + " ".join(f"y{j}" for j in range(n)) + " = 0")
+    return "\n".join(lines) + "\n"
+
+
+def counting(monkeypatch, name: str) -> Counter:
+    """Count the calls of `wf.<name>`, recursive ones included."""
+    calls: Counter = Counter()
+    real = getattr(wf, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(wf, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_pattern_matrix_work_stops_at_a_row_of_wildcards(n, monkeypatch):
+    # a row of wildcards leaves no input uncovered, so nothing under it is
+    # explored: totality takes one call whatever n is (walking every
+    # constructor branch under it takes 9841 at n = 8), and the leaves of
+    # all clauses at most 3 calls per leaf
+    env = env_of(matrix_probe(n))
+    fi = env.funs["f"]
+    calls = counting(monkeypatch, "uncovered")
+    assert check_totality(fi, env) == []
+    assert calls["uncovered"] == 1
+    calls.clear()
+    leaves = sum(len(clause_leaves(fi, ci, env)) for ci in range(len(fi.clauses)))
+    assert leaves == 2 ** (n + 1) - 1
+    assert calls["uncovered"] <= 3 * leaves
+
+
 # ---------------------------------------------------------------- termination
 
 def test_length_structural(list_env):
@@ -344,10 +387,31 @@ def test_literal_passed_through_unchanged_is_structural(source):
 
 def test_literal_pattern_equals_only_its_own_kind_of_literal():
     # Python's True == 1 must not make a Bool pattern equal an Int argument
-    assert _pattern_equals_term(PBool(True), BoolLit(True))
-    assert not _pattern_equals_term(PBool(True), IntLit(1))
-    assert not _pattern_equals_term(PInt(1), BoolLit(True))
-    assert not _pattern_equals_term(PInt(0), BoolLit(False))
+    assert BoolLit(True) == BoolLit(True)
+    assert BoolLit(True) != IntLit(1)
+    assert IntLit(1) != BoolLit(True)
+    assert IntLit(0) != BoolLit(False)
+
+
+def shrink_each_alone(n: int) -> str:
+    """`g` over n lists, whose one clause calls `g` once per argument with
+    only that argument shrunk, and once with every argument unchanged: no
+    ordering exists."""
+    calls = ["g " + " ".join(f"t{j}" if j == i else f"(h{j} : t{j})" for j in range(n))
+             for i in range(n + 1)]
+    return ("g : " + " -> ".join(f"x{i}:(List Int)" for i in range(n)) + " -> Int\n"
+            + "g " + " ".join(f"(h{i} : t{i})" for i in range(n)) + " = "
+            + " + ".join(calls) + "\n")
+
+
+def test_structural_search_never_backtracks(monkeypatch):
+    # a search that backtracks tries the eligible positions in every order
+    # before giving up: 109,600 sub-pattern tests at n = 8
+    env = env_of(shrink_each_alone(8))
+    fi = env.funs["g"]
+    calls = counting(monkeypatch, "pattern_vars")
+    assert wf._structural(fi, wf._self_calls(fi)) is None
+    assert calls["pattern_vars"] <= 8
 
 
 def test_structural_terminates_under_fuel():
