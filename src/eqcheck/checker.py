@@ -4,9 +4,10 @@ the whole-module pipeline (parse, sorts, wf, then obligations)."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, partial
+from typing import TypeVar
 
 from .logic import DEFAULT_PLE_FUEL, SolverState, entails, holds
 from .parser import parse_module
@@ -185,14 +186,16 @@ def build_decl_obligations(fi: FunInfo, contexts: list[list[LeafContext]],
 # ----------------------------------------------------------------- discharge
 
 States = dict[object, SolverState]
+T = TypeVar("T")
 
 
-def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
-              states: States | None = None) -> Verdict:
-    """Decide one obligation.  `states` maps an obligation's `hypotheses` to
-    the state saturated for them.  A chain step's goal adds no node to it
-    (see `build_clause_obligations`), so it is decided there with `holds`,
-    which only reads.  A goal with `extra` facts continues the state with
+def decide(ob: Obligation, env: TypeEnv, config: CheckConfig,
+           states: States | None = None) -> str:
+    """Decide one obligation and return its status: proved, failed or
+    fuel-exhausted.  `states` maps an obligation's `hypotheses` to the state
+    saturated for them.  A chain step's goal adds no node to it (see
+    `build_clause_obligations`), so it is decided there with `holds`, which
+    only reads.  A goal with `extra` facts continues the state with
     `entails`: it interns the goal, asserts the extra facts and saturates
     again.  The key's steps all come first, so no step reads a state that
     holds facts it does not assume.  Otherwise the goal builds its own
@@ -208,22 +211,31 @@ def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
         if states is not None and ob.hypotheses is not None:
             states[ob.hypotheses] = st
     if ok:
-        return Verdict(ob.oid, ob.decl, ob.kind, ob.span, "proved")
-    status = "fuel-exhausted" if st.fuel_exhausted else "failed"
+        return "proved"
+    return "fuel-exhausted" if st.fuel_exhausted else "failed"
+
+
+def discharge(ob: Obligation, env: TypeEnv, config: CheckConfig,
+              states: States | None = None) -> Verdict:
+    """`decide`'s verdict on one obligation, with the goal, fact and message
+    texts of a failure."""
+    status = decide(ob, env, config, states)
+    if status == "proved":
+        return Verdict(ob.oid, ob.decl, ob.kind, ob.span, status)
     goal_text = pretty_pred(ob.goal)
     fact_texts = tuple(pretty_pred(f) for f in ob.facts)
-    message = _failure_message(ob)
     return Verdict(ob.oid, ob.decl, ob.kind, ob.span, status, goal_text,
-                   fact_texts, message)
+                   fact_texts, _failure_message(ob))
 
 
-def _discharge_each(obligations: Iterable[Obligation], env: TypeEnv,
-                    config: CheckConfig) -> Iterator[Verdict]:
-    """The verdicts in order, one saturated state per key shared among the
-    obligations; the states go when the iteration does."""
+def _discharge_each(step: Callable[..., T], obligations: Iterable[Obligation],
+                    env: TypeEnv, config: CheckConfig) -> Iterator[T]:
+    """`step(ob, env, config, states)` for each obligation in order, where
+    `step` is `discharge` or `decide`: one saturated state per key is shared
+    among the obligations, and the states go when the iteration does."""
     states: States = {}
     for ob in obligations:
-        yield discharge(ob, env, config, states)
+        yield step(ob, env, config, states)
 
 
 def _failure_message(ob: Obligation) -> str:
@@ -328,7 +340,7 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
         leaf_contexts = contexts_of(name)
         obligations, warnings = build_decl_obligations(fi, leaf_contexts, config)
         unreachable.extend(warnings)
-        verdicts = list(_discharge_each(obligations, env, config))
+        verdicts = list(_discharge_each(discharge, obligations, env, config))
         report.obligations.extend(obligations)
         report.verdicts.extend(verdicts)
         if config.warn_unused_hints and all(v.proved for v in verdicts):
@@ -340,9 +352,9 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
 def _unused_hint_warnings(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafContext]],
                           config: CheckConfig) -> list[str]:
     """A warning per hint whose removal from its clause leaves every
-    obligation of the clause proved.  The obligations are built and
-    discharged one at a time, so a hint is kept at its clause's first failed
-    obligation and nothing after it is built."""
+    obligation of the clause proved.  The obligations are built and decided
+    one at a time, so a hint is kept at its clause's first failed obligation
+    and nothing after it is built; a failure's texts are never rendered."""
     warnings: list[str] = []
     for ci, (clause, leaves) in enumerate(zip(fi.clauses, contexts)):
         if not leaves:  # an unreachable clause, warned about as such
@@ -350,7 +362,8 @@ def _unused_hint_warnings(fi: FunInfo, env: TypeEnv, contexts: list[list[LeafCon
         for hint in dict.fromkeys(h for link in clause.body.links for h in link.hints):
             obligations = (ob for ctx in leaves for ob in build_clause_obligations(
                 ctx.without_hint(hint), len(leaves), config))
-            if all(v.proved for v in _discharge_each(obligations, env, config)):
+            if all(status == "proved"
+                   for status in _discharge_each(decide, obligations, env, config)):
                 warnings.append(
                     f"{fi.name}: clause {ci + 1}: hint '? {pretty(hint)}' is unused")
     return warnings

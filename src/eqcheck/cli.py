@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -101,7 +102,10 @@ def _dump_facts(reports: list[Report], oid: str) -> Optional[str]:
     return None
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The `eqcheck` parser, built once per process: `parse_args` does not
+    change it, and each build leaves reference cycles for the collector."""
     ap = argparse.ArgumentParser(
         prog="eqcheck",
         description="Check equational proofs and refinement-type signatures.")

@@ -43,40 +43,53 @@ SYMBOLS = [
     "{", "}", ",", ":", "?", "_",
 ]
 
+# One match per token: blanks, `\r` and comments are skipped by the prefix,
+# and `\Z` ends the input there, so a final comment is never re-read as
+# symbols.  At the end of the longest prefix one alternative always matches,
+# so the prefix never backtracks.
 # Digits are ASCII: "²" passes str.isdigit but not int(), and int() reads "٣"
 # as 3.  `ident` also admits "²", "½" and "Ⅳ" as a first character; tokenize
 # rejects any first character that is not str.isalpha().  A literal is
 # converted where it is read, so one longer than int()'s digit limit (4300 by
 # default, or PYTHONINTMAXSTRDIGITS) is a located error.
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>--[^\n]*)",
-    r"(?P<int>[0-9]+)", r"(?P<ident>[^\W\d_][\w']*)",
+_TOKEN_RE = re.compile(r"(?:[ \t\r]+|--[^\n]*)*(?:" + "|".join([
+    r"(?P<ident>[^\W\d_][\w']*)",
     "(?P<sym>" + "|".join(map(re.escape, sorted(SYMBOLS, key=len, reverse=True))) + ")",
-    r"(?P<bad>.)",
-]))
+    r"(?P<nl>\n)", r"(?P<int>[0-9]+)", r"(?P<end>\Z)", r"(?P<bad>.)",
+]) + ")")
+# builds a Token from a plain tuple, without NamedTuple's Python-level __new__
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
+    append = toks.append
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad" or kind == "ident" and not text[0].isalpha():
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        col = start - line_start + 1
+        if kind == "ident":
+            text = m.group(kind)
+            if not text[0].isalpha():
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+            kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
+            append(_new_token(Token, (kind, text, line, col, 0)))
+        elif kind == "sym":
+            append(_new_token(Token, (kind, m.group(kind), line, col, 0)))
+        elif kind == "nl":
+            line, line_start = line + 1, end
         elif kind == "int":
+            text = m.group(kind)
             try:
-                toks.append(Token(kind, text, line, col, int(text)))
+                append(_new_token(Token, (kind, text, line, col, int(text))))
             except ValueError:
                 raise ParseError("integer literal too long", line, col) from None
-        elif kind == "ident":
-            kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
-            toks.append(Token(kind, text, line, col))
-        elif kind == "sym":
-            toks.append(Token(kind, text, line, col))
-    toks.append(Token("eof", "", line + 1, 1))
+        elif kind == "end":
+            break
+        else:
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
+    append(_new_token(Token, ("eof", "", line + 1, 1, 0)))
     return toks
 
 
@@ -104,7 +117,9 @@ def _split_items(toks: list[Token]) -> list[list[Token]]:
 
 T = TypeVar("T")
 
-# the texts of the 'sym' and 'kw' tokens that start a term atom
+# the kinds of the tokens, and the texts of the 'sym' and 'kw' tokens, that
+# start a term atom
+_ATOM_KINDS = frozenset(("lower", "upper", "int"))
 _ATOM_TEXTS = frozenset(("(", "[", "true", "false"))
 
 
@@ -138,7 +153,7 @@ class _ItemParser:
     def at_atom(self, also: tuple[str, ...] = ()) -> bool:
         """Does a term atom, or a symbol in `also`, start here?"""
         t = self.toks[self.pos]
-        return t.kind in ("lower", "upper", "int") or t.text in _ATOM_TEXTS or t.text in also
+        return t.kind in _ATOM_KINDS or t.text in _ATOM_TEXTS or t.text in also
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
@@ -291,16 +306,21 @@ class _ItemParser:
 
     # -- terms ---------------------------------------------------------------
     def term_atom(self) -> Term:
-        t = self.peek()
-        if self.accept("lower"):
-            return Var(t.text, span=self.span_of(t))
-        if self.accept("upper"):
-            return Con(t.text, (), span=self.span_of(t))
-        if self.accept("int"):
-            return IntLit(t.value, span=self.span_of(t))
-        if self.accept("kw", "true") or self.accept("kw", "false"):
-            return BoolLit(t.text == "true", span=self.span_of(t))
-        if self.accept("sym", "["):
+        t = self.toks[self.pos]
+        kind, text = t.kind, t.text
+        if kind == "lower" or kind == "upper" or kind == "int":
+            self.pos += 1
+            span = self.span_of(t)
+            if kind == "lower":
+                return Var(text, span=span)
+            if kind == "upper":
+                return Con(text, (), span=span)
+            return IntLit(t.value, span=span)
+        if kind == "kw" and (text == "true" or text == "false"):
+            self.pos += 1
+            return BoolLit(text == "true", span=self.span_of(t))
+        if kind == "sym" and text == "[":
+            self.pos += 1
             items = [] if self.at("sym", "]") else self.separated(self.term, ",")
             end = self.expect("sym", "]")
             span = Span(t.line, t.col, end.line, end.col + 1)
@@ -308,7 +328,8 @@ class _ItemParser:
             for item in reversed(items):
                 out = cons(item, out, span)
             return out
-        if self.accept("sym", "("):
+        if kind == "sym" and text == "(":
+            self.pos += 1
             end = self.accept("sym", ")")
             if end:
                 return UnitLit(span=Span(t.line, t.col, end.line, end.col + 1))
@@ -321,15 +342,17 @@ class _ItemParser:
         self.fail("expected a term", ("term",))
 
     def term_app(self) -> Term:
-        head = self.peek()
-        if head.kind not in ("lower", "upper"):
+        toks = self.toks
+        head = toks[self.pos]
+        kind = head.kind
+        if kind != "lower" and kind != "upper":
             return self.term_atom()
-        self.next()
+        self.pos += 1
         args: list[Term] = []
-        while self.at_atom():
+        while (t := toks[self.pos]).kind in _ATOM_KINDS or t.text in _ATOM_TEXTS:
             args.append(self.term_atom())
         span = self.span_from(head)
-        if head.kind == "upper":
+        if kind == "upper":
             return Con(head.text, tuple(args), span=span)
         if args:
             return App(head.text, tuple(args), span=span)

@@ -25,46 +25,46 @@ NO_SPAN = Span(0, 0, 0, 0)
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Term):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitLit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Con(Term):
     """Constructor application, always saturated."""
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     """Function application, always saturated (the language is first order)."""
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimOp(Term):
     """Arithmetic primitive; '*' requires a literal operand (kept linear)."""
     op: str  # '+', '-', '*'
@@ -72,7 +72,7 @@ class PrimOp(Term):
     rhs: Term = field(default=None)  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wild(Term):
     """The wildcard `_`; only clause patterns hold one."""
 
@@ -84,7 +84,7 @@ Pattern = Term
 
 # ----------------------------------------------------------- predicates
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pred:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
@@ -92,29 +92,29 @@ class Pred:
 REL_OPS = ("==", "/=", "<=", "<", ">=", ">")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAtom(Pred):
     rel: str  # one of REL_OPS
     lhs: Term = field(default=None)  # type: ignore[assignment]
     rhs: Term = field(default=None)  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAnd(Pred):
     items: tuple[Pred, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class POr(Pred):
     items: tuple[Pred, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTrue(Pred):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PFalse(Pred):
     pass
 
@@ -139,7 +139,7 @@ def negate_pred(p: Pred) -> Pred:
 
 # ------------------------------------------------------ refinement types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeExpr:
     """Surface type: Int, Bool, Proof, a type variable (lowercase name), or a
     declared type applied to arguments."""
@@ -152,7 +152,7 @@ class TypeExpr:
         return self.name[:1].islower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseRef:
     """{binder : ty | pred}; a bare type means a trivially true predicate."""
     ty: TypeExpr
@@ -165,7 +165,7 @@ class BaseRef:
         return not isinstance(self.pred, PTrue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """Chain of named argument binders ending in the result base type."""
     params: tuple[tuple[str, BaseRef], ...]
@@ -179,7 +179,7 @@ class Signature:
 
 # ----------------------------------------------------------------- bodies
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One link of a chain: a term and the `? hint`s attached to it.  The
     first link is the head; each later one is a `==. rhs` step."""
@@ -188,7 +188,7 @@ class Step:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chain:
     """A clause body: head (? hint)* (==. rhs (? hint)*)* [*** QED], stored as
     its links, the head with its hints first.  A plain term is a chain of
@@ -219,7 +219,7 @@ class Chain:
 
 # ----------------------------------------------------------- declarations
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     name: str
     patterns: tuple[Pattern, ...]
@@ -227,14 +227,14 @@ class Clause:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtorDef:
     name: str
     fields: tuple[TypeExpr, ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataDecl:
     name: str
     params: tuple[str, ...]
@@ -242,7 +242,7 @@ class DataDecl:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunDecl:
     name: str
     signature: Signature
@@ -252,14 +252,14 @@ class FunDecl:
 
 Decl = Union[DataDecl, FunDecl]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     kind: str  # measure | reflect | ple
     target: str
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceModule:
     decls: tuple[Decl, ...]
     annotations: tuple[Annotation, ...]

@@ -31,30 +31,30 @@ class RefinementWfError(TypeCheckError):
 
 # ----------------------------------------------------------------- sorts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sort:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortInt(Sort):
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortBool(Sort):
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortProof(Sort):
     def __str__(self) -> str:
         return "Proof"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortVar(Sort):
     name: str
 
@@ -62,7 +62,7 @@ class SortVar(Sort):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortData(Sort):
     name: str
     args: tuple[Sort, ...] = ()
@@ -84,7 +84,7 @@ class SortData(Sort):
         return SortData(self.name, args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortMeta(Sort):
     """Unification variable, only live inside check_types."""
     uid: int

@@ -24,7 +24,7 @@ from .types import (
 
 # ------------------------------------------------------- pattern matrices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _PIntExcept(Term):
     """Internal: an integer position known to avoid a finite literal set."""
     excluded: tuple[int, ...] = ()
@@ -88,22 +88,25 @@ def uncovered(rows: list[Row], sorts: tuple[Sort, ...], env: TypeEnv,
                                rest_sorts, env, rest)]
 
 
+def _render_pattern(p: Pattern, atom: bool) -> str:
+    """`p` spelled out, in parentheses when it is an `atom` position and an
+    applied constructor."""
+    if isinstance(p, _PIntExcept):
+        k = 0
+        while k in p.excluded:
+            k += 1
+        return str(k)
+    if not isinstance(p, Con):
+        return pretty(p)
+    if not p.args:
+        return p.name
+    s = p.name + " " + " ".join(_render_pattern(a, True) for a in p.args)
+    return f"({s})" if atom else s
+
+
 def missing_pattern_text(row: Row) -> str:
     """Render a witness row plainly (constructors spelled out, no sugar)."""
-    def render(p: Pattern, atom: bool) -> str:
-        if isinstance(p, _PIntExcept):
-            k = 0
-            while k in p.excluded:
-                k += 1
-            return str(k)
-        if not isinstance(p, Con):
-            return pretty(p)
-        if not p.args:
-            return p.name
-        s = p.name + " " + " ".join(render(a, True) for a in p.args)
-        return f"({s})" if atom else s
-
-    return " ".join(render(p, len(row) > 1) for p in row)
+    return " ".join(_render_pattern(p, len(row) > 1) for p in row)
 
 
 def check_totality(fi: FunInfo, env: TypeEnv) -> list[Row]:
@@ -172,20 +175,21 @@ def clause_leaves(fi: FunInfo, clause_index: int, env: TypeEnv) -> list[Leaf]:
     return leaves
 
 
+def _bind_sorts(p: Pattern, s: Sort, env: TypeEnv, out: dict[str, Sort]) -> None:
+    """Record in `out` the sort of each variable that `p`, of sort `s`, binds."""
+    if isinstance(p, Var):
+        out[p.name] = s
+    elif isinstance(p, Con):
+        for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
+            _bind_sorts(sub, fs, env, out)
+
+
 def row_var_sorts(fi: FunInfo, row: Row, env: TypeEnv) -> dict[str, Sort]:
     """Sorts of the variables a pattern row of fi binds, in the order the
     row binds them."""
     out: dict[str, Sort] = {}
-
-    def walk(p: Pattern, s: Sort) -> None:
-        if isinstance(p, Var):
-            out[p.name] = s
-        elif isinstance(p, Con):
-            for sub, fs in zip(p.args, ctor_field_sorts(env.ctors[p.name], s, env)):
-                walk(sub, fs)
-
     for pat, sort in zip(row, fi.param_sorts):
-        walk(pat, sort)
+        _bind_sorts(pat, sort, env, out)
     return out
 
 
@@ -283,7 +287,7 @@ def clause_contexts(fi: FunInfo, env: TypeEnv) -> list[list[LeafContext]]:
 
 # ------------------------------------------------------------- termination
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminationEvidence:
     kind: str  # 'structural' | 'semantic'
     positions: tuple[int, ...] = ()
@@ -291,7 +295,7 @@ class TerminationEvidence:
     guessed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonTermination:
     span: Span
     reason: str

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from eqcheck.checker import check_module, discharge
+from eqcheck.checker import check_module
 from eqcheck.parser import parse_module, parse_pred, parse_term
 from eqcheck.types import check_types
 
@@ -62,10 +62,10 @@ term = parse_term
 pred = parse_pred
 
 
-def discharge_unshared(obligations, env, config):
+def discharge_unshared(step, obligations, env, config):
     """`checker._discharge_each` with no state shared: every obligation is
-    discharged on a state of its own."""
-    return (discharge(ob, env, config) for ob in obligations)
+    discharged (or decided) on a state of its own."""
+    return (step(ob, env, config) for ob in obligations)
 
 
 @pytest.fixture(scope="session")

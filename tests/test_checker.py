@@ -313,21 +313,18 @@ def test_unused_hint_warning():
     assert any("trivP" in w and "unused" in w for w in report.warnings)
 
 
-def test_unused_hint_pass_builds_only_what_it_discharges(monkeypatch):
-    # obligations are built one at a time, so a hint kept at a failed chain
-    # step builds none of its clause's later obligations
-    counts = {"built": 0, "discharged": 0}
+def _count_inside_unused_hint_pass(monkeypatch, **wrapped):
+    """Counts of calls to each `checker` function named in `wrapped` made
+    inside `_unused_hint_warnings`, filled in as the corpus files are checked."""
+    counts = dict.fromkeys(wrapped, 0)
     inside = [False]
-    make, discharge = checker.Obligation, checker.discharge
     unused = checker._unused_hint_warnings
 
-    def counting_make(*args, **kwargs):
-        counts["built"] += inside[0]
-        return make(*args, **kwargs)
-
-    def counting_discharge(*args):
-        counts["discharged"] += inside[0]
-        return discharge(*args)
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += inside[0]
+            return fn(*args, **kwargs)
+        return wrapper
 
     def flagged_unused(*args):
         inside[0] = True
@@ -336,12 +333,35 @@ def test_unused_hint_pass_builds_only_what_it_discharges(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(checker, "Obligation", counting_make)
-    monkeypatch.setattr(checker, "discharge", counting_discharge)
+    for key, name in wrapped.items():
+        monkeypatch.setattr(checker, name, counting(key, getattr(checker, name)))
     monkeypatch.setattr(checker, "_unused_hint_warnings", flagged_unused)
     for path in sorted(CORPUS.glob("*.eq")):
         check_module(path.read_text())
-    assert counts["built"] == counts["discharged"] > 0, counts
+    return counts
+
+
+def test_unused_hint_pass_builds_only_what_it_discharges(monkeypatch):
+    # obligations are built one at a time, so a hint kept at a failed chain
+    # step builds none of its clause's later obligations
+    counts = _count_inside_unused_hint_pass(monkeypatch, built="Obligation",
+                                            decided="decide")
+    assert counts["built"] == counts["decided"] > 0, counts
+
+
+def test_unused_hint_pass_renders_no_failure_texts(monkeypatch):
+    # the pass asks only whether each obligation is proved: every corpus
+    # verdict is proved, so each failure is the pass's own (24, where a hint
+    # is needed), and none of their texts is rendered
+    decide, statuses = checker.decide, []
+
+    def recording(*args):
+        statuses.append(decide(*args))
+        return statuses[-1]
+
+    monkeypatch.setattr(checker, "decide", recording)
+    counts = _count_inside_unused_hint_pass(monkeypatch, rendered="pretty_pred")
+    assert "failed" in statuses and counts["rendered"] == 0, counts
 
 
 def test_warning_order_unreachable_before_unused():
@@ -437,7 +457,7 @@ def test_goal_outside_its_scope_gets_a_state_of_its_own(list_env, monkeypatch):
     assert steps[0].hypotheses is steps[1].hypotheses
     fresh = [discharge(ob, env, config) for ob in steps]
     n_built = len(built)
-    assert list(checker._discharge_each(steps, env, config)) == fresh
+    assert list(checker._discharge_each(discharge, steps, env, config)) == fresh
     assert len(built) == n_built + 1
 
 

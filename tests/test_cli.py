@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ from eqcheck import checker, logic, types
 from eqcheck.cli import _span_json, run
 from eqcheck.syntax import Span
 
-from conftest import CORPUS, ROOT, UNUSED_HINT_MODULE
+from conftest import CORPUS, FILES, ROOT, UNUSED_HINT_MODULE
 
 
 def run_cli(args, capsys):
@@ -159,6 +160,22 @@ def test_json_byte_identical_across_runs(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_check_leaves_no_reference_cycle(path, capsys):
+    # a cycle keeps the checked module's AST and TypeEnv alive until the
+    # cyclic collector runs; a check should free them when it returns.  The
+    # first run builds what the process keeps, the argument parser
+    run(["check", str(path)])
+    gc.collect()
+    gc.disable()
+    try:
+        run(["check", str(path)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_deeply_nested_input_exits_two(tmp_path, capsys):

@@ -57,6 +57,17 @@ def test_parse_error_reports_position():
     ("a \u2163", "1:3: unexpected character '\u2163'"),
     ("\u00bd", "1:1: unexpected character '\u00bd'"),
     ("\n \u0663", "2:2: unexpected character '\u0663'"),
+    # a comment that ends the input is skipped whole, not re-read as symbols
+    ("x -- c", [("lower", "x", 1, 1)]),
+    ("-- c", []),
+    ("x - -- c", [("lower", "x", 1, 1), ("sym", "-", 1, 3)]),
+    ("x  \t", [("lower", "x", 1, 1)]),
+    ("x \t\n\t ", [("lower", "x", 1, 1)]),
+    ("a\r\nb\r\n", [("lower", "a", 1, 1), ("lower", "b", 2, 1)]),
+    ("f x\r\n  -- c\r\n  = 1", [("lower", "f", 1, 1), ("lower", "x", 1, 3),
+                              ("sym", "=", 3, 3), ("int", "1", 3, 5)]),
+    ("  \t ", []),
+    ("\n\n", []),
 ])
 def test_tokenize_table(source, expected):
     if isinstance(expected, str):
