@@ -245,9 +245,7 @@ def _failure_message(ob: Obligation) -> str:
                 f"{pretty(ob.goal.lhs)} == {pretty(ob.goal.rhs)}")
     if ob.kind == "clause-vc":
         return f"cannot show {pretty_pred(ob.goal)}"
-    if ob.kind == "hint-pre":
-        return f"argument precondition not met: {pretty_pred(ob.goal)}"
-    return pretty_pred(ob.goal)
+    return f"argument precondition not met: {pretty_pred(ob.goal)}"
 
 
 # ------------------------------------------------------------- module driver

@@ -477,7 +477,7 @@ def pretty_type(te: TypeExpr, atom: bool = False) -> str:
 def pretty_base(b: BaseRef) -> str:
     if b.refined:
         return "{" + f"{b.binder}:{pretty_type(b.ty, True)} | {pretty_pred(b.pred)}" + "}"
-    return pretty_type(b.ty, True) if b.ty.args else pretty_type(b.ty)
+    return pretty_type(b.ty, True)
 
 
 def pretty_signature(name: str, sig: Signature) -> str:

@@ -137,6 +137,59 @@ def test_measure_unfolds_at_constructor_made_by_reflect(list_env):
     assert (st.stats["reflect"], st.stats["measure"]) == (1, 3)
 
 
+TREE_SRC = """\
+data Tree a = Leaf | Node (Tree a) a (Tree a)
+
+measure size
+size : t:(Tree a) -> {v:Int | 0 <= v}
+size Leaf = 0
+size (Node l x r) = 1 + size l + size r
+
+measure leaves
+leaves : t:(Tree a) -> {v:Int | 1 <= v}
+leaves Leaf = 1
+leaves (Node l x r) = leaves l + leaves r
+
+measure isLeaf
+isLeaf : t:(Tree a) -> Bool
+isLeaf Leaf = true
+isLeaf (Node l x r) = false
+
+reflect mirror
+mirror : t:(Tree a) -> Tree a
+mirror Leaf = Leaf
+mirror (Node l x r) = Node (mirror r) x (mirror l)
+"""
+
+# each constructor class unfolds every measure of its data type once
+_TREE_CASES = {
+    "fact": (["t == Node l 1 r"], (), ["size t == 1 + size l + size r",
+                                       "leaves t == leaves l + leaves r",
+                                       "isLeaf t == false"], 1),
+    "goal": ([], (), ["size (Node Leaf 1 Leaf) == 1", "leaves (Node Leaf 1 Leaf) == 2",
+                      "isLeaf Leaf == true"], 2),
+    # the unfolding makes Node (mirror l) 1 (mirror Leaf), a third class
+    "reflect": ([], ("mirror (Node Leaf 1 l)",),
+                ["size (mirror (Node Leaf 1 l)) == 1 + size (mirror l) + size (mirror Leaf)",
+                 "leaves (mirror (Node Leaf 1 l)) == leaves (mirror l) + leaves (mirror Leaf)",
+                 "isLeaf (mirror (Node Leaf 1 l)) == false"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_TREE_CASES))
+def test_every_measure_of_a_data_type_unfolds_once_per_constructor_class(case):
+    facts, written, goals, classes = _TREE_CASES[case]
+    env = env_of(TREE_SRC)
+    tree = SortData("Tree", (INT,))
+    st = SolverState(env, var_sorts={"t": tree, "l": tree, "r": tree})
+    for s in written:
+        st.intern_term(term(s), active=True)
+    goal = pred(" && ".join(goals))
+    assert entails(st, [pred(f) for f in facts], goal)
+    assert st.stats["measure"] == 3 * classes
+    assert not entails(SolverState(env), [], pred("size (Node Leaf 1 Leaf) == 2"))
+
+
 def test_derived_application_stays_folded_outside_ple(list_env):
     st = _append_singleton_state(list_env)
     assert not entails(st, [], pred("length (append [x] []) == 1"))
