@@ -25,19 +25,20 @@ PLE fuel counts the rounds of each saturation.  The checker continues the
 state of a leaf's chain steps this way for its clause VC and preconditions,
 after the last step that reads it.
 
+Terms are interned up to congruence (`_mk`), so interning never merges.
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
-so the store is always in solved form (its pivots indexed by variable, so a
-step substitutes only the pivots that its atom mentions, and n chained
-equalities cost O(n)), then Fourier-Motzkin elimination per query, with
-integer sharpening of strict bounds (sound, incomplete).  Both combine rows
-by the one elimination step, `_eliminate`: Fourier-Motzkin resolution of a
-lower and an upper bound on a variable is the same nonnegative combination
-as substituting an equality.  The two theories exchange equalities:
-congruence merges of integer classes feed the arithmetic store, and the
-classes the store forces equal (found from its implicit equalities, the
-inequality rows it also bounds the other way) are merged back into the term
-graph.
+pivoting on the newest variable of least coefficient, so the store is always
+in solved form (its pivots indexed by variable, so a step substitutes only
+the pivots that its atom mentions, and n chained equalities cost O(n)), then
+Fourier-Motzkin elimination per query, with integer sharpening of strict
+bounds (sound, incomplete).  Both combine rows by the one elimination step,
+`_eliminate`: Fourier-Motzkin resolution of a lower and an upper bound on a
+variable is the same nonnegative combination as substituting an equality.
+The two theories exchange equalities: congruence merges of integer classes
+feed the arithmetic store, and the classes the store forces equal (found
+from its implicit equalities, the inequality rows it also bounds the other
+way) are merged back into the term graph.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ class _Lia:
         in order, as in `_reduced`; an equality that still has variables
         becomes the next pivot and is substituted into `ineqs` (rows that
         become true are dropped), an inequality is appended.  False if a row
-        becomes false."""
+        becomes false.  The pivot is the newest of the variables with the
+        smallest coefficient, whatever the order of the row's keys."""
         coeffs, const, rel = atom
         while pivots and (p := _first_pivot(pivots, coeffs)):
             _, var, a, ecoeffs, econst = p
@@ -253,7 +255,7 @@ class _Lia:
         if rel == "<=":
             ineqs.append((coeffs, const))
             return True
-        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        var = min(coeffs, key=lambda v: (abs(coeffs[v]), -v))
         a = coeffs[var]
         pivots[var] = (len(pivots), var, a, coeffs, const)
         rest: list[Lin] = []
@@ -358,32 +360,30 @@ class SolverState:
 
     # -- node creation -----------------------------------------------------
     def _mk(self, kind: str, head, args: tuple[int, ...]) -> int:
-        """The node of (kind, head, args), made if new with its facts: sort
-        Int by kind and head, a literal's or constructor's tag, and the
-        measure applications of a constructor not congruent to an older one."""
+        """The node of (kind, head, args) up to congruence: the one filed
+        under the key or, failing that, under its signature (kind, head and
+        argument classes).  A node is made only if neither exists, with its
+        facts: sort Int by kind and head, a literal's or constructor's tag,
+        and a constructor's measure applications.  It never merges."""
         key = (kind, head, args)
         nid = self.intern_table.get(key)
         if nid is not None:
             return nid
-        nid = len(self.nodes)
+        sig = (kind, head, tuple(self.find(a) for a in args))
+        nid = self.intern_table[key] = self.sig_table.get(sig, len(self.nodes))
+        if nid < len(self.nodes):
+            return nid
         sort = (self.var_sorts.get(head) if kind == "var"
                 else self.env.funs[head].result_sort if kind == "app" else None)
         self.nodes.append(_Node(kind, head, args,
                                 kind in ("int", "prim") or isinstance(sort, SortInt)))
-        self.intern_table[key] = nid
         self.parent.append(nid)
         if kind in _TAGGED:
             self.tag[nid] = nid
         if args:
+            self.sig_table[sig] = nid
             for a in args:
                 self.use.setdefault(self.find(a), []).append(nid)
-            other = self._congruent(nid)
-            if other != nid:
-                # the older node first: the arithmetic store pivots on its
-                # variable, which keeps PLE's rows short (on `reverse` of 60
-                # elements the other order substitutes 4.4x as many rows)
-                self._merge(other, nid)
-                return nid
         if kind == "con":
             for m in self.env.measures_of.get(self.env.ctors[head].data_name, ()):
                 self._mk("app", m, (nid,))
@@ -738,13 +738,13 @@ def ple_saturate(st: SolverState) -> SolverState:
 
 def holds(st: SolverState, p: Pred) -> bool:
     """Whether the state, saturated by `entails`, decides the goal true.  When
-    every term of `p` is already interned this only reads the state: it
-    creates no node, merges nothing and adds no arithmetic row, so it may be
-    asked any number of goals.  It may add entries to `term_memo`, a cache
-    that changes no answer.  Outside `entails` the checker asks it only
-    the goals of chain steps, whose terms their scope interned before the
-    facts, and never after `entails` has extended the state with facts the
-    step does not assume (see the module docstring)."""
+    every term of `p` has a node up to congruence this only reads the state:
+    it creates no node, merges nothing and adds no arithmetic row, so it may
+    be asked any number of goals.  It may add entries to `term_memo` and
+    `intern_table`, caches that change no answer.  Outside `entails` the
+    checker asks it only the goals of chain steps, whose terms their scope
+    interned before the facts, and never after `entails` has extended the
+    state with facts the step does not assume (see the module docstring)."""
     if st.contradiction:
         return True
     if isinstance(p, PTrue):

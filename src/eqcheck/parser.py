@@ -57,8 +57,8 @@ _TOKEN_RE = re.compile(r"(?:[ \t\r]+|--[^\n]*)*(?:" + "|".join([
     "(?P<sym>" + "|".join(map(re.escape, sorted(SYMBOLS, key=len, reverse=True))) + ")",
     r"(?P<nl>\n)", r"(?P<int>[0-9]+)", r"(?P<end>\Z)", r"(?P<bad>.)",
 ]) + ")")
-# builds a Token from a plain tuple, without NamedTuple's Python-level __new__
-_new_token = tuple.__new__
+# a Token or Span from a plain tuple, without NamedTuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
@@ -74,22 +74,22 @@ def tokenize(source: str) -> list[Token]:
             if not text[0].isalpha():
                 raise ParseError(f"unexpected character {text[0]!r}", line, col)
             kind = "kw" if text in KEYWORDS else "upper" if text[0].isupper() else "lower"
-            append(_new_token(Token, (kind, text, line, col, 0)))
+            append(_new_tuple(Token, (kind, text, line, col, 0)))
         elif kind == "sym":
-            append(_new_token(Token, (kind, m.group(kind), line, col, 0)))
+            append(_new_tuple(Token, (kind, m.group(kind), line, col, 0)))
         elif kind == "nl":
             line, line_start = line + 1, end
         elif kind == "int":
             text = m.group(kind)
             try:
-                append(_new_token(Token, (kind, text, line, col, int(text))))
+                append(_new_tuple(Token, (kind, text, line, col, int(text))))
             except ValueError:
                 raise ParseError("integer literal too long", line, col) from None
         elif kind == "end":
             break
         else:
             raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
-    append(_new_token(Token, ("eof", "", line + 1, 1, 0)))
+    append(_new_tuple(Token, ("eof", "", line + 1, 1, 0)))
     return toks
 
 
@@ -198,11 +198,11 @@ class _ItemParser:
 
     @staticmethod
     def span_of(tok: Token) -> Span:
-        return Span(tok.line, tok.col, tok.line, tok.col + len(tok.text))
+        return _new_tuple(Span, (tok.line, tok.col, tok.line, tok.col + len(tok.text)))
 
     def span_from(self, start: Token) -> Span:
         prev = self.toks[self.pos - 1]
-        return Span(start.line, start.col, prev.line, prev.col + len(prev.text))
+        return _new_tuple(Span, (start.line, start.col, prev.line, prev.col + len(prev.text)))
 
     # -- types -----------------------------------------------------------
     def type_atom(self) -> TypeExpr:

@@ -75,7 +75,7 @@ class ScanLia(_Lia):
         if rel == "<=":
             ineqs.append((coeffs, const))
             return True
-        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        var = min(coeffs, key=lambda v: (abs(coeffs[v]), -v))
         pivots[var] = (len(pivots), var, coeffs[var], coeffs, const)
         rest = []
         for icoeffs, iconst in ineqs:

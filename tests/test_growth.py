@@ -1,20 +1,27 @@
 """Growth laws: work counted at a size n and at 2n, never timed, so each law
 holds on any host.  One case per input family of the benchmark's `scale`
-workload that the solver's instantiation touches; each checks the family's
-true instance through `check_module` and counts the solver states it
-builds, their nodes and `stats`, the calls of `logic._unfold`, and the
-arithmetic row substitutions (`logic._substitute` calls).
+workload; each checks the family's true instance through `check_module` and
+counts the solver states it builds, their nodes and `stats`, the calls of
+`logic._unfold`, and the arithmetic row substitutions (`logic._substitute`
+calls).
+
+Run as a script, the file checks the PLE `reverse` law at n=8 -> 16, or with
+`--large` at n=30 -> 60 with PLE fuel 400, where superlinear work shows that
+the small sizes hide; it prints the two ratios and exits 1 if a bound fails:
+
+    PYTHONPATH=src python tests/test_growth.py [--large]
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import Counter
 
 import pytest
 
 from eqcheck import logic
-from eqcheck.checker import check_module
-from eqcheck.logic import SolverState
+from eqcheck.checker import CheckConfig, check_module
+from eqcheck.logic import DEFAULT_PLE_FUEL, SolverState
 
 from conftest import LIST_BASICS
 
@@ -33,36 +40,64 @@ def _ple_reverse(n: int) -> str:
             f"revLit : u:Int -> {{v:Proof | reverse {xs} == {xs[::-1]}}}\nrevLit u = ()\n")
 
 
-@pytest.fixture
-def work(monkeypatch):
-    """`work(source)` checks the source, asserts that every obligation is
-    proved, and returns the solver states built and the calls counted by
-    function name."""
-    def measure(source: str) -> tuple[list[SolverState], Counter]:
-        states, calls = [], Counter()
-        init = SolverState.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            states.append(self)
-
-        def counting(fn):
-            def counted(*args):
-                calls[fn.__name__] += 1
-                return fn(*args)
-            return counted
-
-        with monkeypatch.context() as m:
-            m.setattr(SolverState, "__init__", recording_init)
-            for name in ("_unfold", "_substitute"):
-                m.setattr(logic, name, counting(getattr(logic, name)))
-            report = check_module(source, file="growth.eq")
-        assert report.verdicts and all(v.proved for v in report.verdicts)
-        return states, calls
-    return measure
+def _plus_one_chain(n: int) -> str:
+    return f"chain : x:Int -> {{v:Int | v == x + {n}}}\nchain x = x" + " + 1" * n + "\n"
 
 
-def test_length_literal_work_is_linear(work):
+def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL) -> tuple[list[SolverState], Counter]:
+    """Check the source, assert that every obligation is proved, and return
+    the solver states built and the calls counted by function name."""
+    states, calls = [], Counter()
+    init = SolverState.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    def counting(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SolverState, "__init__", recording_init)
+        for name in ("_unfold", "_substitute"):
+            m.setattr(logic, name, counting(getattr(logic, name)))
+        report = check_module(source, CheckConfig(ple_fuel=ple_fuel), file="growth.eq")
+    assert report.verdicts and all(v.proved for v in report.verdicts)
+    return states, calls
+
+
+# PLE `reverse` at n and 2n: (n, PLE fuel, the most `_unfold` calls may grow,
+# the most `_substitute` calls may grow).  Every round of saturation visits
+# every application node and PLE takes about 3n rounds, so `_unfold` grows
+# faster than the 4x per doubling that ROADMAP item 8's worklist targets.
+# `_substitute` guards the LIA pivot rule: pivoting on the first variable in
+# a row's key order, not the newest, made it 135 -> 1099 at n=8 (8.1x).
+REVERSE_LAWS = {
+    # 1335 -> 7315 `_unfold` calls (5.48x), 134 -> 578 `_substitute` (4.31x)
+    "default": (8, DEFAULT_PLE_FUEL, 6.0, 4.5),
+    # 38,262 -> 260,997 `_unfold` calls (6.82x), 2125 -> 8740 `_substitute`
+    # (4.11x)
+    "large": (30, 400, 6.83, 4.12),
+}
+
+
+def ple_reverse_ratios(law: str) -> tuple[float, float]:
+    """The growth of `_unfold` and of `_substitute` calls over the law's
+    doubling of PLE `reverse`, each asserted within the law's bound."""
+    n, fuel, unfold_bound, substitute_bound = REVERSE_LAWS[law]
+    _, small = work(_ple_reverse(n), fuel)
+    _, large = work(_ple_reverse(2 * n), fuel)
+    unfold = large["_unfold"] / small["_unfold"]
+    substitute = large["_substitute"] / small["_substitute"]
+    assert unfold <= unfold_bound, (law, unfold)
+    assert substitute <= substitute_bound, (law, substitute)
+    return unfold, substitute
+
+
+def test_length_literal_work_is_linear():
     # 408 -> 808 `_unfold` calls and 627 -> 1227 nodes
     small, small_calls = work(_length_literal(200))
     large, large_calls = work(_length_literal(400))
@@ -72,13 +107,20 @@ def test_length_literal_work_is_linear(work):
     assert sum(len(s.nodes) for s in large) <= 2.1 * sum(len(s.nodes) for s in small)
 
 
-def test_ple_reverse_work(work):
-    _, small_calls = work(_ple_reverse(8))
-    _, large_calls = work(_ple_reverse(16))
-    # 1531 -> 9115 `_unfold` calls (5.95x): every round of saturation visits
-    # every application node, and PLE takes about 3n rounds.  ROADMAP item 8's
-    # worklist targets at most 4x per doubling.
-    assert large_calls["_unfold"] <= 6.5 * small_calls["_unfold"]
-    # 170 -> 654 row substitutions (3.85x); pivoting on the newer of two
-    # congruent application nodes made it 191 -> 1019 (5.3x)
-    assert large_calls["_substitute"] <= 4.5 * small_calls["_substitute"]
+def test_ple_reverse_work():
+    ple_reverse_ratios("default")
+
+
+def test_plus_one_chain_nodes_are_linear():
+    # x, v, the literals 1 and n, and one node per `+ 1`: 204 -> 404 nodes
+    for n in (200, 400):
+        states, _ = work(_plus_one_chain(n))
+        assert sum(len(s.nodes) for s in states) == n + 4
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Check the PLE `reverse` growth law.")
+    ap.add_argument("--large", action="store_true", help="n=30 -> 60 with PLE fuel 400")
+    args = ap.parse_args()
+    unfold, substitute = ple_reverse_ratios("large" if args.large else "default")
+    print(f"_unfold {unfold:.2f}x, _substitute {substitute:.2f}x")

@@ -512,6 +512,17 @@ def test_equal_copy_of_interned_term_gets_its_node(list_env):
     assert len(st.nodes) == size
 
 
+def test_congruent_term_interns_to_the_node_it_is_congruent_to(list_env):
+    # terms are interned up to congruence: once x == y, `reverse y` is the
+    # node of `reverse x`, and looking it up makes no node and no merge
+    st = fresh(list_env, x=LA, y=LA)
+    fx = st.intern_term(term("reverse x"))
+    assert_fact(st, pred("x == y"))
+    size, merges = len(st.nodes), st.stats["merges"]
+    assert st.intern_term(term("reverse y")) == fx
+    assert (len(st.nodes), st.stats["merges"]) == (size, merges)
+
+
 def test_active_intern_after_inactive_marks_applications(list_env):
     t = term("append (reverse xs) (reverse [x])")
     st = fresh(list_env, xs=LA, x=A)
@@ -717,6 +728,16 @@ def test_pivot_lookup_substitutes_as_the_full_scan(calls, forms):
         for coeffs, const in forms:
             assert (_reduced(lia.pivots, dict(coeffs), const)
                     == scan_reduced(ref.pivots, dict(coeffs), const))
+
+
+def test_pivot_does_not_depend_on_a_rows_key_order():
+    # the pivot is the newest variable among those with the smallest
+    # coefficient, whichever order the row lists them in
+    one, other = _Lia(), _Lia()
+    one.add({1: 1, 2: -1}, 0, "==")
+    other.add({2: -1, 1: 1}, 0, "==")
+    assert one.pivots == other.pivots
+    assert list(one.pivots) == [2]
 
 
 def _chain_lines(n):
