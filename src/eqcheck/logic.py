@@ -6,9 +6,10 @@ Instantiation is one rule, `_unfold`: an application of a reflected function
 or a measure is equated with the body of its first clause whose match is
 decided.  Each constructor node is made with the application of every
 measure of its data type, whose match is always decided, so saturation
-visits only applications.  Outside PLE a reflected application unfolds only
-where it was written; PLE also unfolds the applications that earlier
-unfoldings create.
+visits only applications: a worklist of those of a reflected function or a
+measure that have not unfolded yet, each queued as it is made (`_saturate`).
+Outside PLE a reflected application unfolds only where it was written; PLE
+also unfolds the applications that earlier unfoldings create.
 
 One SolverState serves one hypothesis set: the scope terms and facts that
 `entails` saturates it with.  Every goal over that set may be decided on the
@@ -343,6 +344,7 @@ class SolverState:
         self.diseqs: list[tuple[int, int]] = []
         self.lia = _Lia()
         self.active: set[int] = set()
+        self.todo: list[int] = []  # see _saturate
         self.reflect_done_nodes: set[int] = set()
         self.reflect_done_keys: set[tuple] = set()
         self.contradiction = False
@@ -373,8 +375,14 @@ class SolverState:
         nid = self.intern_table[key] = self.sig_table.get(sig, len(self.nodes))
         if nid < len(self.nodes):
             return nid
-        sort = (self.var_sorts.get(head) if kind == "var"
-                else self.env.funs[head].result_sort if kind == "app" else None)
+        sort = None
+        if kind == "var":
+            sort = self.var_sorts.get(head)
+        elif kind == "app":
+            fi = self.env.funs[head]
+            sort = fi.result_sort
+            if fi.is_reflected or fi.is_measure:
+                self.todo.append(nid)
         self.nodes.append(_Node(kind, head, args,
                                 kind in ("int", "prim") or isinstance(sort, SortInt)))
         self.parent.append(nid)
@@ -388,13 +396,6 @@ class SolverState:
             for m in self.env.measures_of.get(self.env.ctors[head].data_name, ()):
                 self._mk("app", m, (nid,))
         return nid
-
-    def _congruent(self, nid: int) -> int:
-        """The node filed under the signature of `nid` (its kind, head and
-        argument classes); `nid` itself, now filed, if there was none."""
-        node = self.nodes[nid]
-        sig = (node.kind, node.head, tuple(self.find(a) for a in node.args))
-        return self.sig_table.setdefault(sig, nid)
 
     def intern_term(self, t: Term, active: bool = False,
                     subst: Optional[dict[str, int]] = None) -> int:
@@ -495,7 +496,11 @@ class SolverState:
             if moved:
                 self.use.setdefault(rx, []).extend(moved)
             for p in moved:
-                other = self._congruent(p)
+                # re-file p under its new signature, or merge it with the
+                # node already filed there
+                node = self.nodes[p]
+                sig = (node.kind, node.head, tuple(self.find(a) for a in node.args))
+                other = self.sig_table.setdefault(sig, p)
                 if self.find(other) != self.find(p):
                     pending.append((p, other))
 
@@ -701,9 +706,17 @@ def _unfold(st: SolverState, nid: int) -> bool:
 
 
 def _saturate(st: SolverState) -> SolverState:
-    """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds.  A
-    round visits only application nodes: a constructor's measure
-    applications were made with it."""
+    """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds.
+
+    A round visits, in id order, the worklist `st.todo` as it stood when the
+    round began: the application nodes of a reflected function or a measure
+    (`_mk` queues each as it is made) that have not unfolded.  A constructor's
+    measure applications were made with it, so no other node can unfold.  A
+    node leaves the list once it has unfolded, the one outcome that is final;
+    a node made during a round waits for the next, so fuel counts rounds.
+    Every node skipped is one whose `_unfold` would return False and change
+    nothing, so this unfolds exactly what a scan of every node would, in the
+    same order.  A continued state keeps its list."""
     rounds = 0
     while not st.contradiction:
         if st.ple and rounds >= st.ple_fuel:
@@ -712,11 +725,13 @@ def _saturate(st: SolverState) -> SolverState:
         rounds += 1
         changed = False
         snapshot = len(st.nodes)
-        for nid in range(snapshot):
+        todo, st.todo = st.todo, []
+        for nid in todo:
             if st.contradiction:
                 break
-            if st.nodes[nid].kind == "app":
-                changed |= _unfold(st, nid)
+            changed |= _unfold(st, nid)
+        done = st.reflect_done_nodes
+        st.todo = [nid for nid in todo if nid not in done] + st.todo
         changed |= st._pinch()
         st.checkpoint()
         if not changed and len(st.nodes) == snapshot:

@@ -3,7 +3,8 @@ holds on any host.  One case per input family of the benchmark's `scale`
 workload; each checks the family's true instance through `check_module` and
 counts the solver states it builds, their nodes and `stats`, the calls of
 `logic._unfold`, and the arithmetic row substitutions (`logic._substitute`
-calls).
+calls).  Saturation visits only the applications that can still unfold, so
+`_unfold` calls stay within a small multiple of the instances made.
 
 Run as a script, the file checks the PLE `reverse` law at n=8 -> 16, or with
 `--large` at n=30 -> 60 with PLE fuel 400, where superlinear work shows that
@@ -69,27 +70,41 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL) -> tuple[list[SolverStat
     return states, calls
 
 
+def assert_unfolds_within_instances(states: list[SolverState], calls: Counter) -> None:
+    """At most 2 `_unfold` calls per instance made (`reflect` + `measure`):
+    an application is visited again only while its match is undecided.  A
+    scan of every application node in every round made this 22x on PLE
+    `reverse` at n=16 and 2.01x on the `length` literal."""
+    instances = sum(s.stats["reflect"] + s.stats["measure"] for s in states)
+    assert calls["_unfold"] <= 2 * instances, (calls["_unfold"], instances)
+
+
 # PLE `reverse` at n and 2n: (n, PLE fuel, the most `_unfold` calls may grow,
-# the most `_substitute` calls may grow).  Every round of saturation visits
-# every application node and PLE takes about 3n rounds, so `_unfold` grows
-# faster than the 4x per doubling that ROADMAP item 8's worklist targets.
-# `_substitute` guards the LIA pivot rule: pivoting on the first variable in
-# a row's key order, not the newest, made it 135 -> 1099 at n=8 (8.1x).
+# the most `_substitute` calls may grow).  The family's term count is
+# quadratic in n, so instances grow about 4x per doubling, and `_unfold`
+# follows them (ROADMAP item 8's gate is 4.5x at the large sizes).  A scan of
+# every application node in every round, over about 3n rounds, made it 5.48x
+# at n=8 and 6.82x at n=30.  `_substitute` guards the LIA pivot rule:
+# pivoting on the first variable in a row's key order, not the newest, made
+# it 135 -> 1099 at n=8 (8.1x).
 REVERSE_LAWS = {
-    # 1335 -> 7315 `_unfold` calls (5.48x), 134 -> 578 `_substitute` (4.31x)
-    "default": (8, DEFAULT_PLE_FUEL, 6.0, 4.5),
-    # 38,262 -> 260,997 `_unfold` calls (6.82x), 2125 -> 8740 `_substitute`
+    # 171 -> 579 `_unfold` calls (3.39x), 134 -> 578 `_substitute` (4.31x)
+    "default": (8, DEFAULT_PLE_FUEL, 3.6, 4.5),
+    # 1909 -> 7399 `_unfold` calls (3.88x), 2125 -> 8740 `_substitute`
     # (4.11x)
-    "large": (30, 400, 6.83, 4.12),
+    "large": (30, 400, 4.5, 4.12),
 }
 
 
 def ple_reverse_ratios(law: str) -> tuple[float, float]:
     """The growth of `_unfold` and of `_substitute` calls over the law's
-    doubling of PLE `reverse`, each asserted within the law's bound."""
+    doubling of PLE `reverse`, each asserted within the law's bound, with
+    `_unfold` calls within twice the instances at both sizes."""
     n, fuel, unfold_bound, substitute_bound = REVERSE_LAWS[law]
-    _, small = work(_ple_reverse(n), fuel)
-    _, large = work(_ple_reverse(2 * n), fuel)
+    small_states, small = work(_ple_reverse(n), fuel)
+    large_states, large = work(_ple_reverse(2 * n), fuel)
+    assert_unfolds_within_instances(small_states, small)
+    assert_unfolds_within_instances(large_states, large)
     unfold = large["_unfold"] / small["_unfold"]
     substitute = large["_substitute"] / small["_substitute"]
     assert unfold <= unfold_bound, (law, unfold)
@@ -98,11 +113,13 @@ def ple_reverse_ratios(law: str) -> tuple[float, float]:
 
 
 def test_length_literal_work_is_linear():
-    # 408 -> 808 `_unfold` calls and 627 -> 1227 nodes
+    # 205 -> 405 `_unfold` calls and 627 -> 1227 nodes
     small, small_calls = work(_length_literal(200))
     large, large_calls = work(_length_literal(400))
     # the literal's state, checked last, unfolds `length` once per constructor
     assert small[-1].stats["measure"] == 201 and large[-1].stats["measure"] == 401
+    assert_unfolds_within_instances(small, small_calls)
+    assert_unfolds_within_instances(large, large_calls)
     assert large_calls["_unfold"] <= 2.1 * small_calls["_unfold"]
     assert sum(len(s.nodes) for s in large) <= 2.1 * sum(len(s.nodes) for s in small)
 

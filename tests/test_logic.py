@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqcheck import logic
 from eqcheck.logic import (
-    SolverState, _Lia, _reduced, assert_fact, entails, holds, instantiate_axioms,
-    ple_saturate,
+    DEFAULT_PLE_FUEL, SolverState, _Lia, _reduced, assert_fact, entails, holds,
+    instantiate_axioms, ple_saturate,
 )
 from eqcheck.syntax import PAtom, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
@@ -242,6 +242,56 @@ def test_ple_fuel_exhaustion_flag(list_env):
     st.intern_term(term("reverse [1, 2, 3, 4]"), active=True)
     ple_saturate(st)
     assert st.fuel_exhausted
+
+
+# (reflect, measure, nodes, fuel_exhausted) of `reverse [1, 2, 3, 4, 5, 6]`
+# saturated under PLE with fuel 1..8.  A round unfolds only the applications
+# made before it began, so each unit of fuel is one round; a round that also
+# unfolded its own new applications gave (2, 8, 36, True) at fuel 1.
+_REVERSE_BY_FUEL = [
+    (1, 7, 32, True), (2, 8, 36, True), (3, 9, 40, True), (4, 10, 44, True),
+    (5, 11, 48, True), (6, 12, 50, True), (8, 12, 50, True), (9, 12, 53, True),
+]
+
+
+def test_ple_fuel_counts_rounds(list_env):
+    seen = []
+    for fuel in range(1, len(_REVERSE_BY_FUEL) + 1):
+        st = SolverState(list_env, var_sorts={}, ple=True, ple_fuel=fuel)
+        st.intern_term(term("reverse [1, 2, 3, 4, 5, 6]"), active=True)
+        ple_saturate(st)
+        seen.append((st.stats["reflect"], st.stats["measure"], len(st.nodes),
+                     st.fuel_exhausted))
+    assert seen == _REVERSE_BY_FUEL
+
+
+def test_continued_state_revisits_no_unfolded_application(list_env, monkeypatch):
+    # an application that has unfolded never unfolds again, so saturating a
+    # continued state does not look at it
+    st = fresh(list_env, ple=True, xs=LA)
+    goal = pred("reverse [1, 2, 3] == [3, 2, 1]")
+    assert entails(st, [pred("xs == append [1] [2]")], goal)
+    assert st.reflect_done_nodes
+    revisited = []
+    real_unfold = logic._unfold
+
+    def unfold(state, nid):
+        if nid in state.reflect_done_nodes:
+            revisited.append(nid)
+        return real_unfold(state, nid)
+    monkeypatch.setattr(logic, "_unfold", unfold)
+    assert entails(st, [], goal)
+    assert revisited == []
+
+
+@pytest.mark.parametrize("fuel", [1, DEFAULT_PLE_FUEL], ids=["exhausted", "fixpoint"])
+def test_holds_never_proves_false_on_a_consistent_state(list_env, fuel):
+    st = SolverState(list_env, var_sorts={}, ple=True, ple_fuel=fuel)
+    st.intern_term(term("reverse [1, 2, 3, 4]"), active=True)
+    assert not entails(st, [], pred("false"))
+    assert not st.contradiction
+    assert st.fuel_exhausted == (fuel == 1)
+    assert not holds(st, pred("false"))
 
 
 def test_pinch_feeds_congruence(list_env):
@@ -593,6 +643,18 @@ def _lia_problems(draw):
                         max_size=6))
     goal = draw(st.tuples(st.sampled_from(["==", "<=", "<"]), lin))
     return n, ops, goal
+
+
+def test_gcd_tightening_rounds_bounds_to_integers():
+    # 2x <= 1 and 2x >= 1 hold only at x = 1/2; 2x - 2y + 1 <= 0 holds on
+    # the integers only where x - y <= -1
+    lia = _Lia()
+    lia.add({0: 2}, -1, "<=")
+    lia.add({0: -2}, 1, "<=")
+    assert not lia.feasible()
+    lia = _Lia()
+    lia.add({0: 2, 1: -2}, 1, "<=")
+    assert lia.entails({0: 1, 1: -1}, 1, "<=")
 
 
 @settings(max_examples=300, deadline=None)
