@@ -7,9 +7,10 @@ or a measure is equated with the body of its first clause whose match is
 decided.  Each constructor node is made with the application of every
 measure of its data type, whose match is always decided, so saturation
 visits only applications: a worklist of those of a reflected function or a
-measure that have not unfolded yet, each queued as it is made (`_saturate`).
+measure that may still unfold, each queued as it is made (`_saturate`).
 Outside PLE a reflected application unfolds only where it was written; PLE
-also unfolds the applications that earlier unfoldings create.
+also unfolds the applications that earlier unfoldings create.  A round that
+adds no union to the union-find (`stats["merges"]`) ends saturation.
 
 One SolverState serves one hypothesis set: the scope terms and facts that
 `entails` saturates it with.  Every goal over that set may be decided on the
@@ -345,7 +346,6 @@ class SolverState:
         self.lia = _Lia()
         self.active: set[int] = set()
         self.todo: list[int] = []  # see _saturate
-        self.reflect_done_nodes: set[int] = set()
         self.reflect_done_keys: set[tuple] = set()
         self.contradiction = False
         self.fuel_exhausted = False
@@ -515,7 +515,7 @@ class SolverState:
         if (self.lia.n_atoms or self.lia.diseqs) and not self.lia.feasible():
             self.contradiction = True
 
-    def _pinch(self) -> bool:
+    def _pinch(self) -> None:
         """Merge the integer classes that the LIA store forces equal, so
         congruence sees arithmetic consequences.  The store's implicit
         equalities are its inequality rows `r <= 0` with `store |= r >= 0`:
@@ -526,11 +526,11 @@ class SolverState:
         reduced once and bucketed.  Nothing is redone while the state is
         unchanged since the last call."""
         if self.contradiction:
-            return False
+            return
         lia = self.lia
         key = (lia.n_atoms, len(lia.diseqs), len(self.nodes), self.stats["merges"])
         if key == self._pinch_key:
-            return False
+            return
         self._pinch_key = key
         if not lia.has_bound:
             # Equality-only stores are skipped, though their pivots alone
@@ -540,7 +540,7 @@ class SolverState:
             # each round, and even with the pivots indexed by variable the
             # scale workload ran about 10% slower (58.7 / 56.6 / 58.2 against
             # 62.7 / 64.9 / 65.9 inputs/s, seed 62, 8 s runs).
-            return False
+            return
         reps: list[int] = []
         seen: set[int] = set()
         for nid, node in enumerate(self.nodes):
@@ -566,13 +566,10 @@ class SolverState:
         buckets: dict[tuple, list[int]] = {}
         for r in reps:
             buckets.setdefault(_reduced(pivots, *self.lin(r)), []).append(r)
-        changed = False
         for same in buckets.values():
             for r in same[1:]:
                 if self.find(same[0]) != self.find(r):
                     self._merge(same[0], r)
-                    changed = True
-        return changed
 
 
 # ------------------------------------------------------------ public API
@@ -590,7 +587,9 @@ def _oriented(st: SolverState, p: PAtom) -> tuple[int, int, str]:
 
 
 def assert_fact(st: SolverState, p: Pred) -> SolverState:
-    """Add a hypothesis.  Contradiction is a state, not an error."""
+    """Add a hypothesis.  Contradiction is a state, not an error.  A clash of
+    tags sets it here; the disequalities and the arithmetic store are checked
+    only by `checkpoint`, which `entails` calls once after all its facts."""
     if st.contradiction:
         return st
     if isinstance(p, PTrue):
@@ -617,7 +616,6 @@ def assert_fact(st: SolverState, p: Pred) -> SolverState:
     else:
         coeffs, const = st._lin_diff(a, b)
         st.lia.add(coeffs, const, rel)
-    st.checkpoint()
     return st
 
 
@@ -678,63 +676,59 @@ def _unfold(st: SolverState, nid: int) -> bool:
     function or a measure with the body of its first decided clause.  Outside
     PLE a reflected application unfolds only where it was written (active);
     a measure application always does, among them those made with each
-    constructor node (`SolverState._mk`)."""
+    constructor node (`SolverState._mk`).  True once the node is finished:
+    it unfolded, or its head and argument classes did (`reflect_done_keys`),
+    or its body is in its class; False while it waits: it is an inactive
+    reflected application outside PLE, or its match is undecided."""
     node = st.nodes[nid]
-    if nid in st.reflect_done_nodes:
-        return False
     fi = st.env.funs[node.head]
-    if not (fi.is_reflected or fi.is_measure):
-        return False
     if not (st.ple or fi.is_measure or nid in st.active):
         return False
     sel = _select_clause(st, fi, node.args)
     if sel is None:
         return False
-    st.reflect_done_nodes.add(nid)
     key = (node.head, tuple(st.find(a) for a in node.args))
     if key in st.reflect_done_keys:
-        return False
+        return True
     st.reflect_done_keys.add(key)
     clause, binding = sel
-    value = clause.body.value_term()
-    rhs = st.intern_term(value, subst=binding)
-    if st.find(nid) == st.find(rhs):
-        return False
-    st._merge(nid, rhs)
-    st.stats["measure" if fi.is_measure else "reflect"] += 1
+    rhs = st.intern_term(clause.body.value_term(), subst=binding)
+    if st.find(nid) != st.find(rhs):
+        st._merge(nid, rhs)
+        st.stats["measure" if fi.is_measure else "reflect"] += 1
     return True
 
 
 def _saturate(st: SolverState) -> SolverState:
-    """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds.
+    """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds (so
+    fuel 0 is no round, reported as `fuel_exhausted`).
 
     A round visits, in id order, the worklist `st.todo` as it stood when the
     round began: the application nodes of a reflected function or a measure
-    (`_mk` queues each as it is made) that have not unfolded.  A constructor's
-    measure applications were made with it, so no other node can unfold.  A
-    node leaves the list once it has unfolded, the one outcome that is final;
-    a node made during a round waits for the next, so fuel counts rounds.
-    Every node skipped is one whose `_unfold` would return False and change
-    nothing, so this unfolds exactly what a scan of every node would, in the
-    same order.  A continued state keeps its list."""
+    (`_mk` queues each as it is made) that have not finished.  A
+    constructor's measure applications were made with it, so no other node
+    can unfold.  The round keeps exactly the nodes that `_unfold` says must
+    wait; a node made during a round waits for the next, so fuel counts
+    rounds.  A continued state keeps its list.
+
+    The fixpoint is a round that adds no union (`stats["merges"]`): it made
+    no node either, since a new node lies under an interned body whose new
+    top node is then merged, and tags and arithmetic rows change only by
+    facts and merges, so no waiting match can be decided later.  A tag clash
+    sets `contradiction` before the union is counted; the loop exits on it."""
     rounds = 0
     while not st.contradiction:
         if st.ple and rounds >= st.ple_fuel:
             st.fuel_exhausted = True
             break
         rounds += 1
-        changed = False
-        snapshot = len(st.nodes)
+        merges = st.stats["merges"]
         todo, st.todo = st.todo, []
-        for nid in todo:
-            if st.contradiction:
-                break
-            changed |= _unfold(st, nid)
-        done = st.reflect_done_nodes
-        st.todo = [nid for nid in todo if nid not in done] + st.todo
-        changed |= st._pinch()
+        waiting = [nid for nid in todo if st.contradiction or not _unfold(st, nid)]
+        st.todo = waiting + st.todo
+        st._pinch()
         st.checkpoint()
-        if not changed and len(st.nodes) == snapshot:
+        if st.stats["merges"] == merges:
             break
     return st
 
@@ -748,7 +742,7 @@ def instantiate_axioms(st: SolverState) -> SolverState:
 def ple_saturate(st: SolverState) -> SolverState:
     """Saturate in the state's mode: under PLE, reflected applications created
     by earlier unfoldings unfold too, for at most `st.ple_fuel` rounds."""
-    return st if st.ple_fuel <= 0 else _saturate(st)
+    return _saturate(st)
 
 
 def holds(st: SolverState, p: Pred) -> bool:
@@ -798,11 +792,14 @@ def entails(st: SolverState, facts: list[Pred], goal: Pred) -> bool:
     arithmetic fragment is incomplete for integers).  On a state that an
     earlier `entails` saturated, the facts are those of every call so far:
     this asserts only the new ones and saturates again with a fresh PLE
-    budget, while `fuel_exhausted` stays set once any saturation ran out."""
+    budget, while `fuel_exhausted` stays set once any saturation ran out.
+    Contradiction only grows with the facts, so it is checked once, after
+    the last."""
     for t in pred_terms(goal):
         st.intern_term(t)
     for f in facts:
         assert_fact(st, f)
+    st.checkpoint()
     if st.ple:
         ple_saturate(st)
     else:

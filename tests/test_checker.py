@@ -706,6 +706,15 @@ invP x = ()
     assert [v.status for v in starved.failed()] == ["fuel-exhausted"]
 
 
+def test_fuel_zero_reports_fuel_exhausted():
+    # fuel 0 is zero rounds of PLE, so every PLE obligation runs out of fuel
+    # rather than failing silently; one round proves them all
+    statuses = {fuel: Counter(v.status for v in check_module(
+        corpus_text("section2_ple.eq"), CheckConfig(ple_fuel=fuel)).verdicts)
+        for fuel in (0, 1)}
+    assert statuses == {0: {"fuel-exhausted": 4}, 1: {"proved": 4}}
+
+
 # ------------------------------------------------------------------- coherence
 
 def test_chain_coherence_smoke():

@@ -230,11 +230,13 @@ def test_ple_closes_assoc_inductive_step(list_env):
 
 
 def test_ple_fuel_zero_is_identity(list_env):
+    # fuel 0 is zero rounds: nothing unfolds, and the state says it ran out
     st = SolverState(list_env, var_sorts={}, ple=True, ple_fuel=0)
     st.intern_term(term("append [] []"), active=True)
     before = len(st.nodes)
     ple_saturate(st)
     assert len(st.nodes) == before and st.stats["reflect"] == 0
+    assert st.fuel_exhausted
 
 
 def test_ple_fuel_exhaustion_flag(list_env):
@@ -266,22 +268,25 @@ def test_ple_fuel_counts_rounds(list_env):
 
 
 def test_continued_state_revisits_no_unfolded_application(list_env, monkeypatch):
-    # an application that has unfolded never unfolds again, so saturating a
-    # continued state does not look at it
+    # an application that `_unfold` reports finished never unfolds again, so
+    # saturating a continued state does not look at it
     st = fresh(list_env, ple=True, xs=LA)
     goal = pred("reverse [1, 2, 3] == [3, 2, 1]")
-    assert entails(st, [pred("xs == append [1] [2]")], goal)
-    assert st.reflect_done_nodes
-    revisited = []
+    finished, visited = set(), []
     real_unfold = logic._unfold
 
     def unfold(state, nid):
-        if nid in state.reflect_done_nodes:
-            revisited.append(nid)
-        return real_unfold(state, nid)
+        visited.append(nid)
+        done = real_unfold(state, nid)
+        if done:
+            finished.add(nid)
+        return done
     monkeypatch.setattr(logic, "_unfold", unfold)
+    assert entails(st, [pred("xs == append [1] [2]")], goal)
+    assert finished
+    del visited[:]
     assert entails(st, [], goal)
-    assert revisited == []
+    assert finished.isdisjoint(visited)
 
 
 @pytest.mark.parametrize("fuel", [1, DEFAULT_PLE_FUEL], ids=["exhausted", "fixpoint"])
@@ -462,7 +467,7 @@ def _snapshot(st):
     lia = st.lia
     return copy.deepcopy((
         len(st.nodes), st.intern_table, [st.find(i) for i in range(len(st.nodes))],
-        st.tag, st.active, st.reflect_done_nodes, st.reflect_done_keys, st.stats,
+        st.tag, st.active, st.todo, st.reflect_done_keys, st.stats,
         st.contradiction, lia.n_atoms, lia.has_bound, lia.diseqs, lia.pivots, lia.ineqs,
         lia.consistent, lia._feasible_cache,
     ))
@@ -863,3 +868,19 @@ def test_atom_cap_reports_true_entailment_as_not_entailed(monkeypatch):
     assert entailed()
     monkeypatch.setattr(_Lia, "ATOM_CAP", 2)
     assert not entailed()
+
+
+@pytest.mark.parametrize("k", [1, 10, 40])
+def test_fm_runs_per_entails_do_not_grow_with_the_facts(list_env, monkeypatch, k):
+    # `entails` checks the store for contradiction once, after all its facts,
+    # and once more to decide the goal; a check after each fact made k + 1
+    st = fresh(list_env, **{f"x{i}": INT for i in range(k)})
+    runs = []
+    real_fm = _Lia._fm
+
+    def fm(self, ineqs):
+        runs.append(len(ineqs))
+        return real_fm(self, ineqs)
+    monkeypatch.setattr(_Lia, "_fm", fm)
+    assert entails(st, [pred(f"0 <= x{i}") for i in range(k)], pred("0 <= x0 + x0"))
+    assert len(runs) == 2
