@@ -267,21 +267,25 @@ def atom_truth(env, atom: PAtom, valuation: dict) -> bool:
     return _REL_FUN[atom.rel](lhs, rhs)
 
 
-def _query(env, facts, goal, ple: bool) -> bool:
+def _query(env, facts, goal, ple: bool, states: list | None = None) -> bool:
     """Entailment of `goal` by `facts` over the random constants, with every
-    fact term written (active)."""
+    fact term written (active); the state is appended to `states`, if given."""
     var_sorts = {c: SortData("List", (INT,)) for c in _LIST_CONSTS}
     var_sorts.update({c: INT for c in _INT_CONSTS})
     st = SolverState(env, var_sorts=var_sorts, ple=ple, ple_fuel=20)
     for f in facts:
         for t in pred_terms(f):
             st.intern_term(t, active=True)
+    if states is not None:
+        states.append(st)
     return entails(st, facts, goal)
 
 
-def soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
+def soundness_trial(env, rng, *, ple: bool = False,
+                    states: list | None = None) -> tuple[bool, bool]:
     """One randomized trial: facts true under a random valuation, a random
-    goal.  Returns (entailed, goal_true); soundness demands entailed -> true."""
+    goal.  Returns (entailed, goal_true); soundness demands entailed -> true.
+    The solver state is appended to `states`, if given."""
     valuation = random_valuation(rng)
     facts = []
     attempts = 0
@@ -291,7 +295,7 @@ def soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
         if atom_truth(env, a, valuation):
             facts.append(a)
     goal = random_atom(rng)
-    return _query(env, facts, goal, ple), atom_truth(env, goal, valuation)
+    return _query(env, facts, goal, ple, states), atom_truth(env, goal, valuation)
 
 
 # A compound predicate is a random atom or a tuple ("not", c), ("&&", c, d)
@@ -324,7 +328,8 @@ def compound_text(c) -> str:
     return f" {c[0]} ".join(f"({compound_text(d)})" for d in c[1:])
 
 
-def compound_soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool]:
+def compound_soundness_trial(env, rng, *, ple: bool = False,
+                             states: list | None = None) -> tuple[bool, bool]:
     """`soundness_trial` over compound predicates, passed to the solver as
     parsed text."""
     valuation = random_valuation(rng)
@@ -336,7 +341,7 @@ def compound_soundness_trial(env, rng, *, ple: bool = False) -> tuple[bool, bool
         if compound_truth(env, c, valuation):
             facts.append(parse_pred(compound_text(c)))
     goal = random_compound(rng)
-    entailed = _query(env, facts, parse_pred(compound_text(goal)), ple)
+    entailed = _query(env, facts, parse_pred(compound_text(goal)), ple, states)
     return entailed, compound_truth(env, goal, valuation)
 
 

@@ -6,7 +6,12 @@ under `--ple-default`, where goal terms unfold under PLE.
 
 The solver's own answers are pinned as well: one digest over the entailment
 bits of 3000 seeded random queries (`tests/oracles`), with the count of
-entailed answers beside it, so a moved answer shows as a number.
+entailed answers beside it, so a moved answer shows as a number.  The work
+the solver did on the same queries is pinned beside them: one digest over
+each query's answer, node count, merges, `reflect` and `measure` unfoldings
+and exhausted fuel, with the total nodes and merges beside it, so a change
+meant to make the solver cheaper shows if it makes a node or a merge more or
+fewer.
 
 So are the pattern-matrix answers: one digest over every clause leaf (its
 row, bindings and exclusions, in order) and every totality witness of 2000
@@ -21,9 +26,11 @@ fragments, with the input and error counts beside it.
 After a deliberate, explained change, rewrite the goldens it touches with
 `PYTHONPATH=src python tests/test_golden.py [name ...]`, naming any of
 `outputs` (human text and the three JSON digests), `solver_answers`,
-`clause_leaves` and `parse_outcomes`; with no name it rewrites them all.
+`solver_work`, `clause_leaves` and `parse_outcomes`; with no name it rewrites
+them all.
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -48,6 +55,7 @@ DIGESTS = GOLDEN / "json.sha256"
 STRICT_DIGESTS = GOLDEN / "json_strict.sha256"
 PLE_DIGESTS = GOLDEN / "json_ple.sha256"
 SOLVER_ANSWERS = GOLDEN / "solver_answers.sha256"
+SOLVER_WORK = GOLDEN / "solver_work.sha256"
 PARSE_OUTCOMES = GOLDEN / "parse_outcomes.sha256"
 CLAUSE_LEAVES = GOLDEN / "clause_leaves.sha256"
 STRICT = CheckConfig(strict_hints=True)
@@ -63,17 +71,38 @@ def renderings(path: pathlib.Path, config: CheckConfig | None = None
     return human, hashlib.sha256(text.encode()).hexdigest()
 
 
-def solver_answers() -> tuple[str, int]:
-    """(sha256 of the answer bits, count entailed) over 1500 atomic and 1500
-    compound soundness queries, 1 in 4 with PLE."""
+@functools.cache
+def solver_runs() -> tuple[tuple[str, int], tuple[str, int, int]]:
+    """One pass over 1500 atomic and 1500 compound soundness queries, 1 in 4
+    with PLE: (sha256 of the answer bits, count entailed) and (sha256 of the
+    work records, total nodes, total merges).  A query's work record is its
+    answer, its state's node count, `merges`, `reflect` and `measure` and
+    whether its fuel ran out."""
     env = env_of(SOUNDNESS_SRC)
     rng = random.Random(2018)
-    bits = []
+    bits, work = [], []
+    nodes = merges = 0
     for trial in (soundness_trial, compound_soundness_trial):
         for i in range(1500):
-            entailed, _ = trial(env, rng, ple=(i % 4 == 0))
+            states = []
+            entailed, _ = trial(env, rng, ple=(i % 4 == 0), states=states)
+            [st] = states
             bits.append("1" if entailed else "0")
-    return hashlib.sha256("".join(bits).encode()).hexdigest(), bits.count("1")
+            work.append(f"{int(entailed)} {len(st.nodes)} {st.stats['merges']}"
+                        f" {st.stats['reflect']} {st.stats['measure']}"
+                        f" {int(st.fuel_exhausted)}")
+            nodes += len(st.nodes)
+            merges += st.stats["merges"]
+    answers = hashlib.sha256("".join(bits).encode()).hexdigest(), bits.count("1")
+    return answers, (hashlib.sha256("\n".join(work).encode()).hexdigest(), nodes, merges)
+
+
+def solver_answers() -> tuple[str, int]:
+    return solver_runs()[0]
+
+
+def solver_work() -> tuple[str, int, int]:
+    return solver_runs()[1]
 
 
 def clause_leaves_record(modules: int = 2000) -> tuple[str, int, int, int]:
@@ -206,6 +235,11 @@ def test_solver_answers_match_golden():
     assert solver_answers() == (digest, int(entailed))
 
 
+def test_solver_work_matches_golden():
+    digest, nodes, merges = SOLVER_WORK.read_text().split()
+    assert solver_work() == (digest, int(nodes), int(merges))
+
+
 def test_clause_leaves_match_golden():
     digest, modules, leaves, witnesses = CLAUSE_LEAVES.read_text().split()
     assert clause_leaves_record() == (digest, int(modules), int(leaves), int(witnesses))
@@ -235,6 +269,11 @@ def repin_solver_answers() -> None:
     SOLVER_ANSWERS.write_text(f"{digest}  {entailed}\n")
 
 
+def repin_solver_work() -> None:
+    digest, nodes, merges = solver_work()
+    SOLVER_WORK.write_text(f"{digest}  {nodes} {merges}\n")
+
+
 def repin_clause_leaves() -> None:
     digest, modules, leaves, witnesses = clause_leaves_record()
     CLAUSE_LEAVES.write_text(f"{digest}  {modules} {leaves} {witnesses}\n")
@@ -246,7 +285,8 @@ def repin_parse_outcomes() -> None:
 
 
 REPIN = {"outputs": repin_outputs, "solver_answers": repin_solver_answers,
-         "clause_leaves": repin_clause_leaves, "parse_outcomes": repin_parse_outcomes}
+         "solver_work": repin_solver_work, "clause_leaves": repin_clause_leaves,
+         "parse_outcomes": repin_parse_outcomes}
 
 
 if __name__ == "__main__":
