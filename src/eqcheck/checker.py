@@ -311,21 +311,23 @@ def check_module(source: str | SourceModule, config: CheckConfig | None = None,
 
     # taint propagates to every (transitive) user of a failed declaration; a
     # user names the first of its references that has failed when its turn
-    # in the round comes
-    references = {name: _decl_references(env.funs[name]) for name in fun_names}
-    changed = True
-    while changed:
-        changed = False
-        for name in fun_names:
-            if name in failed:
-                continue
-            ref = next((ref for ref in references[name] if ref in failed), None)
-            if ref is not None:
-                why[name] = f"uses {ref!r}, which {why[ref]}"
-                failed[name] = Verdict(
-                    f"{name}/blocked", name, "blocked", env.funs[name].span, "failed",
-                    message=f"not checked: {why[name]}")
-                changed = True
+    # in the round comes.  With nothing failed there is nothing to taint, so
+    # the references are not gathered.
+    if failed:
+        references = {name: _decl_references(env.funs[name]) for name in fun_names}
+        changed = True
+        while changed:
+            changed = False
+            for name in fun_names:
+                if name in failed:
+                    continue
+                ref = next((ref for ref in references[name] if ref in failed), None)
+                if ref is not None:
+                    why[name] = f"uses {ref!r}, which {why[ref]}"
+                    failed[name] = Verdict(
+                        f"{name}/blocked", name, "blocked", env.funs[name].span, "failed",
+                        message=f"not checked: {why[name]}")
+                    changed = True
 
     # every "unreachable" warning comes before every "unused" one
     unreachable: list[str] = []

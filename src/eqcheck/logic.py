@@ -28,15 +28,22 @@ state of a leaf's chain steps this way for its clause VC and preconditions,
 after the last step that reads it.
 
 Terms are interned up to congruence (`_mk`), so interning never merges.
+A node is a `_Node` tuple, and `_mk` lists the integer variables and
+applications as it makes them: their classes are those `_pinch` reduces.  An
+unfolding makes its clause's body from an instruction list compiled once per
+clause (`_compile_body`) and kept with the module's `TypeEnv`, not by walking
+the body term; it makes the nodes the walk would, in the same order.
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
 pivoting on the newest variable of least coefficient, so the store is always
 in solved form (its pivots indexed by variable, so a step substitutes only
 the pivots that its atom mentions, and n chained equalities cost O(n)), then
 Fourier-Motzkin elimination per query, with integer sharpening of strict
-bounds (sound, incomplete).  Both combine rows by the one elimination step,
-`_eliminate`: Fourier-Motzkin resolution of a lower and an upper bound on a
-variable is the same nonnegative combination as substituting an equality.
+bounds (sound, incomplete); the store's own check (no query row, no
+disequality) runs FM on its rows in place, and none when it has no row.
+Both combine rows by the one elimination step, `_eliminate`:
+Fourier-Motzkin resolution of a lower and an upper bound on a variable is
+the same nonnegative combination as substituting an equality.
 The two theories exchange equalities: congruence merges of integer classes
 feed the arithmetic store, and the classes the store forces equal (found
 from its implicit equalities, the inequality rows it also bounds the other
@@ -47,11 +54,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     App, BoolLit, Con, IntLit, PAnd, PAtom, PFalse, POr, PTrue, Pred, PrimOp,
-    Term, UnitLit, Var, Wild, pred_terms,
+    Term, UnitLit, Var, Wild, pattern_vars, pred_terms,
 )
 from .types import Sort, SortInt, TypeEnv
 
@@ -202,16 +209,28 @@ class _Lia:
         return const == 0 if rel == "==" else const <= 0
 
     def feasible(self, extra: tuple = ()) -> bool:
-        if not extra and self._feasible_cache is not None:
-            return self._feasible_cache
-        pivots, ineqs = dict(self.pivots), list(self.ineqs)
-        result = (self.consistent
-                  and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
-                          for coeffs, const, rel in extra)
-                  and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
-        if not extra:
-            self._feasible_cache = result
-        return result
+        """Whether the store, with the `extra` atoms (expr, const, rel), has
+        a model; the rows of `extra` and of the disequality branches are
+        solved into copies of the solved form.  The verdict with no `extra`
+        is cached until the store changes.  With no `extra` and no
+        disequality nothing is solved in, so FM runs on the stored rows
+        themselves, which it does not modify, and a store with no row skips
+        FM, which would find no variable to eliminate."""
+        if extra:
+            pivots, ineqs = dict(self.pivots), list(self.ineqs)
+            return (self.consistent
+                    and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
+                            for coeffs, const, rel in extra)
+                    and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
+        if self._feasible_cache is None:
+            if not self.consistent:
+                self._feasible_cache = False
+            elif self.diseqs:
+                self._feasible_cache = self._feasible_branches(
+                    dict(self.pivots), list(self.ineqs), self.diseqs[:self.DISEQ_CAP])
+            else:
+                self._feasible_cache = not self.ineqs or self._fm(self.ineqs)
+        return self._feasible_cache
 
     def _feasible_branches(self, pivots: dict[int, Pivot], ineqs: list[Lin], diseqs) -> bool:
         """Integer disequalities: expr != 0 splits into expr <= -1 or
@@ -311,15 +330,15 @@ class _Lia:
 
 # ------------------------------------------------------------- term graph
 
-class _Node:
-    __slots__ = ("kind", "head", "args", "is_int")
+class _Node(NamedTuple):
+    kind: str  # var | int | bool | unit | con | app | prim
+    head: object
+    args: tuple[int, ...]
+    is_int: bool  # the term has sort Int
 
-    def __init__(self, kind: str, head, args: tuple[int, ...], is_int: bool):
-        self.kind = kind  # var | int | bool | unit | con | app | prim
-        self.head = head
-        self.args = args
-        self.is_int = is_int  # the term has sort Int
 
+# a _Node from a plain tuple, without NamedTuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 _TAGGED = ("con", "int", "bool", "unit")
 
@@ -336,6 +355,7 @@ class SolverState:
         self.ple = ple
         self.ple_fuel = ple_fuel
         self.nodes: list[_Node] = []
+        self.int_nodes: list[int] = []  # see _mk
         self.intern_table: dict[tuple, int] = {}
         self.term_memo: dict[int, tuple[Term, int, bool]] = {}  # see intern_term
         self.parent: list[int] = []
@@ -364,34 +384,56 @@ class SolverState:
     def _mk(self, kind: str, head, args: tuple[int, ...]) -> int:
         """The node of (kind, head, args) up to congruence: the one filed
         under the key or, failing that, under its signature (kind, head and
-        argument classes).  A node is made only if neither exists, with its
-        facts: sort Int by kind and head, a literal's or constructor's tag,
-        and a constructor's measure applications.  It never merges."""
+        argument classes; a leaf's key is its signature).  A node is made
+        only if neither exists, as a `_Node` tuple, with its facts: sort Int
+        by kind and head, a literal's or constructor's tag, and a
+        constructor's measure applications.  It never merges.  An integer
+        node that is neither a literal nor `prim` (a variable or an
+        application) is listed in `int_nodes`, in id order, for `_pinch`."""
         key = (kind, head, args)
-        nid = self.intern_table.get(key)
+        intern_table = self.intern_table
+        nid = intern_table.get(key)
         if nid is not None:
             return nid
-        sig = (kind, head, tuple(self.find(a) for a in args))
-        nid = self.intern_table[key] = self.sig_table.get(sig, len(self.nodes))
-        if nid < len(self.nodes):
-            return nid
-        sort = None
+        parent = self.parent
+        if args:
+            roots = []
+            for a in args:
+                while (p := parent[a]) != a:  # `find`, inline
+                    parent[a] = a = parent[p]
+                roots.append(a)
+            sig = (kind, head, tuple(roots))
+            nid = self.sig_table.get(sig)
+            if nid is not None:
+                intern_table[key] = nid
+                return nid
+        nid = intern_table[key] = len(self.nodes)
         if kind == "var":
-            sort = self.var_sorts.get(head)
+            is_int = isinstance(self.var_sorts.get(head), SortInt)
+            if is_int:
+                self.int_nodes.append(nid)
         elif kind == "app":
             fi = self.env.funs[head]
-            sort = fi.result_sort
+            is_int = isinstance(fi.result_sort, SortInt)
+            if is_int:
+                self.int_nodes.append(nid)
             if fi.is_reflected or fi.is_measure:
                 self.todo.append(nid)
-        self.nodes.append(_Node(kind, head, args,
-                                kind in ("int", "prim") or isinstance(sort, SortInt)))
-        self.parent.append(nid)
+        else:
+            is_int = kind == "int" or kind == "prim"
+        self.nodes.append(_new_tuple(_Node, (kind, head, args, is_int)))
+        parent.append(nid)
         if kind in _TAGGED:
             self.tag[nid] = nid
         if args:
             self.sig_table[sig] = nid
-            for a in args:
-                self.use.setdefault(self.find(a), []).append(nid)
+            use = self.use
+            for r in roots:
+                users = use.get(r)
+                if users is None:
+                    use[r] = [nid]
+                else:
+                    users.append(nid)
         if kind == "con":
             for m in self.env.measures_of.get(self.env.ctors[head].data_name, ()):
                 self._mk("app", m, (nid,))
@@ -401,7 +443,9 @@ class SolverState:
                     subst: Optional[dict[str, int]] = None) -> int:
         """The node of `t`, created with its subterms' nodes if new; with
         `active`, every application in `t` is marked active (written, so
-        unfolded outside PLE); `subst` maps variable names to nodes.
+        unfolded outside PLE); `subst` maps variable names to nodes.  A
+        clause body under its match's binding is made by `_instantiate`
+        instead, which makes the `_mk` calls of this walk from a list.
 
         Without `subst` each term object is walked at most once per active
         flag: `term_memo` keeps, by `id(t)`, the object itself (so its id is
@@ -415,28 +459,31 @@ class SolverState:
             hit = self.term_memo.get(id(t))
             if hit is not None and (hit[2] or not active):
                 return hit[1]
-        if isinstance(t, Var):
+        tp = type(t)
+        if tp is App or tp is Con:
+            nids = []
+            for a in t.args:
+                nids.append(self.intern_term(a, active, subst))
+            if tp is App:
+                nid = self._mk("app", t.name, tuple(nids))
+                if active:
+                    self.active.add(nid)
+            else:
+                nid = self._mk("con", t.name, tuple(nids))
+        elif tp is Var:
             if not memo and t.name in subst:
                 return subst[t.name]
             nid = self._mk("var", t.name, ())
-        elif isinstance(t, IntLit):
-            nid = self._mk("int", t.value, ())
-        elif isinstance(t, BoolLit):
-            nid = self._mk("bool", t.value, ())
-        elif isinstance(t, UnitLit):
-            nid = self._mk("unit", "()", ())
-        elif isinstance(t, Con):
-            args = tuple(self.intern_term(a, active, subst) for a in t.args)
-            nid = self._mk("con", t.name, args)
-        elif isinstance(t, App):
-            args = tuple(self.intern_term(a, active, subst) for a in t.args)
-            nid = self._mk("app", t.name, args)
-            if active:
-                self.active.add(nid)
-        elif isinstance(t, PrimOp):
+        elif tp is PrimOp:
             args = (self.intern_term(t.lhs, active, subst),
                     self.intern_term(t.rhs, active, subst))
             nid = self._mk("prim", t.op, args)
+        elif tp is IntLit:
+            nid = self._mk("int", t.value, ())
+        elif tp is BoolLit:
+            nid = self._mk("bool", t.value, ())
+        elif tp is UnitLit:
+            nid = self._mk("unit", "()", ())
         else:
             raise AssertionError(f"cannot intern {t!r}")
         if memo:
@@ -524,7 +571,13 @@ class SolverState:
         reduce to the same key (complete over the rationals; pairs forced
         only by integer sharpening may be missed), so each representative is
         reduced once and bucketed.  Nothing is redone while the state is
-        unchanged since the last call."""
+        unchanged since the last call.
+
+        The representatives are the classes, with users, of the integer
+        variables and applications that `_mk` listed in `int_nodes`, in id
+        order: a literal's linear form is a constant and a `prim` node's is
+        made of its arguments'.  With fewer than two there is no pair to
+        merge, so no row is refuted."""
         if self.contradiction:
             return
         lia = self.lia
@@ -543,15 +596,15 @@ class SolverState:
             return
         reps: list[int] = []
         seen: set[int] = set()
-        for nid, node in enumerate(self.nodes):
-            if node.kind in ("int", "prim") or not node.is_int:
-                continue
+        for nid in self.int_nodes:
             r = self.find(nid)
             if r in seen:
                 continue
             seen.add(r)
             if self.use.get(r):
                 reps.append(r)
+        if len(reps) < 2:
+            return
         # A row can be tight only if each of its variables is bounded the
         # other way by another row; otherwise moving that variable makes the
         # row strict in an integer model.
@@ -658,17 +711,82 @@ def _match_row(st: SolverState, pats, nids, binding: dict[str, int]) -> str:
 
 
 def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
-    """Walk clauses in order; select the first whose match is decided.  A
-    clause is skipped only when provably non-matching; an undecided match
-    blocks unfolding entirely."""
-    for clause in fi.clauses:
+    """Walk clauses in order; select the first whose match is decided, as
+    (its index, its binding).  A clause is skipped only when provably
+    non-matching; an undecided match blocks unfolding entirely."""
+    for ci, clause in enumerate(fi.clauses):
         binding: dict[str, int] = {}
         verdict = _match_row(st, clause.patterns, arg_nids, binding)
         if verdict == "yes":
-            return clause, binding
+            return ci, binding
         if verdict == "unknown":
             return None
     return None
+
+
+# One instruction of a compiled clause body: (kind, head, arity) makes the
+# node of `kind` and `head` over the last `arity` nodes made, and (None,
+# name, 0) takes the node the clause's match bound to a pattern variable.
+Instr = tuple[Optional[str], object, int]
+
+
+def _compile_body(clause) -> tuple[Instr, ...]:
+    """The body of `clause` as a post-order instruction list that makes the
+    `_mk` calls of `intern_term(clause.body.value_term(), subst=binding)`,
+    in order, for any binding of the clause's pattern variables (every
+    variable a selected clause's patterns mention is bound by its match)."""
+    bound = {name for pat in clause.patterns for name in pattern_vars(pat)}
+    code: list[Instr] = []
+    _compile_term(clause.body.value_term(), bound, code)
+    return tuple(code)
+
+
+def _compile_term(t: Term, bound: set[str], code: list[Instr]) -> None:
+    tp = type(t)
+    if tp is App or tp is Con:
+        for a in t.args:
+            _compile_term(a, bound, code)
+        code.append(("app" if tp is App else "con", t.name, len(t.args)))
+    elif tp is Var:
+        code.append((None, t.name, 0) if t.name in bound else ("var", t.name, 0))
+    elif tp is PrimOp:
+        _compile_term(t.lhs, bound, code)
+        _compile_term(t.rhs, bound, code)
+        code.append(("prim", t.op, 2))
+    elif tp is IntLit:
+        code.append(("int", t.value, 0))
+    elif tp is BoolLit:
+        code.append(("bool", t.value, 0))
+    elif tp is UnitLit:
+        code.append(("unit", "()", 0))
+    else:
+        raise AssertionError(f"cannot intern {t!r}")
+
+
+def _clause_code(env: TypeEnv, fi) -> tuple[tuple[Instr, ...], ...]:
+    """The compiled body of each of `fi`'s clauses, compiled at its first
+    use and kept in `env.clause_code`, so once per module."""
+    codes = env.clause_code.get(fi.name)
+    if codes is None:
+        codes = env.clause_code[fi.name] = tuple(map(_compile_body, fi.clauses))
+    return codes
+
+
+def _instantiate(st: SolverState, code: tuple[Instr, ...], binding: dict[str, int]) -> int:
+    """The node of a compiled body under `binding`, made as `intern_term`
+    would make it."""
+    mk = st._mk
+    stack: list[int] = []
+    for kind, head, arity in code:
+        if kind is None:
+            stack.append(binding[head])
+        elif arity:
+            args = tuple(stack[-arity:])
+            del stack[-arity:]
+            stack.append(mk(kind, head, args))
+        else:
+            stack.append(mk(kind, head, ()))
+    return stack[0]
 
 
 def _unfold(st: SolverState, nid: int) -> bool:
@@ -679,7 +797,12 @@ def _unfold(st: SolverState, nid: int) -> bool:
     constructor node (`SolverState._mk`).  True once the node is finished:
     it unfolded, or its head and argument classes did (`reflect_done_keys`),
     or its body is in its class; False while it waits: it is an inactive
-    reflected application outside PLE, or its match is undecided."""
+    reflected application outside PLE, or its match is undecided.
+
+    The body is made from the clause's compiled instruction list
+    (`_compile_body`), compiled once per module and kept with its `TypeEnv`
+    (`_clause_code`), not walked as a term: the same `_mk` calls in the same
+    order, so the same nodes with the same ids."""
     node = st.nodes[nid]
     fi = st.env.funs[node.head]
     if not (st.ple or fi.is_measure or nid in st.active):
@@ -691,8 +814,8 @@ def _unfold(st: SolverState, nid: int) -> bool:
     if key in st.reflect_done_keys:
         return True
     st.reflect_done_keys.add(key)
-    clause, binding = sel
-    rhs = st.intern_term(clause.body.value_term(), subst=binding)
+    ci, binding = sel
+    rhs = _instantiate(st, _clause_code(st.env, fi)[ci], binding)
     if st.find(nid) != st.find(rhs):
         st._merge(nid, rhs)
         st.stats["measure" if fi.is_measure else "reflect"] += 1
