@@ -29,18 +29,17 @@ after the last step that reads it.
 
 Terms are interned up to congruence (`_mk`), so interning never merges.
 A node is a `_Node` tuple, and `_mk` lists the integer variables and
-applications as it makes them: their classes are those `_pinch` reduces.  An
-unfolding makes its clause's body from an instruction list compiled once per
-clause (`_compile_body`) and kept with the module's `TypeEnv`, not by walking
-the body term; it makes the nodes the walk would, in the same order.
+applications as it makes them: their classes are those `_pinch` reduces.
+`intern_term` is the one way a term becomes nodes, an unfolded clause body
+included.
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
 pivoting on the newest variable of least coefficient, so the store is always
 in solved form (its pivots indexed by variable, so a step substitutes only
 the pivots that its atom mentions, and n chained equalities cost O(n)), then
 Fourier-Motzkin elimination per query, with integer sharpening of strict
-bounds (sound, incomplete); the store's own check (no query row, no
-disequality) runs FM on its rows in place, and none when it has no row.
+bounds (sound, incomplete); a query's rows and a disequality branch's row
+are solved into copies, never into the store, and no FM runs without a row.
 Both combine rows by the one elimination step, `_eliminate`:
 Fourier-Motzkin resolution of a lower and an upper bound on a variable is
 the same nonnegative combination as substituting an equality.
@@ -58,7 +57,7 @@ from typing import NamedTuple, Optional
 
 from .syntax import (
     App, BoolLit, Con, IntLit, PAnd, PAtom, PFalse, POr, PTrue, Pred, PrimOp,
-    Term, UnitLit, Var, Wild, pattern_vars, pred_terms,
+    Term, UnitLit, Var, Wild, pred_terms,
 )
 from .types import Sort, SortInt, TypeEnv
 
@@ -210,33 +209,32 @@ class _Lia:
 
     def feasible(self, extra: tuple = ()) -> bool:
         """Whether the store, with the `extra` atoms (expr, const, rel), has
-        a model; the rows of `extra` and of the disequality branches are
-        solved into copies of the solved form.  The verdict with no `extra`
-        is cached until the store changes.  With no `extra` and no
-        disequality nothing is solved in, so FM runs on the stored rows
-        themselves, which it does not modify, and a store with no row skips
-        FM, which would find no variable to eliminate."""
+        a model.  The rows of `extra` are solved into copies of the solved
+        form, made only when there are such rows; without them the
+        disequality branches run on the store's own pivots and rows, which
+        they only read.  The verdict with no `extra` is cached until the
+        store changes."""
+        if not extra and self._feasible_cache is not None:
+            return self._feasible_cache
+        pivots, ineqs = self.pivots, self.ineqs
         if extra:
-            pivots, ineqs = dict(self.pivots), list(self.ineqs)
-            return (self.consistent
-                    and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
-                            for coeffs, const, rel in extra)
-                    and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
-        if self._feasible_cache is None:
-            if not self.consistent:
-                self._feasible_cache = False
-            elif self.diseqs:
-                self._feasible_cache = self._feasible_branches(
-                    dict(self.pivots), list(self.ineqs), self.diseqs[:self.DISEQ_CAP])
-            else:
-                self._feasible_cache = not self.ineqs or self._fm(self.ineqs)
-        return self._feasible_cache
+            pivots, ineqs = dict(pivots), list(ineqs)
+        result = (self.consistent
+                  and all(self._solve(pivots, ineqs, self.normalise(coeffs, const, rel))
+                          for coeffs, const, rel in extra)
+                  and self._feasible_branches(pivots, ineqs, self.diseqs[:self.DISEQ_CAP]))
+        if not extra:
+            self._feasible_cache = result
+        return result
 
     def _feasible_branches(self, pivots: dict[int, Pivot], ineqs: list[Lin], diseqs) -> bool:
         """Integer disequalities: expr != 0 splits into expr <= -1 or
-        expr >= 1; the atoms are feasible if some branch assignment is."""
+        expr >= 1; the atoms are feasible if some branch assignment is.  A
+        branch's row is a `<=`, so solving it only appends to the branch's
+        own copy of `ineqs` and never writes `pivots`; FM never changes the
+        rows it is given, and runs on none when none is left."""
         if not diseqs:
-            return self._fm(ineqs)
+            return not ineqs or self._fm(ineqs)
         (coeffs, const), rest = diseqs[0], diseqs[1:]
         for row in (self.normalise(coeffs, const, "<"),
                     self.normalise({v: -c for v, c in coeffs.items()}, -const, "<")):
@@ -443,9 +441,8 @@ class SolverState:
                     subst: Optional[dict[str, int]] = None) -> int:
         """The node of `t`, created with its subterms' nodes if new; with
         `active`, every application in `t` is marked active (written, so
-        unfolded outside PLE); `subst` maps variable names to nodes.  A
-        clause body under its match's binding is made by `_instantiate`
-        instead, which makes the `_mk` calls of this walk from a list.
+        unfolded outside PLE); `subst` maps variable names to nodes, as
+        `_unfold` interns a clause body under its match's binding.
 
         Without `subst` each term object is walked at most once per active
         flag: `term_memo` keeps, by `id(t)`, the object itself (so its id is
@@ -596,6 +593,7 @@ class SolverState:
             return
         reps: list[int] = []
         seen: set[int] = set()
+        # a scan of every node instead read `scale` 344/343/340 ms, not 316/309/353, a pass
         for nid in self.int_nodes:
             r = self.find(nid)
             if r in seen:
@@ -608,6 +606,7 @@ class SolverState:
         # A row can be tight only if each of its variables is bounded the
         # other way by another row; otherwise moving that variable makes the
         # row strict in an integer model.
+        # Without the filter a `solver_trials` pass read 740/745/770 ms, not 703/695/713.
         sides: set[tuple[int, bool]] = set()
         for coeffs, _ in lia.ineqs:
             sides.update((v, c > 0) for v, c in coeffs.items())
@@ -712,81 +711,16 @@ def _match_row(st: SolverState, pats, nids, binding: dict[str, int]) -> str:
 
 def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     """Walk clauses in order; select the first whose match is decided, as
-    (its index, its binding).  A clause is skipped only when provably
+    (the clause, its binding).  A clause is skipped only when provably
     non-matching; an undecided match blocks unfolding entirely."""
-    for ci, clause in enumerate(fi.clauses):
+    for clause in fi.clauses:
         binding: dict[str, int] = {}
         verdict = _match_row(st, clause.patterns, arg_nids, binding)
         if verdict == "yes":
-            return ci, binding
+            return clause, binding
         if verdict == "unknown":
             return None
     return None
-
-
-# One instruction of a compiled clause body: (kind, head, arity) makes the
-# node of `kind` and `head` over the last `arity` nodes made, and (None,
-# name, 0) takes the node the clause's match bound to a pattern variable.
-Instr = tuple[Optional[str], object, int]
-
-
-def _compile_body(clause) -> tuple[Instr, ...]:
-    """The body of `clause` as a post-order instruction list that makes the
-    `_mk` calls of `intern_term(clause.body.value_term(), subst=binding)`,
-    in order, for any binding of the clause's pattern variables (every
-    variable a selected clause's patterns mention is bound by its match)."""
-    bound = {name for pat in clause.patterns for name in pattern_vars(pat)}
-    code: list[Instr] = []
-    _compile_term(clause.body.value_term(), bound, code)
-    return tuple(code)
-
-
-def _compile_term(t: Term, bound: set[str], code: list[Instr]) -> None:
-    tp = type(t)
-    if tp is App or tp is Con:
-        for a in t.args:
-            _compile_term(a, bound, code)
-        code.append(("app" if tp is App else "con", t.name, len(t.args)))
-    elif tp is Var:
-        code.append((None, t.name, 0) if t.name in bound else ("var", t.name, 0))
-    elif tp is PrimOp:
-        _compile_term(t.lhs, bound, code)
-        _compile_term(t.rhs, bound, code)
-        code.append(("prim", t.op, 2))
-    elif tp is IntLit:
-        code.append(("int", t.value, 0))
-    elif tp is BoolLit:
-        code.append(("bool", t.value, 0))
-    elif tp is UnitLit:
-        code.append(("unit", "()", 0))
-    else:
-        raise AssertionError(f"cannot intern {t!r}")
-
-
-def _clause_code(env: TypeEnv, fi) -> tuple[tuple[Instr, ...], ...]:
-    """The compiled body of each of `fi`'s clauses, compiled at its first
-    use and kept in `env.clause_code`, so once per module."""
-    codes = env.clause_code.get(fi.name)
-    if codes is None:
-        codes = env.clause_code[fi.name] = tuple(map(_compile_body, fi.clauses))
-    return codes
-
-
-def _instantiate(st: SolverState, code: tuple[Instr, ...], binding: dict[str, int]) -> int:
-    """The node of a compiled body under `binding`, made as `intern_term`
-    would make it."""
-    mk = st._mk
-    stack: list[int] = []
-    for kind, head, arity in code:
-        if kind is None:
-            stack.append(binding[head])
-        elif arity:
-            args = tuple(stack[-arity:])
-            del stack[-arity:]
-            stack.append(mk(kind, head, args))
-        else:
-            stack.append(mk(kind, head, ()))
-    return stack[0]
 
 
 def _unfold(st: SolverState, nid: int) -> bool:
@@ -797,12 +731,7 @@ def _unfold(st: SolverState, nid: int) -> bool:
     constructor node (`SolverState._mk`).  True once the node is finished:
     it unfolded, or its head and argument classes did (`reflect_done_keys`),
     or its body is in its class; False while it waits: it is an inactive
-    reflected application outside PLE, or its match is undecided.
-
-    The body is made from the clause's compiled instruction list
-    (`_compile_body`), compiled once per module and kept with its `TypeEnv`
-    (`_clause_code`), not walked as a term: the same `_mk` calls in the same
-    order, so the same nodes with the same ids."""
+    reflected application outside PLE, or its match is undecided."""
     node = st.nodes[nid]
     fi = st.env.funs[node.head]
     if not (st.ple or fi.is_measure or nid in st.active):
@@ -814,8 +743,8 @@ def _unfold(st: SolverState, nid: int) -> bool:
     if key in st.reflect_done_keys:
         return True
     st.reflect_done_keys.add(key)
-    ci, binding = sel
-    rhs = _instantiate(st, _clause_code(st.env, fi)[ci], binding)
+    clause, binding = sel
+    rhs = st.intern_term(clause.body.value_term(), subst=binding)
     if st.find(nid) != st.find(rhs):
         st._merge(nid, rhs)
         st.stats["measure" if fi.is_measure else "reflect"] += 1

@@ -143,9 +143,6 @@ class TypeEnv:
     ctors: dict[str, CtorInfo] = field(default_factory=dict)
     funs: dict[str, FunInfo] = field(default_factory=dict)
     measures_of: dict[str, list[str]] = field(default_factory=dict)
-    # each function's clause bodies compiled by `logic`, filled as they first
-    # unfold: kept with the module, so no other module's state sees them
-    clause_code: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
 def sort_of_typeexpr(te: TypeExpr, env: TypeEnv, tyvars: set[str]) -> Sort:

@@ -153,6 +153,30 @@ def test_negated_refinements_are_read_soundly():
     assert verdicts["f/c0/vc"].fact_texts == ("n /= 0",)
 
 
+# ---------------------------------------------------- literal multiplication
+
+LITERAL_PRODUCTS = """\
+triple : x:Int -> {v:Int | v == x + x + x}
+triple x = 3 * x
+
+twice : x:Int -> {v:Int | v == x * 2}
+twice x = x + x
+
+six : x:Int -> {v:Int | v == 6}
+six x = 2 * 3
+
+bad : x:Int -> {v:Int | v == x + x}
+bad x = 3 * x
+"""
+
+
+def test_literal_multiplication_scales_the_linear_form():
+    # a product with a literal on either side, or on both, is linear
+    assert statuses(LITERAL_PRODUCTS) == {
+        "triple/c0/vc": "proved", "twice/c0/vc": "proved", "six/c0/vc": "proved",
+        "bad/c0/vc": "failed"}
+
+
 # ------------------------------------------------------- proof declarations
 
 def test_singletonp_obligations():

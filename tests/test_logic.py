@@ -13,10 +13,10 @@ from eqcheck.logic import (
     DEFAULT_PLE_FUEL, SolverState, _Lia, _reduced, assert_fact, entails, holds,
     instantiate_axioms, ple_saturate,
 )
-from eqcheck.syntax import PAtom, pattern_vars, pred_terms, subterms
+from eqcheck.syntax import PAtom, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
 
-from conftest import corpus_text, env_of, pred, term
+from conftest import env_of, pred, term
 from oracles import (
     SOUNDNESS_SRC, UNINTERPRETED_SRC, ScanLia, atom_truth, check_graph_against_oracle,
     compound_soundness_trial, interned_node, random_atom, random_valuation,
@@ -623,57 +623,9 @@ def test_intern_memo_builds_what_walks_build(seed):
     assert (memo.stats, memo.contradiction) == (walk.stats, walk.contradiction)
 
 
-# --------------------------------------- compiled bodies, integer-node index
-# `_unfold` makes a clause body from its compiled instruction list, and
-# `_pinch` reads the integer nodes `_mk` lists; each is checked against the
-# walk or the scan it replaces.
-
-_BODY_SOURCES = [SOUNDNESS_SRC] + [corpus_text(name) for name in (
-    "section2.eq", "section2_ple.eq", "section4.eq", "section5.eq")]
-
-
-def _instantiations(st, instantiate, bound, seed):
-    """Three instantiations of one body on `st`, each under a seeded binding
-    of the pattern variables `bound` to existing nodes and followed by a
-    seeded merge, so later ones find nodes up to congruence; the state after
-    each, as a record."""
-    rng = random.Random(seed)
-    pool = [st.intern_term(term(name)) for name in ("a", "b", "i", "j")]
-    records = []
-    for _ in range(3):
-        binding = {name: rng.choice(pool) for name in bound}
-        pool.append(instantiate(st, binding))
-        st._merge(rng.randrange(len(st.nodes)), rng.randrange(len(st.nodes)))
-        records.append((pool[-1], _graph(st), st.sig_table, st.use, st.tag, st.todo,
-                        st.int_nodes, st.stats, st.contradiction))
-    return records
-
-
-@pytest.mark.parametrize("source", range(len(_BODY_SOURCES)))
-def test_compiled_body_builds_what_intern_term_builds(source):
-    # on twin states, every clause body of the module, instantiated from its
-    # compiled instruction list, makes the nodes, with the same ids, that
-    # interning the body under the same binding makes
-    env = env_of(_BODY_SOURCES[source])
-    var_sorts = {"i": INT, "j": INT}
-    clauses = 0
-    for fi in env.funs.values():
-        for ci, clause in enumerate(fi.clauses):
-            bound = sorted({name for p in clause.patterns for name in pattern_vars(p)})
-            code = logic._clause_code(env, fi)[ci]
-            for seed in range(3):
-                compiled = _instantiations(
-                    SolverState(env, var_sorts=var_sorts),
-                    lambda st, binding: logic._instantiate(st, code, binding), bound, seed)
-                walked = _instantiations(
-                    SolverState(env, var_sorts=var_sorts),
-                    lambda st, binding: st.intern_term(clause.body.value_term(),
-                                                       subst=binding), bound, seed)
-                assert compiled == walked, (fi.name, ci, seed)
-            clauses += 1
-    assert clauses >= 6
-    # compiled once per module, and kept with it
-    assert env.clause_code and env_of(_BODY_SOURCES[source]).clause_code == {}
+# ----------------------------------------------------------- integer-node index
+# `_pinch` reads the integer nodes `_mk` lists; the list is checked against
+# the scan of every node it replaces.
 
 
 def test_integer_node_index_is_a_scan_of_every_node():
@@ -842,13 +794,17 @@ def test_lia_caches_agree_with_fresh_store(calls):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.just("add"), _RELS, _LIN3), max_size=10))
+@given(st.lists(st.one_of(st.tuples(st.just("add"), _RELS, _LIN3),
+                         st.tuples(st.just("diseq"), _LIN3)), max_size=10))
 # equalities alone: no row, so no FM
 @example([("add", "==", ({0: 1, 1: -1}, 0)), ("add", "==", ({1: 2}, -4))])
-def test_copy_free_feasible_agrees_with_branches_on_copies(updates):
-    # `feasible()` on a store with no disequality runs FM on the stored rows
-    # themselves, or none with no row; after every atom it must answer as the
-    # branch search on copies does, and leave the store as it was
+# a disequality's branches each add a row to a pivoted, bounded store
+@example([("add", "==", ({0: 1, 1: -1}, 0)), ("add", "<=", ({1: 1}, -2)),
+          ("diseq", ({0: 1}, -2)), ("diseq", ({0: 1}, -1))])
+def test_feasible_without_extra_agrees_with_branches_on_copies(updates):
+    # `feasible()` runs the disequality branches on the store's own pivots
+    # and rows; after every update it must answer as the branch search on
+    # copies does, and leave the store as it was
     lia = _Lia()
     for call in updates:
         _update(lia, call)
