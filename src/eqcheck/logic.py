@@ -4,10 +4,11 @@ one rule with PLE saturation.
 
 Instantiation is one rule, `_unfold`: an application of a reflected function
 or a measure is equated with the body of its first clause whose match is
-decided.  Each constructor node is made with the application of every
-measure of its data type, whose match is always decided, so saturation
-visits only applications: a worklist of those of a reflected function or a
-measure that may still unfold, each queued as it is made (`_saturate`).
+decided; a measure's clause is read off its argument's constructor.  Each
+constructor node is made with the application of every measure of its data
+type, whose match is always decided, so saturation visits only
+applications: a worklist of those of a reflected function or a measure that
+may still unfold, each queued as it is made (`_saturate`).
 Outside PLE a reflected application unfolds only where it was written; PLE
 also unfolds the applications that earlier unfoldings create.  A round that
 adds no union to the union-find (`stats["merges"]`) ends saturation.
@@ -28,8 +29,11 @@ state of a leaf's chain steps this way for its clause VC and preconditions,
 after the last step that reads it.
 
 Terms are interned up to congruence (`_mk`), so interning never merges.
-A node is a `_Node` tuple, and `_mk` lists the integer variables and
-applications as it makes them: their classes are those `_pinch` reduces.
+A node is a `_Node` tuple made with the facts that never change: its sort,
+its tag, a `prim` node's linear form (so `lin` only looks a form up), and a
+constructor's measure applications.  `_mk` lists the integer variables and
+applications as it makes them: their classes are those `_pinch` reduces,
+each to a key it keeps while the key stays valid.
 `intern_term` is the one way a term becomes nodes, an unfolded clause body
 included.
 Equalities are decided by union-find with congruence repair; integer atoms
@@ -69,11 +73,10 @@ Lin = tuple[dict[int, int], int]  # sum(coeffs[v] * v) + const, all integers
 
 
 def _gcd_norm(coeffs: dict[int, int], const: int, rel: str) -> tuple[dict[int, int], int, str]:
-    """Divide by the coefficient gcd; floor-tighten <= bounds (sound on
-    integer-valued variables), flag impossible equalities."""
-    g = 0
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
+    """Divide by the coefficient gcd, taken by one `math.gcd` call (0 for no
+    coefficient); floor-tighten <= bounds (sound on integer-valued
+    variables), flag impossible equalities."""
+    g = gcd(*coeffs.values())
     if g > 1:
         if rel == "<=":
             coeffs = {v: c // g for v, c in coeffs.items()}
@@ -92,6 +95,21 @@ def _combine(lc: dict[int, int], lk: int, rc: dict[int, int], rk: int, sign: int
     for v, c in rc.items():
         coeffs[v] = coeffs.get(v, 0) + sign * c
     return (coeffs, lk + sign * rk)
+
+
+def _prim_lin(op: str, lc: dict[int, int], lk: int, rc: dict[int, int], rk: int,
+              nid: int) -> Lin:
+    """The linear form of the `prim` node `nid`, from its arguments' forms:
+    a sum or difference combines them; a product with a constant operand
+    (sorts keep `*` linear) scales the other; any other product is opaque, a
+    variable of its own."""
+    if op in ("+", "-"):
+        return _combine(lc, lk, rc, rk, 1 if op == "+" else -1)
+    if not lc:
+        return ({v: c * lk for v, c in rc.items()}, rk * lk)
+    if not rc:
+        return ({v: c * rk for v, c in lc.items()}, lk * rk)
+    return ({nid: 1}, 0)
 
 
 def _substitute(coeffs: dict[int, int], const: int, var: int, a: int,
@@ -333,6 +351,7 @@ class _Node(NamedTuple):
     head: object
     args: tuple[int, ...]
     is_int: bool  # the term has sort Int
+    form: Optional[Lin]  # a `prim` node's linear form (see `SolverState.lin`)
 
 
 # a _Node from a plain tuple, without NamedTuple's Python-level __new__
@@ -369,6 +388,7 @@ class SolverState:
         self.fuel_exhausted = False
         self.stats = {"reflect": 0, "measure": 0, "merges": 0, "dropped_or": 0}
         self._pinch_key: Optional[tuple] = None  # state sizes at the last _pinch
+        self._kept_keys: dict[int, tuple[tuple, list[int]]] = {}  # see _rep_keys
 
     # -- union-find -----------------------------------------------------
     def find(self, x: int) -> int:
@@ -384,10 +404,16 @@ class SolverState:
         under the key or, failing that, under its signature (kind, head and
         argument classes; a leaf's key is its signature).  A node is made
         only if neither exists, as a `_Node` tuple, with its facts: sort Int
-        by kind and head, a literal's or constructor's tag, and a
-        constructor's measure applications.  It never merges.  An integer
-        node that is neither a literal nor `prim` (a variable or an
-        application) is listed in `int_nodes`, in id order, for `_pinch`."""
+        by kind and head, a `prim` node's linear form (`_prim_lin`, from its
+        arguments' forms, which exist already), a literal's or constructor's
+        tag, and a constructor's measure applications.  It never merges.  An
+        integer node that is neither a literal nor `prim` (a variable or an
+        application) is listed in `int_nodes`, in id order, for `_pinch`.
+
+        A constructor's measure applications are made here without either
+        lookup: their key names the brand-new constructor node, a root, so
+        it is also their signature, and neither table can hold it yet.  Each
+        is an integer node exactly when its measure's result sort is Int."""
         key = (kind, head, args)
         intern_table = self.intern_table
         nid = intern_table.get(key)
@@ -406,6 +432,8 @@ class SolverState:
                 intern_table[key] = nid
                 return nid
         nid = intern_table[key] = len(self.nodes)
+        nodes = self.nodes
+        form = None
         if kind == "var":
             is_int = isinstance(self.var_sorts.get(head), SortInt)
             if is_int:
@@ -417,15 +445,18 @@ class SolverState:
                 self.int_nodes.append(nid)
             if fi.is_reflected or fi.is_measure:
                 self.todo.append(nid)
+        elif kind == "prim":
+            is_int = True
+            form = _prim_lin(head, *self.lin(args[0]), *self.lin(args[1]), nid)
         else:
-            is_int = kind == "int" or kind == "prim"
-        self.nodes.append(_new_tuple(_Node, (kind, head, args, is_int)))
+            is_int = kind == "int"
+        nodes.append(_new_tuple(_Node, (kind, head, args, is_int, form)))
         parent.append(nid)
         if kind in _TAGGED:
             self.tag[nid] = nid
+        use = self.use
         if args:
             self.sig_table[sig] = nid
-            use = self.use
             for r in roots:
                 users = use.get(r)
                 if users is None:
@@ -433,8 +464,18 @@ class SolverState:
                 else:
                     users.append(nid)
         if kind == "con":
-            for m in self.env.measures_of.get(self.env.ctors[head].data_name, ()):
-                self._mk("app", m, (nid,))
+            env = self.env
+            for m in env.measures_of.get(env.ctors[head].data_name, ()):
+                mid = len(nodes)
+                mkey = ("app", m, (nid,))
+                intern_table[mkey] = self.sig_table[mkey] = mid
+                m_int = isinstance(env.funs[m].result_sort, SortInt)
+                if m_int:
+                    self.int_nodes.append(mid)
+                self.todo.append(mid)
+                nodes.append(_new_tuple(_Node, ("app", m, (nid,), m_int, None)))
+                parent.append(mid)
+                use.setdefault(nid, []).append(mid)
         return nid
 
     def intern_term(self, t: Term, active: bool = False,
@@ -489,20 +530,16 @@ class SolverState:
 
     # -- linear view -----------------------------------------------------------
     def lin(self, nid: int) -> Lin:
+        """The node's linear form, looked up, never walked: a `prim` node's
+        is the form `_mk` stored, a literal's its constant, and any other
+        node is a variable of its own, `{nid: 1}`.  A stored form is shared
+        by every caller, so none may mutate it."""
         node = self.nodes[nid]
-        if node.kind == "int":
+        kind = node.kind
+        if kind == "prim":
+            return node.form
+        if kind == "int":
             return ({}, node.head)
-        if node.kind == "prim":
-            lc, lk = self.lin(node.args[0])
-            rc, rk = self.lin(node.args[1])
-            if node.head in ("+", "-"):
-                return _combine(lc, lk, rc, rk, 1 if node.head == "+" else -1)
-            # multiplication: one side is a constant (enforced by sorts)
-            if not lc:
-                return ({v: c * lk for v, c in rc.items()}, rk * lk)
-            if not rc:
-                return ({v: c * rk for v, c in lc.items()}, lk * rk)
-            return ({nid: 1}, 0)
         return ({nid: 1}, 0)
 
     def _lin_diff(self, a: int, b: int) -> Lin:
@@ -568,7 +605,10 @@ class SolverState:
         reduce to the same key (complete over the rationals; pairs forced
         only by integer sharpening may be missed), so each representative is
         reduced once and bucketed.  Nothing is redone while the state is
-        unchanged since the last call.
+        unchanged since the last call.  With no tight row the pivots are the
+        store's own, not copied, and a representative's key kept from an
+        earlier call is reused while it stays valid (`_rep_keys`); with a
+        tight row every key is reduced afresh on the copy.
 
         The representatives are the classes, with users, of the integer
         variables and applications that `_mk` listed in `int_nodes`, in id
@@ -610,18 +650,42 @@ class SolverState:
         sides: set[tuple[int, bool]] = set()
         for coeffs, _ in lia.ineqs:
             sides.update((v, c > 0) for v, c in coeffs.items())
-        pivots = dict(lia.pivots)
-        for coeffs, const in lia.ineqs:
-            if (all((v, c < 0) in sides for v, c in coeffs.items())
-                    and not lia.feasible(((coeffs, const, "<"),))):  # store |= r >= 0
+        tight = [(coeffs, const) for coeffs, const in lia.ineqs
+                 if all((v, c < 0) in sides for v, c in coeffs.items())
+                 and not lia.feasible(((coeffs, const, "<"),))]  # store |= r >= 0
+        if tight:
+            pivots = dict(lia.pivots)
+            for coeffs, const in tight:
                 _Lia._solve(pivots, [], (coeffs, const, "=="))
+            keys = [_reduced(pivots, *self.lin(r)) for r in reps]
+        else:
+            keys = self._rep_keys(reps)
         buckets: dict[tuple, list[int]] = {}
-        for r in reps:
-            buckets.setdefault(_reduced(pivots, *self.lin(r)), []).append(r)
+        for r, k in zip(reps, keys):
+            buckets.setdefault(k, []).append(r)
         for same in buckets.values():
             for r in same[1:]:
                 if self.find(same[0]) != self.find(r):
                     self._merge(same[0], r)
+
+    def _rep_keys(self, reps: list[int]) -> list[tuple]:
+        """Each representative's `_reduced` key against the store's own
+        pivots, kept by root id between calls.  A kept key is reused while
+        none of its variables is a pivot: pivots are only added, each after
+        those it may bring in, so a reduction against today's pivots makes
+        the substitutions the kept key made, in order, and then finds none
+        of its variables to substitute.  A root's linear form is its node's,
+        fixed when the node was made."""
+        pivots = self.lia.pivots
+        kept = self._kept_keys
+        keys = []
+        for r in reps:
+            entry = kept.get(r)  # (key, its variables)
+            if entry is None or not pivots.keys().isdisjoint(entry[1]):
+                key = _reduced(pivots, *self.lin(r))
+                entry = kept[r] = (key, [v for v, _ in key[0]])
+            keys.append(entry[0])
+        return keys
 
 
 # ------------------------------------------------------------ public API
@@ -723,20 +787,47 @@ def _select_clause(st: SolverState, fi, arg_nids: tuple[int, ...]):
     return None
 
 
+def _measure_clause(st: SolverState, fi, arg: int):
+    """A measure application's clause and binding, read off the constructor
+    that tags its argument's class: the measure's clause for that
+    constructor (`FunInfo.measure_clauses`), its pattern's variables bound
+    to the tag node's arguments, as `_match` binds them.  None while the
+    class has no constructor tag, where `_select_clause` finds the match
+    undecided."""
+    t = st.tag.get(st.find(arg))
+    if t is None:
+        return None
+    tnode = st.nodes[t]
+    clause = fi.measure_clauses.get(tnode.head)  # a literal's head names none
+    if clause is None:
+        return None
+    binding = {}
+    for pat, a in zip(clause.patterns[0].args, tnode.args):
+        if type(pat) is Var:
+            binding[pat.name] = a
+    return clause, binding
+
+
 def _unfold(st: SolverState, nid: int) -> bool:
     """The one instantiation rule: equate an application of a reflected
     function or a measure with the body of its first decided clause.  Outside
     PLE a reflected application unfolds only where it was written (active);
     a measure application always does, among them those made with each
-    constructor node (`SolverState._mk`).  True once the node is finished:
-    it unfolded, or its head and argument classes did (`reflect_done_keys`),
-    or its body is in its class; False while it waits: it is an inactive
-    reflected application outside PLE, or its match is undecided."""
+    constructor node (`SolverState._mk`).  A measure's clause is found by
+    the constructor of its argument (`_measure_clause`), a reflected
+    function's by matching its clauses in order (`_select_clause`).  True
+    once the node is finished: it unfolded, or its head and argument classes
+    did (`reflect_done_keys`), or its body is in its class; False while it
+    waits: it is an inactive reflected application outside PLE, or its
+    match is undecided."""
     node = st.nodes[nid]
     fi = st.env.funs[node.head]
-    if not (st.ple or fi.is_measure or nid in st.active):
+    if fi.is_measure:
+        sel = _measure_clause(st, fi, node.args[0])
+    elif st.ple or nid in st.active:
+        sel = _select_clause(st, fi, node.args)
+    else:
         return False
-    sel = _select_clause(st, fi, node.args)
     if sel is None:
         return False
     key = (node.head, tuple(st.find(a) for a in node.args))

@@ -131,6 +131,10 @@ class FunInfo:
     is_measure: bool = False
     is_reflected: bool = False
     is_ple: bool = False
+    # a measure's clause for each constructor of its data type, filled by
+    # the measure shape check; `logic` unfolds a measure by its argument's
+    # constructor with it
+    measure_clauses: dict[str, Clause] = field(default_factory=dict)
 
     @property
     def arity(self) -> int:
@@ -540,6 +544,7 @@ class _ModuleChecker:
         for ci in data.ctors:
             if ci.name not in covered:
                 bad(f"no clause for constructor {ci.name!r}", fi.span)
+        fi.measure_clauses = covered
 
     def run(self) -> TypeEnv:
         self.collect_datas()

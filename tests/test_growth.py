@@ -2,8 +2,9 @@
 holds on any host.  One case per input family of the benchmark's `scale`
 workload; each checks the family's true instance through `check_module` and
 counts the solver states it builds, their nodes and `stats`, the calls of
-`logic._unfold`, the arithmetic row substitutions (`logic._substitute`
-calls) and the Fourier-Motzkin runs (`_Lia._fm` calls).  Saturation visits
+`logic._unfold` and of `logic._select_clause`, the arithmetic row
+substitutions (`logic._substitute` calls) and the Fourier-Motzkin runs
+(`_Lia._fm` calls).  Saturation visits
 only the applications that can still unfold, so `_unfold` calls stay within
 a small multiple of the instances made.  The `sum` family is not one of
 `scale`'s; its law counts FM runs for ROADMAP item 17.
@@ -87,8 +88,8 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(SolverState, "__init__", recording_init)
-        for owner, name in ((logic, "_unfold"), (logic, "_substitute"),
-                            (logic._Lia, "_fm")):
+        for owner, name in ((logic, "_unfold"), (logic, "_select_clause"),
+                            (logic, "_substitute"), (logic._Lia, "_fm")):
             m.setattr(owner, name, counting(getattr(owner, name)))
         report = check_module(source, CheckConfig(ple_fuel=ple_fuel), file="growth.eq")
     assert report.verdicts
@@ -171,6 +172,16 @@ def test_length_literal_work_is_linear():
     assert_unfolds_within_instances(large, large_calls)
     assert large_calls["_unfold"] <= 2.1 * small_calls["_unfold"]
     assert sum(len(s.nodes) for s in large) <= 2.1 * sum(len(s.nodes) for s in small)
+
+
+def test_length_literal_measures_dispatch_by_constructor():
+    # every `length` application unfolds by its argument's constructor, not
+    # by matching clauses: matching made 205 -> 405 `_select_clause` calls
+    for n, unfolds in ((200, 205), (400, 405)):
+        states, calls = work(_length_literal(n))
+        assert calls["_select_clause"] == 0
+        assert calls["_unfold"] == unfolds
+        assert states[-1].stats["measure"] == n + 1
 
 
 def test_ple_reverse_work():

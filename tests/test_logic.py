@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import itertools
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqcheck import logic
+from eqcheck.checker import check_module
 from eqcheck.logic import (
     DEFAULT_PLE_FUEL, SolverState, _Lia, _reduced, assert_fact, entails, holds,
     instantiate_axioms, ple_saturate,
@@ -16,7 +18,7 @@ from eqcheck.logic import (
 from eqcheck.syntax import PAtom, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
 
-from conftest import env_of, pred, term
+from conftest import CORPUS, env_of, pred, term
 from oracles import (
     SOUNDNESS_SRC, UNINTERPRETED_SRC, ScanLia, atom_truth, check_graph_against_oracle,
     compound_soundness_trial, interned_node, random_atom, random_valuation,
@@ -640,6 +642,170 @@ def test_integer_node_index_is_a_scan_of_every_node():
         [state] = states
         assert state.int_nodes == [nid for nid, node in enumerate(state.nodes)
                                    if node.is_int and node.kind not in ("int", "prim")]
+
+
+# ------------------------------------------------ facts fixed when a node is made
+# A `prim` node's linear form, a measure application's clause and a class's
+# `_pinch` key are computed once, not on every use.  Each is checked against
+# the computation it replaces, after the seeded oracle queries of the
+# solver goldens and over the corpus modules, so a reuse that goes stale
+# shows on the traffic the goldens pin.
+
+
+def test_lin_is_a_lookup_at_any_depth(list_env):
+    # a recursive walk of this chain overflows the stack even under the
+    # CLI's 20,000-frame limit; the stored forms are built one node at a time
+    st = fresh(list_env, x=INT)
+    x = st._mk("var", "x", ())
+    one = st._mk("int", 1, ())
+    top = x
+    for _ in range(25000):
+        top = st._mk("prim", "+", (top, one))
+    assert st.lin(top) == ({x: 1}, 25000)
+
+
+def _walked_lin(st, nid):
+    """A node's linear form by a walk of its subtree, as `lin` computed it
+    before forms were stored."""
+    node = st.nodes[nid]
+    if node.kind == "int":
+        return ({}, node.head)
+    if node.kind != "prim":
+        return ({nid: 1}, 0)
+    (lc, lk), (rc, rk) = _walked_lin(st, node.args[0]), _walked_lin(st, node.args[1])
+    if node.head == "*":
+        if lc and rc:
+            return ({nid: 1}, 0)
+        (coeffs, const), k = ((rc, rk), lk) if not lc else ((lc, lk), rk)
+        return ({v: c * k for v, c in coeffs.items()}, const * k)
+    sign = 1 if node.head == "+" else -1
+    coeffs = dict(lc)
+    for v, c in rc.items():
+        coeffs[v] = coeffs.get(v, 0) + sign * c
+    return (coeffs, lk + sign * rk)
+
+
+def _check_kept_facts(st, seen, bad):
+    """Oracles (a) and (b) on one finished state: what was checked is
+    counted into `seen`, each disagreement listed in `bad` by oracle."""
+    for nid, node in enumerate(st.nodes):
+        if node.kind == "prim":
+            seen["prim"] += 1
+            if st.lin(nid) != _walked_lin(st, nid):
+                bad["a"].append(node)
+        elif node.kind == "app" and st.env.funs[node.head].is_measure:
+            fi = st.env.funs[node.head]
+            dispatched = logic._measure_clause(st, fi, node.args[0])
+            seen["measure" if dispatched else "measure_waiting"] += 1
+            if dispatched != logic._select_clause(st, fi, node.args):
+                bad["b"].append(node)
+
+
+def _record_states(m: pytest.MonkeyPatch) -> list:
+    """A list that every `SolverState` made from now on, under `m`, joins."""
+    states = []
+    init = SolverState.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    m.setattr(SolverState, "__init__", recording_init)
+    return states
+
+
+@pytest.fixture(scope="module")
+def kept_facts_traffic():
+    """The seeded oracle queries (`test_golden.solver_runs`), then the
+    corpus modules, with every key `_pinch` buckets by checked against a
+    fresh reduction (oracle c) and every finished state against oracles (a)
+    and (b).  Returns the counts of what was checked and the disagreements
+    of each oracle."""
+    seen = collections.Counter()
+    bad = collections.defaultdict(list)
+    rep_keys = SolverState._rep_keys
+
+    def checked_rep_keys(self, reps):
+        before = dict(self._kept_keys)
+        keys = rep_keys(self, reps)
+        for r, k in zip(reps, keys):
+            if k != _reduced(self.lia.pivots, *self.lin(r)):
+                bad["c"].append(self.nodes[r])
+            if r not in before:
+                seen["key_new"] += 1
+            elif self._kept_keys[r] is before[r]:
+                seen["key_reused"] += 1
+            else:
+                seen["key_renewed"] += 1  # a new pivot made the kept key stale
+        return keys
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SolverState, "_rep_keys", checked_rep_keys)
+        states = _record_states(m)
+        env = env_of(SOUNDNESS_SRC)
+        rng = random.Random(2018)
+        for trial in (soundness_trial, compound_soundness_trial):
+            for i in range(1500):
+                trial(env, rng, ple=(i % 4 == 0))
+                _check_kept_facts(states.pop(), seen, bad)
+        for path in sorted(CORPUS.glob("*.eq")):
+            report = check_module(path.read_text(), file=path.name)
+            seen["modules"] += 1
+            seen["unproved"] += sum(not v.proved for v in report.verdicts)
+            while states:
+                _check_kept_facts(states.pop(), seen, bad)
+    return seen, bad
+
+
+def test_stored_linear_forms_match_a_walk(kept_facts_traffic):
+    # (a): every `prim` node's stored form is the form its subtree walks to
+    seen, bad = kept_facts_traffic
+    assert (seen["modules"], seen["unproved"]) == (4, 0)
+    assert seen["prim"] > 1000
+    assert not bad["a"], bad["a"][:3]
+
+
+def test_measure_dispatch_matches_clause_selection(kept_facts_traffic):
+    # (b): on every measure application, the clause and binding read off its
+    # argument's constructor are those `_select_clause` matches, and both
+    # wait where the argument's class has no constructor
+    seen, bad = kept_facts_traffic
+    assert seen["measure"] > 1000 and seen["measure_waiting"] > 0
+    assert not bad["b"], bad["b"][:3]
+
+
+def test_kept_pinch_keys_match_a_fresh_reduction(kept_facts_traffic):
+    # (c): every key `_pinch` buckets by, kept or new, is the reduction of its
+    # class's form against the store's pivots; the traffic both reuses kept
+    # keys and renews stale ones
+    seen, bad = kept_facts_traffic
+    assert seen["key_reused"] > 1000 and seen["key_renewed"] > 0 and seen["key_new"] > 0
+    assert not bad["c"], bad["c"][:3]
+
+
+IS_NIL = """\
+measure isNil
+isNil : xs:(List a) -> Bool
+isNil [] = true
+isNil (_:_) = false
+
+nilP : u:Int -> {v:Proof | isNil [1, 2] == false}
+nilP u = ()
+"""
+
+
+def test_measure_of_sort_bool_makes_no_integer_node():
+    # a constructor's measure applications take their sort from the measure
+    with pytest.MonkeyPatch.context() as m:
+        states = _record_states(m)
+        report = check_module(IS_NIL, file="isnil.eq")
+    assert report.verdicts and all(v.proved for v in report.verdicts)
+    applications = [(s, nid) for s in states for nid, node in enumerate(s.nodes)
+                    if node.kind == "app" and node.head == "isNil"]
+    assert len(applications) >= 3  # one per constructor of [1, 2]
+    for s, nid in applications:
+        assert not s.nodes[nid].is_int
+        assert nid not in s.int_nodes
 
 
 # ------------------------------------------------------------- LIA store
