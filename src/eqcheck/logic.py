@@ -32,8 +32,7 @@ Terms are interned up to congruence (`_mk`), so interning never merges.
 A node is a `_Node` tuple made with the facts that never change: its sort,
 its tag, a `prim` node's linear form (so `lin` only looks a form up), and a
 constructor's measure applications.  `_mk` lists the integer variables and
-applications as it makes them: their classes are those `_pinch` reduces,
-each to a key it keeps while the key stays valid.
+applications as it makes them: their classes are those `_pinch` reduces.
 `intern_term` is the one way a term becomes nodes, an unfolded clause body
 included.
 Equalities are decided by union-find with congruence repair; integer atoms
@@ -388,7 +387,6 @@ class SolverState:
         self.fuel_exhausted = False
         self.stats = {"reflect": 0, "measure": 0, "merges": 0, "dropped_or": 0}
         self._pinch_key: Optional[tuple] = None  # state sizes at the last _pinch
-        self._kept_keys: dict[int, tuple[tuple, list[int]]] = {}  # see _rep_keys
 
     # -- union-find -----------------------------------------------------
     def find(self, x: int) -> int:
@@ -408,12 +406,7 @@ class SolverState:
         arguments' forms, which exist already), a literal's or constructor's
         tag, and a constructor's measure applications.  It never merges.  An
         integer node that is neither a literal nor `prim` (a variable or an
-        application) is listed in `int_nodes`, in id order, for `_pinch`.
-
-        A constructor's measure applications are made here without either
-        lookup: their key names the brand-new constructor node, a root, so
-        it is also their signature, and neither table can hold it yet.  Each
-        is an integer node exactly when its measure's result sort is Int."""
+        application) is listed in `int_nodes`, in id order, for `_pinch`."""
         key = (kind, head, args)
         intern_table = self.intern_table
         nid = intern_table.get(key)
@@ -432,7 +425,6 @@ class SolverState:
                 intern_table[key] = nid
                 return nid
         nid = intern_table[key] = len(self.nodes)
-        nodes = self.nodes
         form = None
         if kind == "var":
             is_int = isinstance(self.var_sorts.get(head), SortInt)
@@ -450,13 +442,13 @@ class SolverState:
             form = _prim_lin(head, *self.lin(args[0]), *self.lin(args[1]), nid)
         else:
             is_int = kind == "int"
-        nodes.append(_new_tuple(_Node, (kind, head, args, is_int, form)))
+        self.nodes.append(_new_tuple(_Node, (kind, head, args, is_int, form)))
         parent.append(nid)
         if kind in _TAGGED:
             self.tag[nid] = nid
-        use = self.use
         if args:
             self.sig_table[sig] = nid
+            use = self.use
             for r in roots:
                 users = use.get(r)
                 if users is None:
@@ -464,18 +456,8 @@ class SolverState:
                 else:
                     users.append(nid)
         if kind == "con":
-            env = self.env
-            for m in env.measures_of.get(env.ctors[head].data_name, ()):
-                mid = len(nodes)
-                mkey = ("app", m, (nid,))
-                intern_table[mkey] = self.sig_table[mkey] = mid
-                m_int = isinstance(env.funs[m].result_sort, SortInt)
-                if m_int:
-                    self.int_nodes.append(mid)
-                self.todo.append(mid)
-                nodes.append(_new_tuple(_Node, ("app", m, (nid,), m_int, None)))
-                parent.append(mid)
-                use.setdefault(nid, []).append(mid)
+            for m in self.env.measures_of.get(self.env.ctors[head].data_name, ()):
+                self._mk("app", m, (nid,))
         return nid
 
     def intern_term(self, t: Term, active: bool = False,
@@ -605,10 +587,8 @@ class SolverState:
         reduce to the same key (complete over the rationals; pairs forced
         only by integer sharpening may be missed), so each representative is
         reduced once and bucketed.  Nothing is redone while the state is
-        unchanged since the last call.  With no tight row the pivots are the
-        store's own, not copied, and a representative's key kept from an
-        earlier call is reused while it stays valid (`_rep_keys`); with a
-        tight row every key is reduced afresh on the copy.
+        unchanged since the last call.  With no tight row the keys are
+        reduced against the store's own pivots, which are not copied.
 
         The representatives are the classes, with users, of the integer
         variables and applications that `_mk` listed in `int_nodes`, in id
@@ -653,39 +633,18 @@ class SolverState:
         tight = [(coeffs, const) for coeffs, const in lia.ineqs
                  if all((v, c < 0) in sides for v, c in coeffs.items())
                  and not lia.feasible(((coeffs, const, "<"),))]  # store |= r >= 0
+        pivots = lia.pivots
         if tight:
-            pivots = dict(lia.pivots)
+            pivots = dict(pivots)
             for coeffs, const in tight:
                 _Lia._solve(pivots, [], (coeffs, const, "=="))
-            keys = [_reduced(pivots, *self.lin(r)) for r in reps]
-        else:
-            keys = self._rep_keys(reps)
         buckets: dict[tuple, list[int]] = {}
-        for r, k in zip(reps, keys):
-            buckets.setdefault(k, []).append(r)
+        for r in reps:
+            buckets.setdefault(_reduced(pivots, *self.lin(r)), []).append(r)
         for same in buckets.values():
             for r in same[1:]:
                 if self.find(same[0]) != self.find(r):
                     self._merge(same[0], r)
-
-    def _rep_keys(self, reps: list[int]) -> list[tuple]:
-        """Each representative's `_reduced` key against the store's own
-        pivots, kept by root id between calls.  A kept key is reused while
-        none of its variables is a pivot: pivots are only added, each after
-        those it may bring in, so a reduction against today's pivots makes
-        the substitutions the kept key made, in order, and then finds none
-        of its variables to substitute.  A root's linear form is its node's,
-        fixed when the node was made."""
-        pivots = self.lia.pivots
-        kept = self._kept_keys
-        keys = []
-        for r in reps:
-            entry = kept.get(r)  # (key, its variables)
-            if entry is None or not pivots.keys().isdisjoint(entry[1]):
-                key = _reduced(pivots, *self.lin(r))
-                entry = kept[r] = (key, [v for v, _ in key[0]])
-            keys.append(entry[0])
-        return keys
 
 
 # ------------------------------------------------------------ public API

@@ -20,6 +20,20 @@ from eqcheck.types import INT, SortData, SortVar
 
 # ------------------------------------------------------ state reading
 
+def record_states(m) -> list[SolverState]:
+    """A list that every `SolverState` made from now on, under the
+    monkeypatch context `m`, joins in the order made."""
+    states = []
+    init = SolverState.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    m.setattr(SolverState, "__init__", recording_init)
+    return states
+
+
 def interned_node(st: SolverState, t: Term) -> int | None:
     """The node of `t` if the state has interned it, else None.  Reads only
     `st.intern_table`, with the keys `SolverState._mk` files nodes under, so

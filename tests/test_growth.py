@@ -29,6 +29,7 @@ from eqcheck.checker import CheckConfig, check_module
 from eqcheck.logic import DEFAULT_PLE_FUEL, SolverState
 
 from conftest import LIST_BASICS
+from oracles import record_states
 
 # the `length` measure alone, as the literal family declares it
 LENGTH = LIST_BASICS.split("\n\nreflect append")[0] + "\n"
@@ -73,12 +74,7 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
     """Check the source, with `proved` assert that every obligation is
     proved, and return the solver states built and the calls counted by
     function name."""
-    states, calls = [], Counter()
-    init = SolverState.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        states.append(self)
+    calls = Counter()
 
     def counting(fn):
         def counted(*args):
@@ -87,7 +83,7 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
         return counted
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(SolverState, "__init__", recording_init)
+        states = record_states(m)
         for owner, name in ((logic, "_unfold"), (logic, "_select_clause"),
                             (logic, "_substitute"), (logic._Lia, "_fm")):
             m.setattr(owner, name, counting(getattr(owner, name)))

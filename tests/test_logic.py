@@ -22,7 +22,7 @@ from conftest import CORPUS, env_of, pred, term
 from oracles import (
     SOUNDNESS_SRC, UNINTERPRETED_SRC, ScanLia, atom_truth, check_graph_against_oracle,
     compound_soundness_trial, interned_node, random_atom, random_valuation,
-    scan_reduced, soundness_trial,
+    record_states, scan_reduced, soundness_trial,
 )
 
 A = SortVar("a")
@@ -645,11 +645,11 @@ def test_integer_node_index_is_a_scan_of_every_node():
 
 
 # ------------------------------------------------ facts fixed when a node is made
-# A `prim` node's linear form, a measure application's clause and a class's
-# `_pinch` key are computed once, not on every use.  Each is checked against
-# the computation it replaces, after the seeded oracle queries of the
-# solver goldens and over the corpus modules, so a reuse that goes stale
-# shows on the traffic the goldens pin.
+# A `prim` node's linear form and a measure application's clause are
+# computed once, not on every use.  Each is checked against the computation
+# it replaces, after the seeded oracle queries of the solver goldens and
+# over the corpus modules, so a reuse that goes wrong shows on the traffic
+# the goldens pin.
 
 
 def test_lin_is_a_lookup_at_any_depth(list_env):
@@ -701,53 +701,24 @@ def _check_kept_facts(st, seen, bad):
                 bad["b"].append(node)
 
 
-def _record_states(m: pytest.MonkeyPatch) -> list:
-    """A list that every `SolverState` made from now on, under `m`, joins."""
-    states = []
-    init = SolverState.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        states.append(self)
-
-    m.setattr(SolverState, "__init__", recording_init)
-    return states
-
-
 @pytest.fixture(scope="module")
 def kept_facts_traffic():
     """The seeded oracle queries (`test_golden.solver_runs`), then the
-    corpus modules, with every key `_pinch` buckets by checked against a
-    fresh reduction (oracle c) and every finished state against oracles (a)
+    corpus modules, with every finished state checked against oracles (a)
     and (b).  Returns the counts of what was checked and the disagreements
     of each oracle."""
     seen = collections.Counter()
     bad = collections.defaultdict(list)
-    rep_keys = SolverState._rep_keys
-
-    def checked_rep_keys(self, reps):
-        before = dict(self._kept_keys)
-        keys = rep_keys(self, reps)
-        for r, k in zip(reps, keys):
-            if k != _reduced(self.lia.pivots, *self.lin(r)):
-                bad["c"].append(self.nodes[r])
-            if r not in before:
-                seen["key_new"] += 1
-            elif self._kept_keys[r] is before[r]:
-                seen["key_reused"] += 1
-            else:
-                seen["key_renewed"] += 1  # a new pivot made the kept key stale
-        return keys
-
+    env = env_of(SOUNDNESS_SRC)
+    rng = random.Random(2018)
+    for trial in (soundness_trial, compound_soundness_trial):
+        for i in range(1500):
+            states = []
+            trial(env, rng, ple=(i % 4 == 0), states=states)
+            [st] = states
+            _check_kept_facts(st, seen, bad)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(SolverState, "_rep_keys", checked_rep_keys)
-        states = _record_states(m)
-        env = env_of(SOUNDNESS_SRC)
-        rng = random.Random(2018)
-        for trial in (soundness_trial, compound_soundness_trial):
-            for i in range(1500):
-                trial(env, rng, ple=(i % 4 == 0))
-                _check_kept_facts(states.pop(), seen, bad)
+        states = record_states(m)
         for path in sorted(CORPUS.glob("*.eq")):
             report = check_module(path.read_text(), file=path.name)
             seen["modules"] += 1
@@ -774,15 +745,6 @@ def test_measure_dispatch_matches_clause_selection(kept_facts_traffic):
     assert not bad["b"], bad["b"][:3]
 
 
-def test_kept_pinch_keys_match_a_fresh_reduction(kept_facts_traffic):
-    # (c): every key `_pinch` buckets by, kept or new, is the reduction of its
-    # class's form against the store's pivots; the traffic both reuses kept
-    # keys and renews stale ones
-    seen, bad = kept_facts_traffic
-    assert seen["key_reused"] > 1000 and seen["key_renewed"] > 0 and seen["key_new"] > 0
-    assert not bad["c"], bad["c"][:3]
-
-
 IS_NIL = """\
 measure isNil
 isNil : xs:(List a) -> Bool
@@ -797,7 +759,7 @@ nilP u = ()
 def test_measure_of_sort_bool_makes_no_integer_node():
     # a constructor's measure applications take their sort from the measure
     with pytest.MonkeyPatch.context() as m:
-        states = _record_states(m)
+        states = record_states(m)
         report = check_module(IS_NIL, file="isnil.eq")
     assert report.verdicts and all(v.proved for v in report.verdicts)
     applications = [(s, nid) for s in states for nid, node in enumerate(s.nodes)
