@@ -10,8 +10,9 @@ type, whose match is always decided, so saturation visits only
 applications: a worklist of those of a reflected function or a measure that
 may still unfold, each queued as it is made (`_saturate`).
 Outside PLE a reflected application unfolds only where it was written; PLE
-also unfolds the applications that earlier unfoldings create.  A round that
-adds no union to the union-find (`stats["merges"]`) ends saturation.
+also unfolds the applications that earlier unfoldings create.  Saturation
+ends at a round that adds no union to the union-find (`stats["merges"]`)
+and whose exchange with the arithmetic layer adds none either.
 
 One SolverState serves one hypothesis set: the scope terms and facts that
 `entails` saturates it with.  Every goal over that set may be decided on the
@@ -47,9 +48,13 @@ Both combine rows by the one elimination step, `_eliminate`:
 Fourier-Motzkin resolution of a lower and an upper bound on a variable is
 the same nonnegative combination as substituting an equality.
 The two theories exchange equalities: congruence merges of integer classes
-feed the arithmetic store, and the classes the store forces equal (found
-from its implicit equalities, the inequality rows it also bounds the other
-way) are merged back into the term graph.
+feed the arithmetic store as they happen, and the classes the store forces
+equal (found from its implicit equalities, the inequality rows it also
+bounds the other way) are merged back into the term graph.  The way back
+runs once per congruence fixpoint, as Nelson and Oppen's combination needs
+(`_saturate`): in a round whose unfoldings merged nothing, or that used up
+the PLE fuel, `checkpoint` checks the facts and `_pinch` merges the forced
+classes; saturation goes on while that merges.
 """
 
 from __future__ import annotations
@@ -586,15 +591,19 @@ class SolverState:
         pivots, two classes are forced equal exactly when their linear forms
         reduce to the same key (complete over the rationals; pairs forced
         only by integer sharpening may be missed), so each representative is
-        reduced once and bucketed.  Nothing is redone while the state is
-        unchanged since the last call.  With no tight row the keys are
-        reduced against the store's own pivots, which are not copied.
+        reduced once and bucketed.  With no tight row the keys are reduced
+        against the store's own pivots, which are not copied.
 
         The representatives are the classes, with users, of the integer
         variables and applications that `_mk` listed in `int_nodes`, in id
         order: a literal's linear form is a constant and a `prim` node's is
         made of its arguments'.  With fewer than two there is no pair to
-        merge, so no row is refuted."""
+        merge, so no row is refuted.
+
+        `_saturate` calls it once per congruence fixpoint, after
+        `checkpoint`, and once more after each call that merged.  A call on
+        a state unchanged since the last one, as on a continued state
+        saturated again with nothing new, is skipped."""
         if self.contradiction:
             return
         lia = self.lia
@@ -664,7 +673,8 @@ def _oriented(st: SolverState, p: PAtom) -> tuple[int, int, str]:
 def assert_fact(st: SolverState, p: Pred) -> SolverState:
     """Add a hypothesis.  Contradiction is a state, not an error.  A clash of
     tags sets it here; the disequalities and the arithmetic store are checked
-    only by `checkpoint`, which `entails` calls once after all its facts."""
+    only by `checkpoint`, which the saturation after the facts runs at every
+    exit (`_saturate`)."""
     if st.contradiction:
         return st
     if isinstance(p, PTrue):
@@ -803,7 +813,7 @@ def _unfold(st: SolverState, nid: int) -> bool:
 
 def _saturate(st: SolverState) -> SolverState:
     """Unfold to a fixpoint; under PLE, for at most `st.ple_fuel` rounds (so
-    fuel 0 is no round, reported as `fuel_exhausted`).
+    fuel 0 is no round, reported as `fuel_exhausted` on consistent facts).
 
     A round visits, in id order, the worklist `st.todo` as it stood when the
     round began: the application nodes of a reflected function or a measure
@@ -813,25 +823,34 @@ def _saturate(st: SolverState) -> SolverState:
     wait; a node made during a round waits for the next, so fuel counts
     rounds.  A continued state keeps its list.
 
-    The fixpoint is a round that adds no union (`stats["merges"]`): it made
-    no node either, since a new node lies under an interned body whose new
-    top node is then merged, and tags and arithmetic rows change only by
-    facts and merges, so no waiting match can be decided later.  A tag clash
+    A round whose unfoldings add no union (`stats["merges"]`) reached the
+    congruence fixpoint: it made no node either, since a new node lies under
+    an interned body whose new top node is then merged, and tags and
+    arithmetic rows change only by facts and merges, so no waiting match can
+    be decided later.  Only then, or in the round that uses up the fuel, is
+    the arithmetic layer consulted: `checkpoint` checks the disequalities
+    and the store, then `_pinch` merges the classes the store forces equal.
+    Saturation ends when that exchange merges nothing too; otherwise the
+    rounds go on.  The fuel limit, which fuel 0 meets before any round,
+    runs `checkpoint` too, and sets `fuel_exhausted` only on a state it
+    found consistent, so every exit leaves a checked state.  A tag clash
     sets `contradiction` before the union is counted; the loop exits on it."""
     rounds = 0
     while not st.contradiction:
         if st.ple and rounds >= st.ple_fuel:
-            st.fuel_exhausted = True
+            st.checkpoint()
+            st.fuel_exhausted = st.fuel_exhausted or not st.contradiction
             break
         rounds += 1
         merges = st.stats["merges"]
         todo, st.todo = st.todo, []
         waiting = [nid for nid in todo if st.contradiction or not _unfold(st, nid)]
         st.todo = waiting + st.todo
-        st._pinch()
-        st.checkpoint()
-        if st.stats["merges"] == merges:
-            break
+        if st.stats["merges"] == merges or (st.ple and rounds >= st.ple_fuel):
+            st.checkpoint()
+            st._pinch()
+            if st.stats["merges"] == merges:
+                break
     return st
 
 
@@ -895,13 +914,12 @@ def entails(st: SolverState, facts: list[Pred], goal: Pred) -> bool:
     earlier `entails` saturated, the facts are those of every call so far:
     this asserts only the new ones and saturates again with a fresh PLE
     budget, while `fuel_exhausted` stays set once any saturation ran out.
-    Contradiction only grows with the facts, so it is checked once, after
-    the last."""
+    Contradiction only grows with the facts and merges, so it is checked
+    where the saturation after the last fact ends, not before it."""
     for t in pred_terms(goal):
         st.intern_term(t)
     for f in facts:
         assert_fact(st, f)
-    st.checkpoint()
     if st.ple:
         ple_saturate(st)
     else:

@@ -3,13 +3,14 @@ holds on any host.  One case per input family of the benchmark's `scale`
 workload; each checks the family's true instance through `check_module` and
 counts the solver states it builds, their nodes and `stats`, the calls of
 `logic._unfold` and of `logic._select_clause`, the arithmetic row
-substitutions (`logic._substitute` calls) and the Fourier-Motzkin runs
-(`_Lia._fm` calls).  Saturation visits
-only the applications that can still unfold, so `_unfold` calls stay within
-a small multiple of the instances made.  The `sum` family is not one of
+substitutions (`logic._substitute` calls), the Fourier-Motzkin runs
+(`_Lia._fm` calls), and the `entails` calls and the exchanges with the
+arithmetic layer they make (`SolverState.checkpoint` and `_pinch` calls).
+Saturation visits only the applications that can still unfold, so `_unfold`
+calls stay within a small multiple of the instances made.  The `sum` family is not one of
 `scale`'s; its law counts FM runs for ROADMAP item 17.
 
-Run as a script, the file checks the PLE `reverse` law at n=8 -> 16 and the
+Run as a script, the file checks the PLE `reverse` laws at n=8 -> 16 and the
 `sum` law at n=4 -> 8, or with `--large` at n=30 -> 60 with PLE fuel 400 and
 at n=8 -> 16, where superlinear work shows that the small sizes hide; it
 prints the ratios and counts and exits 1 if a bound fails:
@@ -24,7 +25,7 @@ from collections import Counter
 
 import pytest
 
-from eqcheck import logic
+from eqcheck import checker, logic
 from eqcheck.checker import CheckConfig, check_module
 from eqcheck.logic import DEFAULT_PLE_FUEL, SolverState
 
@@ -73,7 +74,7 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
          proved: bool = True) -> tuple[list[SolverState], Counter]:
     """Check the source, with `proved` assert that every obligation is
     proved, and return the solver states built and the calls counted by
-    function name."""
+    function name; "_pinch merged" counts the `_pinch` calls that merged."""
     calls = Counter()
 
     def counting(fn):
@@ -82,11 +83,20 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
             return fn(*args)
         return counted
 
+    real_pinch = SolverState._pinch
+
+    def _pinch(st):
+        merges = st.stats["merges"]
+        real_pinch(st)
+        calls["_pinch merged"] += st.stats["merges"] != merges
+
     with pytest.MonkeyPatch.context() as m:
         states = record_states(m)
         for owner, name in ((logic, "_unfold"), (logic, "_select_clause"),
-                            (logic, "_substitute"), (logic._Lia, "_fm")):
+                            (logic, "_substitute"), (logic._Lia, "_fm"),
+                            (checker, "entails"), (SolverState, "checkpoint")):
             m.setattr(owner, name, counting(getattr(owner, name)))
+        m.setattr(SolverState, "_pinch", counting(_pinch))
         report = check_module(source, CheckConfig(ple_fuel=ple_fuel), file="growth.eq")
     assert report.verdicts
     assert not proved or all(v.proved for v in report.verdicts)
@@ -135,10 +145,29 @@ def ple_reverse_ratios(law: str) -> tuple[float, float]:
     return unfold, substitute
 
 
+def ple_reverse_exchanges(law: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The `_pinch` and `checkpoint` calls of PLE `reverse` at the law's n and
+    2n, each asserted at most one per `entails` plus one per `_pinch` call
+    that merged: the exchange with the arithmetic layer runs once per
+    congruence fixpoint, not once per unfolding round.  Once per round made
+    it 32 -> 56 `_pinch` calls at n=8 -> 16 and 98 -> 188 at n=30 -> 60."""
+    n, fuel, _, _ = REVERSE_LAWS[law]
+    pinches, checkpoints = [], []
+    for size in (n, 2 * n):
+        _, calls = work(_ple_reverse(size), fuel)
+        allowed = calls["entails"] + calls["_pinch merged"]
+        assert calls["_pinch"] <= allowed, (law, size, calls["_pinch"], allowed)
+        assert calls["checkpoint"] <= allowed, (law, size, calls["checkpoint"], allowed)
+        pinches.append(calls["_pinch"])
+        checkpoints.append(calls["checkpoint"])
+    return (pinches[0], pinches[1]), (checkpoints[0], checkpoints[1])
+
+
 # `sum` at n and 2n: (n, whether the true instances must prove).  Its one
-# obligation runs FM once to check the facts, once per inequality row in
-# `_pinch`'s test for implied equalities (n(n+1)/2 rows) and once for the
-# goal, so at most n(n+1)/2 + 2 times: 12 at n=4, 38 at 8 and 138 at 16.
+# obligation runs FM once to check the facts, at the congruence fixpoint,
+# once per inequality row in `_pinch`'s test for implied equalities (n(n+1)/2
+# rows) and once for the goal, so at most n(n+1)/2 + 2 times: 12 at n=4, 38
+# at 8 and 138 at 16.
 # Checking the store after each asserted fact made it 21, 73 and 273.  From
 # n=9 on the true instance fails, because FM passes `ATOM_CAP`, so the
 # `large` law only counts.  ROADMAP item 17's target runs no FM at all: a
@@ -184,6 +213,11 @@ def test_ple_reverse_work():
     ple_reverse_ratios("default")
 
 
+def test_ple_reverse_exchanges_once_per_fixpoint():
+    # 5 `entails`, none of whose `_pinch` calls merges: 5 -> 5 of each
+    ple_reverse_exchanges("default")
+
+
 def test_plus_one_chain_nodes_are_linear():
     # x, v, the literals 1 and n, and one node per `+ 1`: 204 -> 404 nodes
     for n in (200, 400):
@@ -203,4 +237,6 @@ if __name__ == "__main__":
     law = "large" if args.large else "default"
     unfold, substitute = ple_reverse_ratios(law)
     print(f"reverse: _unfold {unfold:.2f}x, _substitute {substitute:.2f}x")
+    pinches, checkpoints = ple_reverse_exchanges(law)
+    print("reverse: _pinch {} -> {}, checkpoint {} -> {}".format(*pinches, *checkpoints))
     print("sum: _fm {} -> {}".format(*sum_fm_runs(law)))

@@ -15,7 +15,7 @@ from eqcheck.logic import (
     DEFAULT_PLE_FUEL, SolverState, _Lia, _reduced, assert_fact, entails, holds,
     instantiate_axioms, ple_saturate,
 )
-from eqcheck.syntax import PAtom, pred_terms, subterms
+from eqcheck.syntax import IntLit, PAtom, PrimOp, Var, pred_terms, subterms
 from eqcheck.types import INT, SortData, SortVar
 
 from conftest import CORPUS, env_of, pred, term
@@ -299,6 +299,48 @@ def test_holds_never_proves_false_on_a_consistent_state(list_env, fuel):
     assert not st.contradiction
     assert st.fuel_exhausted == (fuel == 1)
     assert not holds(st, pred("false"))
+
+
+@pytest.mark.parametrize("fuel", [0, 1, DEFAULT_PLE_FUEL])
+def test_every_saturation_exit_checks_the_facts(list_env, fuel):
+    # `entails` checks the facts only where saturation ends: at the fixpoint,
+    # and at the fuel limit, which fuel 0 reaches before any round.  Without
+    # the check at the fuel limit, fuel 0 answered not entailed here.
+    st = SolverState(list_env, var_sorts={"x": INT, "xs": LA, "ys": LA},
+                     ple=True, ple_fuel=fuel)
+    assert entails(st, [pred("0 <= x"), pred("x + 1 <= 0")], pred("xs == ys"))
+    assert st.contradiction and not st.fuel_exhausted
+
+
+SELF_DISEQUALITY = """\
+f : x:{v:Int | v + 1 /= 1 + v} -> {v:Int | v == 7}
+f x = 0
+"""
+
+
+def test_self_disequality_is_a_contradiction(list_env):
+    # `x + 1` and `1 + x` are two classes of one linear form, so only the
+    # arithmetic store sees that the fact is false
+    st = fresh(list_env, x=INT, xs=LA, ys=LA)
+    assert entails(st, [pred("x + 1 /= 1 + x")], pred("xs == ys"))
+    assert st.contradiction
+
+
+def test_self_disequality_refinement_proves_any_result():
+    report = check_module(SELF_DISEQUALITY, file="selfdiseq.eq")
+    assert report.verdicts and all(v.proved for v in report.verdicts)
+
+
+def test_product_of_two_variables_is_opaque(list_env):
+    # sorts reject `x * y`, so only the solver API makes one: its linear form
+    # is a variable of its own, neither operand's
+    product = PrimOp("*", Var("x"), Var("y"))
+    st = fresh(list_env, x=INT, y=INT)
+    assert not entails(st, [pred("x == 1")], PAtom("==", product, IntLit(1)))
+    three = PAtom("==", product, IntLit(3))
+    st = fresh(list_env, x=INT, y=INT)
+    assert entails(st, [three], three)
+    assert not st.contradiction
 
 
 def test_pinch_feeds_congruence(list_env):
@@ -1041,8 +1083,9 @@ def test_atom_cap_reports_true_entailment_as_not_entailed(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 10, 40])
 def test_fm_runs_per_entails_do_not_grow_with_the_facts(list_env, monkeypatch, k):
-    # `entails` checks the store for contradiction once, after all its facts,
-    # and once more to decide the goal; a check after each fact made k + 1
+    # `entails` checks the store for contradiction once, at the congruence
+    # fixpoint after all its facts, and once more to decide the goal; a check
+    # after each fact made k + 1
     st = fresh(list_env, **{f"x{i}": INT for i in range(k)})
     runs = []
     real_fm = _Lia._fm
