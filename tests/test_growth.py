@@ -7,8 +7,8 @@ substitutions (`logic._substitute` calls), the Fourier-Motzkin runs
 (`_Lia._fm` calls), and the `entails` calls and the exchanges with the
 arithmetic layer they make (`SolverState.checkpoint` and `_pinch` calls).
 Saturation visits only the applications that can still unfold, so `_unfold`
-calls stay within a small multiple of the instances made.  The `sum` family is not one of
-`scale`'s; its law counts FM runs for ROADMAP item 17.
+calls stay within a small multiple of the instances made.  The `sum` family
+is not one of `scale`'s; its law counts FM runs for ROADMAP item 17.
 
 Run as a script, the file checks the PLE `reverse` laws at n=8 -> 16 and the
 `sum` law at n=4 -> 8, or with `--large` at n=30 -> 60 with PLE fuel 400 and
@@ -85,7 +85,8 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
 
     real_pinch = SolverState._pinch
 
-    def _pinch(st):
+    def pinch(st):
+        calls["_pinch"] += 1
         merges = st.stats["merges"]
         real_pinch(st)
         calls["_pinch merged"] += st.stats["merges"] != merges
@@ -96,7 +97,7 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
                             (logic, "_substitute"), (logic._Lia, "_fm"),
                             (checker, "entails"), (SolverState, "checkpoint")):
             m.setattr(owner, name, counting(getattr(owner, name)))
-        m.setattr(SolverState, "_pinch", counting(_pinch))
+        m.setattr(SolverState, "_pinch", pinch)
         report = check_module(source, CheckConfig(ple_fuel=ple_fuel), file="growth.eq")
     assert report.verdicts
     assert not proved or all(v.proved for v in report.verdicts)
