@@ -32,10 +32,8 @@ after the last step that reads it.
 Terms are interned up to congruence (`_mk`), so interning never merges.
 A node is a `_Node` tuple made with the facts that never change: its sort,
 its tag, a `prim` node's linear form (so `lin` only looks a form up), and a
-constructor's measure applications.  `_mk` lists the integer variables and
-applications as it makes them: their classes are those `_pinch` reduces.
-`intern_term` is the one way a term becomes nodes, an unfolded clause body
-included.
+constructor's measure applications.  `intern_term` is the one way a term
+becomes nodes, an unfolded clause body included.
 Equalities are decided by union-find with congruence repair; integer atoms
 by Gaussian elimination of the equalities, one step per atom as it arrives,
 pivoting on the newest variable of least coefficient, so the store is always
@@ -49,19 +47,19 @@ Fourier-Motzkin resolution of a lower and an upper bound on a variable is
 the same nonnegative combination as substituting an equality.
 The two theories exchange equalities: congruence merges of integer classes
 feed the arithmetic store as they happen, and the classes the store forces
-equal (found from its implicit equalities, the inequality rows it also
-bounds the other way) are merged back into the term graph.  The way back
-runs once per congruence fixpoint, as Nelson and Oppen's combination needs
-(`_saturate`): in a round whose unfoldings merged nothing, or that used up
-the PLE fuel, `checkpoint` checks the facts and `_pinch` merges the forced
-classes; saturation goes on while that merges.
+equal are merged back into the term graph (`_pinch`, which asks the store
+by `_Lia.implied_equalities`).  The way back runs once per congruence
+fixpoint, as Nelson and Oppen's combination needs (`_saturate`): in a
+round whose unfoldings merged nothing, or that used up the PLE fuel,
+`checkpoint` checks the facts and `_pinch` merges the forced classes;
+saturation goes on while that merges.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import (
     App, BoolLit, Con, IntLit, PAnd, PAtom, PFalse, POr, PTrue, Pred, PrimOp,
@@ -184,13 +182,13 @@ class _Lia:
     with every pivot substituted in.  Every stored atom, query row and
     disequality-branch row goes through that one step, a query's and a
     branch's on copies; a query then runs Fourier-Motzkin on the
-    inequalities."""
+    inequalities.  The term graph uses the store only through `add`,
+    `add_diseq`, `feasible`, `entails` and `implied_equalities`."""
 
     ATOM_CAP = 600
     DISEQ_CAP = 5  # disequality branches explored; extras soundly dropped
 
     def __init__(self) -> None:
-        self.n_atoms = 0  # atoms stored, those true on their own left out
         self.has_bound = False  # some stored atom is a `<=`
         self.diseqs: list[Lin] = []  # each meaning expr != 0
         self.pivots: dict[int, Pivot] = {}  # by variable, in pivot order
@@ -220,7 +218,6 @@ class _Lia:
         atom = self.normalise(coeffs, const, rel)
         if not atom[0] and self._ground_holds(atom[1], atom[2]):
             return
-        self.n_atoms += 1
         self.has_bound = self.has_bound or atom[2] == "<="
         self._feasible_cache = None
         self.consistent = self.consistent and self._solve(self.pivots, self.ineqs, atom)
@@ -276,6 +273,50 @@ class _Lia:
             return (not self.feasible(((coeffs, const, "<"),))
                     and not self.feasible(((neg_coeffs, -const, "<"),)))
         raise AssertionError(rel)
+
+    def implied_equalities(self, forms: Iterable[tuple[object, Lin]]) -> list[list]:
+        """The groups, of two keys or more, of the `(key, linear form)` pairs
+        whose forms the store forces equal, each in the order given.  The
+        store's implicit equalities are its inequality rows `r <= 0` with
+        `store |= r >= 0`: one refutation per row.  With those rows solved
+        in on a copy of the pivots, two forms are forced equal exactly when
+        they reduce to the same key (complete over the rationals; pairs
+        forced only by integer sharpening may be missed), so each form is
+        reduced once and bucketed.  With no tight row the forms are reduced
+        against the store's own pivots, which are not copied.  `forms` is
+        read only past the equality-only exit, and with fewer than two
+        forms there is no pair, so no row is refuted."""
+        if not self.has_bound:
+            # Equality-only stores are skipped, though their pivots alone
+            # can force two classes equal (x + 1 == y + 1 forces x == y).
+            # The exit is not free to remove: without it every
+            # representative of the length and PLE scale files is reduced
+            # each round, and even with the pivots indexed by variable the
+            # scale workload ran about 10% slower (58.7 / 56.6 / 58.2 against
+            # 62.7 / 64.9 / 65.9 inputs/s, seed 62, 8 s runs).
+            return []
+        forms = list(forms)
+        if len(forms) < 2:
+            return []
+        # A row can be tight only if each of its variables is bounded the
+        # other way by another row; otherwise moving that variable makes the
+        # row strict in an integer model.
+        # Without the filter a `solver_trials` pass read 740/745/770 ms, not 703/695/713.
+        sides: set[tuple[int, bool]] = set()
+        for coeffs, _ in self.ineqs:
+            sides.update((v, c > 0) for v, c in coeffs.items())
+        tight = [(coeffs, const) for coeffs, const in self.ineqs
+                 if all((v, c < 0) in sides for v, c in coeffs.items())
+                 and not self.feasible(((coeffs, const, "<"),))]  # store |= r >= 0
+        pivots = self.pivots
+        if tight:
+            pivots = dict(pivots)
+            for coeffs, const in tight:
+                self._solve(pivots, [], (coeffs, const, "=="))
+        buckets: dict[tuple, list] = {}
+        for key, (coeffs, const) in forms:
+            buckets.setdefault(_reduced(pivots, coeffs, const), []).append(key)
+        return [keys for keys in buckets.values() if len(keys) > 1]
 
     @staticmethod
     def _solve(pivots: dict[int, Pivot], ineqs: list[Lin],
@@ -376,7 +417,6 @@ class SolverState:
         self.ple = ple
         self.ple_fuel = ple_fuel
         self.nodes: list[_Node] = []
-        self.int_nodes: list[int] = []  # see _mk
         self.intern_table: dict[tuple, int] = {}
         self.term_memo: dict[int, tuple[Term, int, bool]] = {}  # see intern_term
         self.parent: list[int] = []
@@ -391,7 +431,6 @@ class SolverState:
         self.contradiction = False
         self.fuel_exhausted = False
         self.stats = {"reflect": 0, "measure": 0, "merges": 0, "dropped_or": 0}
-        self._pinch_key: Optional[tuple] = None  # state sizes at the last _pinch
 
     # -- union-find -----------------------------------------------------
     def find(self, x: int) -> int:
@@ -409,9 +448,7 @@ class SolverState:
         only if neither exists, as a `_Node` tuple, with its facts: sort Int
         by kind and head, a `prim` node's linear form (`_prim_lin`, from its
         arguments' forms, which exist already), a literal's or constructor's
-        tag, and a constructor's measure applications.  It never merges.  An
-        integer node that is neither a literal nor `prim` (a variable or an
-        application) is listed in `int_nodes`, in id order, for `_pinch`."""
+        tag, and a constructor's measure applications.  It never merges."""
         key = (kind, head, args)
         intern_table = self.intern_table
         nid = intern_table.get(key)
@@ -433,13 +470,9 @@ class SolverState:
         form = None
         if kind == "var":
             is_int = isinstance(self.var_sorts.get(head), SortInt)
-            if is_int:
-                self.int_nodes.append(nid)
         elif kind == "app":
             fi = self.env.funs[head]
             is_int = isinstance(fi.result_sort, SortInt)
-            if is_int:
-                self.int_nodes.append(nid)
             if fi.is_reflected or fi.is_measure:
                 self.todo.append(nid)
         elif kind == "prim":
@@ -580,77 +613,35 @@ class SolverState:
             if self.find(a) == self.find(b):
                 self.contradiction = True
                 return
-        if (self.lia.n_atoms or self.lia.diseqs) and not self.lia.feasible():
+        if not self.lia.feasible():
             self.contradiction = True
 
     def _pinch(self) -> None:
         """Merge the integer classes that the LIA store forces equal, so
-        congruence sees arithmetic consequences.  The store's implicit
-        equalities are its inequality rows `r <= 0` with `store |= r >= 0`:
-        one refutation per row.  With those rows solved in on a copy of the
-        pivots, two classes are forced equal exactly when their linear forms
-        reduce to the same key (complete over the rationals; pairs forced
-        only by integer sharpening may be missed), so each representative is
-        reduced once and bucketed.  With no tight row the keys are reduced
-        against the store's own pivots, which are not copied.
-
-        The representatives are the classes, with users, of the integer
-        variables and applications that `_mk` listed in `int_nodes`, in id
-        order: a literal's linear form is a constant and a `prim` node's is
-        made of its arguments'.  With fewer than two there is no pair to
-        merge, so no row is refuted.
+        congruence sees arithmetic consequences: each group that
+        `_Lia.implied_equalities` finds among the linear forms of the
+        classes, with users, of the integer variables and applications (a
+        literal's form is a constant and a `prim` node's is made of its
+        arguments').  They are found by a scan of every node in id order, a
+        generator that runs only past the store's equality-only exit.
 
         `_saturate` calls it once per congruence fixpoint, after
         `checkpoint`, and once more after each call that merged.  A call on
-        a state unchanged since the last one, as on a continued state
-        saturated again with nothing new, is skipped."""
+        a state unchanged since the last one finds its groups already
+        merged."""
         if self.contradiction:
             return
-        lia = self.lia
-        key = (lia.n_atoms, len(lia.diseqs), len(self.nodes), self.stats["merges"])
-        if key == self._pinch_key:
-            return
-        self._pinch_key = key
-        if not lia.has_bound:
-            # Equality-only stores are skipped, though their pivots alone
-            # can force two classes equal (x + 1 == y + 1 forces x == y).
-            # The exit is not free to remove: without it every
-            # representative of the length and PLE scale files is reduced
-            # each round, and even with the pivots indexed by variable the
-            # scale workload ran about 10% slower (58.7 / 56.6 / 58.2 against
-            # 62.7 / 64.9 / 65.9 inputs/s, seed 62, 8 s runs).
-            return
-        reps: list[int] = []
-        seen: set[int] = set()
-        # a scan of every node instead read `scale` 344/343/340 ms, not 316/309/353, a pass
-        for nid in self.int_nodes:
-            r = self.find(nid)
-            if r in seen:
-                continue
-            seen.add(r)
-            if self.use.get(r):
-                reps.append(r)
-        if len(reps) < 2:
-            return
-        # A row can be tight only if each of its variables is bounded the
-        # other way by another row; otherwise moving that variable makes the
-        # row strict in an integer model.
-        # Without the filter a `solver_trials` pass read 740/745/770 ms, not 703/695/713.
-        sides: set[tuple[int, bool]] = set()
-        for coeffs, _ in lia.ineqs:
-            sides.update((v, c > 0) for v, c in coeffs.items())
-        tight = [(coeffs, const) for coeffs, const in lia.ineqs
-                 if all((v, c < 0) in sides for v, c in coeffs.items())
-                 and not lia.feasible(((coeffs, const, "<"),))]  # store |= r >= 0
-        pivots = lia.pivots
-        if tight:
-            pivots = dict(pivots)
-            for coeffs, const in tight:
-                _Lia._solve(pivots, [], (coeffs, const, "=="))
-        buckets: dict[tuple, list[int]] = {}
-        for r in reps:
-            buckets.setdefault(_reduced(pivots, *self.lin(r)), []).append(r)
-        for same in buckets.values():
+
+        def representatives():
+            seen: set[int] = set()
+            for nid, node in enumerate(self.nodes):
+                if node.is_int and node.kind != "int" and node.kind != "prim":
+                    r = self.find(nid)
+                    if r not in seen:
+                        seen.add(r)
+                        if self.use.get(r):
+                            yield r, self.lin(r)
+        for same in self.lia.implied_equalities(representatives()):
             for r in same[1:]:
                 if self.find(same[0]) != self.find(r):
                     self._merge(same[0], r)

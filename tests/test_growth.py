@@ -4,15 +4,18 @@ workload; each checks the family's true instance through `check_module` and
 counts the solver states it builds, their nodes and `stats`, the calls of
 `logic._unfold` and of `logic._select_clause`, the arithmetic row
 substitutions (`logic._substitute` calls), the Fourier-Motzkin runs
-(`_Lia._fm` calls), and the `entails` calls and the exchanges with the
-arithmetic layer they make (`SolverState.checkpoint` and `_pinch` calls).
+(`_Lia._fm` calls), the linear forms reduced for implied equalities
+(`logic._reduced` calls), and the `entails` calls and the exchanges with
+the arithmetic layer they make (`SolverState.checkpoint` and `_pinch`
+calls).
 Saturation visits only the applications that can still unfold, so `_unfold`
 calls stay within a small multiple of the instances made.  The `sum` family
 is not one of `scale`'s; its law counts FM runs for ROADMAP item 17.
 
-Run as a script, the file checks the PLE `reverse` laws at n=8 -> 16 and the
-`sum` law at n=4 -> 8, or with `--large` at n=30 -> 60 with PLE fuel 400 and
-at n=8 -> 16, where superlinear work shows that the small sizes hide; it
+Run as a script, the file checks the PLE `reverse` laws at n=8 -> 16, the
+`length` literal's `_reduced` law at n=100 -> 200 and the `sum` law at
+n=4 -> 8, or with `--large` `reverse` at n=30 -> 60 with PLE fuel 400 and
+`sum` at n=8 -> 16, where superlinear work shows that the small sizes hide; it
 prints the ratios and counts and exits 1 if a bound fails:
 
     PYTHONPATH=src python tests/test_growth.py [--large]
@@ -94,7 +97,7 @@ def work(source: str, ple_fuel: int = DEFAULT_PLE_FUEL,
     with pytest.MonkeyPatch.context() as m:
         states = record_states(m)
         for owner, name in ((logic, "_unfold"), (logic, "_select_clause"),
-                            (logic, "_substitute"), (logic._Lia, "_fm"),
+                            (logic, "_substitute"), (logic, "_reduced"), (logic._Lia, "_fm"),
                             (checker, "entails"), (SolverState, "checkpoint")):
             m.setattr(owner, name, counting(getattr(owner, name)))
         m.setattr(SolverState, "_pinch", pinch)
@@ -164,6 +167,19 @@ def ple_reverse_exchanges(law: str) -> tuple[tuple[int, int], tuple[int, int]]:
     return (pinches[0], pinches[1]), (checkpoints[0], checkpoints[1])
 
 
+def reductions(law: str) -> dict[str, tuple[int, int]]:
+    """The `logic._reduced` calls of the `length` literal at n=100 -> 200
+    and of PLE `reverse` at the law's n and 2n, each asserted 0: their
+    stores hold equalities only, so `_Lia.implied_equalities` returns at its
+    equality-only exit before the classes are scanned or reduced.  Without
+    the exit they made 100 -> 200 and 14 -> 22 (n=8 -> 16) calls."""
+    n, fuel, _, _ = REVERSE_LAWS[law]
+    counts = {"length": tuple(work(_length_literal(size))[1]["_reduced"] for size in (100, 200)),
+              "reverse": tuple(work(_ple_reverse(size), fuel)[1]["_reduced"] for size in (n, 2 * n))}
+    assert counts == {"length": (0, 0), "reverse": (0, 0)}, (law, counts)
+    return counts
+
+
 # `sum` at n and 2n: (n, whether the true instances must prove).  Its one
 # obligation runs FM once to check the facts, at the congruence fixpoint,
 # once per inequality row in `_pinch`'s test for implied equalities (n(n+1)/2
@@ -219,6 +235,10 @@ def test_ple_reverse_exchanges_once_per_fixpoint():
     ple_reverse_exchanges("default")
 
 
+def test_equality_only_stores_reduce_no_form():
+    reductions("default")
+
+
 def test_plus_one_chain_nodes_are_linear():
     # x, v, the literals 1 and n, and one node per `+ 1`: 204 -> 404 nodes
     for n in (200, 400):
@@ -231,7 +251,8 @@ def test_sum_fm_runs_are_one_per_row():
 
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser(description="Check the PLE `reverse` and `sum` growth laws.")
+    ap = argparse.ArgumentParser(
+        description="Check the PLE `reverse`, `_reduced` and `sum` growth laws.")
     ap.add_argument("--large", action="store_true",
                     help="`reverse` n=30 -> 60 with PLE fuel 400, `sum` n=8 -> 16")
     args = ap.parse_args()
@@ -240,4 +261,6 @@ if __name__ == "__main__":
     print(f"reverse: _unfold {unfold:.2f}x, _substitute {substitute:.2f}x")
     pinches, checkpoints = ple_reverse_exchanges(law)
     print("reverse: _pinch {} -> {}, checkpoint {} -> {}".format(*pinches, *checkpoints))
+    for family, (small, large) in reductions(law).items():
+        print(f"{family}: _reduced {small} -> {large}")
     print("sum: _fm {} -> {}".format(*sum_fm_runs(law)))

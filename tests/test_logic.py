@@ -394,33 +394,18 @@ def test_pinch_has_no_representative_cap(list_env):
     assert entails(st, facts, pred(f"[x1] == [x{n}]"))
 
 
-def test_pinch_skips_an_unchanged_state(list_env, monkeypatch):
-    st = SolverState(list_env, var_sorts={"x": INT, "y": INT, "z": INT}, ple_fuel=3)
+@pytest.mark.parametrize("ple", [False, True], ids=["no-ple", "ple"])
+def test_saturating_a_saturated_state_changes_nothing(list_env, ple):
+    # `_pinch` keeps no record of the state it last saw: on a state that
+    # `entails` saturated, saturating again finds every group merged
+    st = SolverState(list_env, var_sorts={"x": INT, "y": INT, "z": INT}, ple=ple)
     for s in ("[x]", "[y]", "[z]"):
         st.intern_term(term(s), active=True)
-    facts = [pred("x <= y"), pred("y <= x"), pred("y <= z")]
-    inside, asked = [False], []
-    real_pinch, real_feasible = SolverState._pinch, _Lia.feasible
-
-    def pinch(self):
-        inside[0] = True
-        try:
-            return real_pinch(self)
-        finally:
-            inside[0] = False
-
-    def feasible(self, *args):  # _Lia.entails asks through feasible too
-        if inside[0]:
-            asked.append(args)
-        return real_feasible(self, *args)
-    monkeypatch.setattr(SolverState, "_pinch", pinch)
-    monkeypatch.setattr(_Lia, "feasible", feasible)
-    assert entails(st, facts, pred("[x] == [y]"))
-    assert asked  # the first saturation looked for implied equalities
-    del asked[:]
+    assert entails(st, [pred("x <= y"), pred("y <= x"), pred("y <= z")], pred("[x] == [y]"))
+    before = _snapshot(st)
     instantiate_axioms(st)
     ple_saturate(st)
-    assert asked == []
+    assert _snapshot(st) == before
 
 
 def test_tag_survives_when_its_class_is_absorbed(list_env):
@@ -511,9 +496,9 @@ def _snapshot(st):
     lia = st.lia
     return copy.deepcopy((
         len(st.nodes), st.intern_table, [st.find(i) for i in range(len(st.nodes))],
-        st.int_nodes, st.tag, st.active, st.todo, st.reflect_done_keys, st.stats,
-        st.contradiction, lia.n_atoms, lia.has_bound, lia.diseqs, lia.pivots, lia.ineqs,
-        lia.consistent, lia._feasible_cache,
+        st.tag, st.active, st.todo, st.reflect_done_keys, st.stats, st.contradiction,
+        lia.has_bound, lia.diseqs, lia.pivots, lia.ineqs, lia.consistent,
+        lia._feasible_cache,
     ))
 
 
@@ -667,25 +652,6 @@ def test_intern_memo_builds_what_walks_build(seed):
     assert (memo.stats, memo.contradiction) == (walk.stats, walk.contradiction)
 
 
-# ----------------------------------------------------------- integer-node index
-# `_pinch` reads the integer nodes `_mk` lists; the list is checked against
-# the scan of every node it replaces.
-
-
-def test_integer_node_index_is_a_scan_of_every_node():
-    # after random queries, `int_nodes` lists, in id order, exactly the
-    # integer nodes that are neither literals nor `prim`
-    env = env_of(SOUNDNESS_SRC)
-    rng = random.Random(33)
-    for i in range(400):
-        states = []
-        trial = soundness_trial if i % 2 else compound_soundness_trial
-        trial(env, rng, ple=(i % 4 == 0), states=states)
-        [state] = states
-        assert state.int_nodes == [nid for nid, node in enumerate(state.nodes)
-                                   if node.is_int and node.kind not in ("int", "prim")]
-
-
 # ------------------------------------------------ facts fixed when a node is made
 # A `prim` node's linear form and a measure application's clause are
 # computed once, not on every use.  Each is checked against the computation
@@ -809,7 +775,6 @@ def test_measure_of_sort_bool_makes_no_integer_node():
     assert len(applications) >= 3  # one per constructor of [1, 2]
     for s, nid in applications:
         assert not s.nodes[nid].is_int
-        assert nid not in s.int_nodes
 
 
 # ------------------------------------------------------------- LIA store
@@ -898,6 +863,9 @@ def test_pinch_merges_agree_with_box_enumeration(list_env, problem):
         else:
             st.lia.add(node_coeffs, const, rel)
         models = [p for p in models if _holds((coeffs, const), rel, p)]
+    forms = [(i, ({nids[i]: 1}, 0)) for i in range(n)]
+    for group in st.lia.implied_equalities(forms):
+        assert all(len({p[i] for i in group}) == 1 for p in models), group
     before = [st.find(nid) for nid in nids]
     st._pinch()
     for i, j in itertools.combinations(range(n), 2):
